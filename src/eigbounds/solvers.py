@@ -1,6 +1,6 @@
 """Self-contained eigensolvers and norms used as the oracle everywhere else.
 
-Dense Hermitian matrices go through cyclic Jacobi sweeps; symmetric
+Dense Hermitian matrices go through round-robin Jacobi sweeps; symmetric
 tridiagonals through Sturm-sequence bisection plus inverse iteration.  These
 are deliberately independent of any library eigensolver so that every bound
 in the package is checked against an implementation with no shared code path.
@@ -39,16 +39,41 @@ class InverseIterationError(RuntimeError):
     """Inverse iteration failed to reach the residual target for an index."""
 
 
+def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Index pairs (P, Q), P < Q, of each round of a round-robin sweep.
+
+    Circle method on n padded to even m, with m - 1 rounds: in round r,
+    index m - 1 meets r and (r + k) mod (m - 1) meets (r - k) mod (m - 1).
+    Every pair occurs in exactly one round and no index occurs twice in a
+    round; pairs with the padding index m - 1 = n (odd n) are dropped.
+    """
+    m = n + n % 2
+    k = np.arange(1, m // 2)
+    rounds = []
+    for r in range(m - 1):
+        a = np.concatenate(([r], (r + k) % (m - 1)))
+        b = np.concatenate(([m - 1], (r - k) % (m - 1)))
+        keep = b < n
+        a, b = a[keep], b[keep]
+        rounds.append((np.minimum(a, b), np.maximum(a, b)))
+    return rounds
+
+
 def eig_dense(A: DenseHermitian, want_vectors: bool = False,
               max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
-    """Full spectrum of a Hermitian matrix by cyclic Jacobi sweeps."""
+    """Full spectrum of a Hermitian matrix by round-robin Jacobi sweeps.
+
+    Each sweep is the rounds of a round-robin ordering (Brent & Luk 1985);
+    the rotations of a round act on disjoint (p, q) planes, so they commute
+    and are applied together as one array update.
+    """
     n = A.n
     # real input stays in real arithmetic: the rotation formulas below are
     # dtype-generic (the phase ph degenerates to +-1) and run much faster
     dtype = float if A.is_real else complex
     H = A.real_array().astype(float, copy=True) if A.is_real \
         else A.entries.astype(complex, copy=True)
-    V = np.eye(n, dtype=dtype)
+    V = np.eye(n, dtype=dtype) if want_vectors else None
     scale = math.sqrt(float(np.sum(np.abs(H) ** 2)))
     if n == 1 or scale == 0.0:
         vals = H.diagonal().real.copy()
@@ -56,6 +81,7 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
         return Spectrum(vals[order], V[:, order] if want_vectors else None)
 
     off_target = 0.5 * n * _EPS * scale
+    skip = _EPS * scale * 1e-3
 
     diag_mask = ~np.eye(n, dtype=bool)
 
@@ -64,43 +90,48 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
         # from the total cancels catastrophically once the off-part is tiny
         return math.sqrt(float(np.sum(np.abs(H[diag_mask]) ** 2)))
 
+    rounds = _round_robin_pairs(n)
     converged = off_norm() <= off_target
     for _ in range(max_sweeps):
         if converged:
             break
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = H[p, q]
-                absb = abs(apq)
-                if absb <= _EPS * scale * 1e-3:
+        for P, Q in rounds:
+            apq = H[P, Q]
+            absb = np.abs(apq)
+            big = absb > skip
+            if not big.all():
+                if not big.any():
                     continue
-                rotated = True
-                app = H[p, p].real
-                aqq = H[q, q].real
-                ph = apq / absb
-                tau = (aqq - app) / (2.0 * absb)
-                t = (-1.0 if tau >= 0 else 1.0) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                sph = s * ph.conjugate()
-                # columns, then rows, of the unitary acting in the (p, q) plane
-                hp = H[:, p].copy()
-                hq = H[:, q].copy()
-                H[:, p] = c * hp + sph * hq
-                H[:, q] = -s * hp + c * ph.conjugate() * hq
-                hp = H[p, :].copy()
-                hq = H[q, :].copy()
-                H[p, :] = c * hp + s * ph * hq
-                H[q, :] = -s * hp + c * ph * hq
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                H[p, p] = H[p, p].real
-                H[q, q] = H[q, q].real
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp + sph * vq
-                V[:, q] = -s * vp + c * ph.conjugate() * vq
+                P, Q, apq, absb = P[big], Q[big], apq[big], absb[big]
+            rotated = True
+            app = H[P, P].real
+            aqq = H[Q, Q].real
+            ph = apq / absb
+            tau = (aqq - app) / (2.0 * absb)
+            t = np.where(tau >= 0, -1.0, 1.0) / (np.abs(tau) + np.hypot(tau, 1.0))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            sph = s * ph.conjugate()
+            cphc = c * ph.conjugate()
+            # columns, then rows, of the unitary acting in the (p, q) planes
+            hp = H[:, P]
+            hq = H[:, Q]
+            H[:, P] = c * hp + sph * hq
+            H[:, Q] = -s * hp + cphc * hq
+            hp = H[P, :]
+            hq = H[Q, :]
+            H[P, :] = c[:, None] * hp + (s * ph)[:, None] * hq
+            H[Q, :] = -s[:, None] * hp + (c * ph)[:, None] * hq
+            H[P, Q] = 0.0
+            H[Q, P] = 0.0
+            H[P, P] = H[P, P].real
+            H[Q, Q] = H[Q, Q].real
+            if want_vectors:
+                vp = V[:, P]
+                vq = V[:, Q]
+                V[:, P] = c * vp + sph * vq
+                V[:, Q] = -s * vp + cphc * vq
         if not rotated or off_norm() <= off_target:
             converged = True
     if not converged and off_norm() > 10 * off_target:
@@ -114,12 +145,15 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
 def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
                   pivmin: float) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in xs (vectorized)."""
+    # a pivot with |q| < pivmin is taken as -pivmin, as in LAPACK dstebz: it
+    # counts as negative (q < pivmin) and the next row divides by -pivmin.
+    # Counting it by its own sign made the counts non-monotone in the shift.
     q = diag[0] - xs
-    count = (q < 0.0).astype(np.int64)
+    count = (q < pivmin).astype(np.int64)
     for i in range(1, diag.size):
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
         q = diag[i] - xs - off_sq[i - 1] / q
-        count += q < 0.0
+        count += q < pivmin
     return count
 
 

@@ -132,3 +132,10 @@ class TestCli:
         assert rc == 0
         assert "verdict=FAIL" not in out
         assert "status=sound" in out
+
+    def test_wilkinson_bounds_below_float_range_are_compared(self, capsys):
+        # the top-pair bound at n = 100 is about 10^-310, below the float range
+        rc = main(["wilkinson", "--n", "100"])
+        out = capsys.readouterr().out
+        assert rc in (0, 1)
+        assert "record=top-pair" in out and "status=" in out

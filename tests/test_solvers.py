@@ -5,6 +5,7 @@ from conftest import random_hermitian, random_tridiagonal
 from eigbounds import (DenseHermitian, SymTridiagonal, eig_dense, eig_tridiag,
                        gerschgorin_disks, spectral_norm, sturm_count,
                        wilkinson_plus, wilkinson_split)
+from eigbounds.solvers import JacobiConvergenceError, _round_robin_pairs
 
 
 class TestEigDense:
@@ -43,6 +44,82 @@ class TestEigDense:
             np.real(np.trace(A.entries)), abs=1e-10)
 
 
+def _check_against_library(M, values_only=False):
+    """eig_dense against numpy.linalg.eigvalsh (a third opinion, tests only):
+    eigenvalues to 1e-13 relative, residual and orthogonality to 1e-12."""
+    A = DenseHermitian.from_array(M)
+    n = A.n
+    ref = np.linalg.eigvalsh(M)
+    norm = float(np.max(np.abs(ref)))
+    spec = eig_dense(A, want_vectors=not values_only)
+    assert np.max(np.abs(spec.values - ref)) <= 1e-13 * norm
+    if values_only:
+        return spec
+    V = spec.vectors
+    R = M @ V - V * spec.values
+    assert np.max(np.abs(R)) <= 1e-12 * max(norm, 1.0)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-12
+    return spec
+
+
+class TestRoundRobinJacobi:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 10])
+    def test_rounds_pair_every_index_pair_once(self, n):
+        rounds = _round_robin_pairs(n)
+        assert len(rounds) == n - 1 + n % 2
+        seen = []
+        for P, Q in rounds:
+            assert np.all(P < Q)
+            assert len(set(P) | set(Q)) == 2 * P.size  # disjoint planes
+            seen += list(zip(P.tolist(), Q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 40])
+    def test_random_matches_library(self, n, complex_entries):
+        # odd n pads the round-robin schedule with an index that never rotates
+        rng = np.random.default_rng(100 + n)
+        A = random_hermitian(rng, n, complex_entries=complex_entries)
+        _check_against_library(A.entries)
+
+    def test_block_diagonal_rounds_mix_skipped_and_rotated_pairs(self):
+        # cross-block pairs are exactly zero and drop out of their round
+        # while the within-block pairs of the same round still rotate
+        rng = np.random.default_rng(101)
+        M = np.zeros((11, 11), dtype=complex)
+        M[:5, :5] = random_hermitian(rng, 5, complex_entries=True).entries
+        M[5:, 5:] = random_hermitian(rng, 6, complex_entries=True).entries + 3.0 * np.eye(6)
+        V = _check_against_library(M).vectors
+        # no rotation ever couples the blocks, so every vector stays in one
+        assert np.all((V[:5] == 0).all(axis=0) | (V[5:] == 0).all(axis=0))
+
+    def test_graded_diagonally_dominant(self):
+        rng = np.random.default_rng(102)
+        d = 2.0 ** -(3.0 * np.arange(12))
+        G = 0.1 * rng.standard_normal((12, 12))
+        M = np.diag(d) + np.sqrt(np.outer(d, d)) * (G + G.T) / 2.0 * (1 - np.eye(12))
+        _check_against_library(M)
+
+    def test_diagonal_input_needs_no_sweep(self):
+        # with no sweep allowed any off-diagonal mass would raise
+        A = DenseHermitian.from_array(np.diag([3.0, -1.0, 2.0, 0.5]))
+        spec = eig_dense(A, want_vectors=True, max_sweeps=0)
+        assert np.array_equal(spec.values, [-1.0, 0.5, 2.0, 3.0])
+        assert np.array_equal(np.abs(spec.vectors), np.eye(4)[:, [1, 3, 2, 0]])
+
+    def test_sweep_budget_exhausted_raises(self):
+        rng = np.random.default_rng(103)
+        with pytest.raises(JacobiConvergenceError):
+            eig_dense(random_hermitian(rng, 6), max_sweeps=0)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_values_only_returns_no_vectors(self, complex_entries):
+        rng = np.random.default_rng(104)
+        A = random_hermitian(rng, 9, complex_entries=complex_entries)
+        spec = _check_against_library(A.entries, values_only=True)
+        assert spec.vectors is None
+
+
 class TestSturmAndGerschgorin:
     def test_counts_are_monotone(self):
         rng = np.random.default_rng(8)
@@ -69,6 +146,22 @@ class TestSturmAndGerschgorin:
             disks = gerschgorin_disks(T)
             for lam in vals:
                 assert any(abs(lam - c) <= r + 1e-12 for c, r in disks)
+
+    def test_counts_monotone_through_exactly_zero_pivots(self):
+        # wilkinson_plus(5) has integer diagonal and unit couplings, so shifts
+        # on the half-integer grid hit exactly zero pivots
+        W = wilkinson_plus(5)
+        xs = np.arange(-2.0, 7.25, 0.25)
+        counts = [sturm_count(W, x) for x in xs]
+        assert counts == sorted(counts)
+        assert counts[0] == 0 and counts[-1] == W.n
+
+    def test_wilkinson_spectra_match_library(self):
+        for n in range(5, 41):
+            W = wilkinson_plus(n)
+            ref = np.linalg.eigvalsh(W.to_dense().real_array())
+            err = np.max(np.abs(eig_tridiag(W).values - ref))
+            assert err <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), n
 
     def test_count_equals_rank_at_eigenvalue_midpoints(self):
         T = SymTridiagonal([2.0, 1.0, 0.0], [0.1, 0.1])
