@@ -145,15 +145,12 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
 def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
                   pivmin: float) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in xs (vectorized)."""
-    # a pivot with |q| < pivmin is taken as -pivmin, as in LAPACK dstebz: it
-    # counts as negative (q < pivmin) and the next row divides by -pivmin.
-    # Counting it by its own sign made the counts non-monotone in the shift.
     q = diag[0] - xs
-    count = (q < pivmin).astype(np.int64)
+    count = (q < 0.0).astype(np.int64)
     for i in range(1, diag.size):
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
         q = diag[i] - xs - off_sq[i - 1] / q
-        count += q < pivmin
+        count += q < 0.0
     return count
 
 
