@@ -2,7 +2,9 @@
 oracle verification with deterministic machine-readable reports.
 
 Subcommands: bound-block, wilkinson, aed, multieig, verify-all.  Exit status
-is 0 exactly when every requested verification came out sound.
+is 0 exactly when every requested verification came out sound, 1 when one
+failed, and 2 on bad input (arguments, missing or malformed matrix files),
+which prints one ``error: ...`` line to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import generators
 from .aed import aed_transform, deflation_decide, deflation_soundness_check, run_qr_with_aed
 from .blocks import (quadratic_residual_bound, quadratic_residual_bounds,
                      theorem1_bounds, weyl_bound)
-from .io import load_matrix
+from .io import MatrixFormatError, load_matrix
 from .multiplicity import detect_multiple, expansion_order, first_order_eigs
 from .report import RunReport
 from .solvers import eig_dense, eig_tridiag, spectral_norm
@@ -24,7 +26,11 @@ from .tridiag import aed_window_bounds, wilkinson_gap_bound, wilkinson_pair_gap_
 from .types import BlockSplit, DenseHermitian, LogScalar, SymTridiagonal
 
 __all__ = ["main", "cmd_bound_block", "cmd_wilkinson", "cmd_aed",
-           "cmd_multieig", "cmd_verify_all"]
+           "cmd_multieig", "cmd_verify_all", "InputError"]
+
+
+class InputError(ValueError):
+    """Input a command cannot run on; the CLI exits 2 on it."""
 
 
 def _as_dense(m) -> DenseHermitian:
@@ -33,7 +39,7 @@ def _as_dense(m) -> DenseHermitian:
 
 def _as_tridiagonal(m) -> SymTridiagonal:
     if not isinstance(m, SymTridiagonal):
-        raise SystemExit("this command needs a tridiagonal matrix file")
+        raise InputError("this command needs a tridiagonal matrix file")
     return m
 
 
@@ -42,7 +48,7 @@ def cmd_bound_block(A: DenseHermitian, E: DenseHermitian, k: int,
                     verify: bool = False, command: str = "bound-block") -> RunReport:
     report = RunReport(command)
     if A.n != E.n:
-        raise SystemExit(f"shape mismatch: A is {A.n}x{A.n}, E is {E.n}x{E.n}")
+        raise InputError(f"shape mismatch: A is {A.n}x{A.n}, E is {E.n}x{E.n}")
     split = BlockSplit(k)
     split.check(A.n)
     indices = list(indices) if indices else list(range(1, A.n + 1))
@@ -90,7 +96,7 @@ def cmd_bound_block(A: DenseHermitian, E: DenseHermitian, k: int,
 
 def cmd_wilkinson(n: int, ell_range=None, command: str = "wilkinson") -> RunReport:
     if n <= 4:
-        raise SystemExit("wilkinson requires n > 4")
+        raise InputError("wilkinson requires n > 4")
     report = RunReport(command)
     w = generators.wilkinson_plus(n)
     vals = eig_tridiag(w).values
@@ -107,7 +113,7 @@ def cmd_wilkinson(n: int, ell_range=None, command: str = "wilkinson") -> RunRepo
     ells = list(ell_range) if ell_range else list(range(1, n - 1))
     for ell in sorted(ells):
         if ell < 1 or n - ell - 1 < 0:
-            raise SystemExit(f"ell={ell} out of range for n={n}")
+            raise InputError(f"ell={ell} out of range for n={n}")
         # pairs are counted from the top of the ascending spectrum
         gap = float(vals[-(2 * ell - 1)] - vals[-(2 * ell)])
         bound = wilkinson_pair_gap_bound(n, ell)
@@ -145,11 +151,9 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
     outcome = deflation_decide(aed_transform(T, k), tol, scale)
     report.summary["spike_norm"] = float(np.linalg.norm(outcome.spike))
     report.summary["deflation_count"] = outcome.deflation_count
-    bounds = aed_window_bounds(T, k, j=j, alpha=alpha)
-    by_val = {lam: (b, jj) for lam, b, jj in bounds}
-    for idx in range(outcome.k):
-        lam = float(outcome.values[idx])
-        b, jj = by_val.get(lam, (None, None))
+    bounds = aed_window_bounds(T, k, j=j, alpha=alpha,
+                               window_values=outcome.values)
+    for idx, (lam, b, jj) in enumerate(bounds):
         report.add(index=idx + 1, window_eigenvalue=lam,
                    spike=float(abs(outcome.spike[idx])),
                    deflatable=bool(outcome.deflatable[idx]),
@@ -169,12 +173,12 @@ def cmd_multieig(A: DenseHermitian, E: DenseHermitian, eps_grid=None,
                  command: str = "multieig") -> RunReport:
     report = RunReport(command)
     if A.n != E.n:
-        raise SystemExit(f"shape mismatch: A is {A.n}x{A.n}, E is {E.n}x{E.n}")
+        raise InputError(f"shape mismatch: A is {A.n}x{A.n}, E is {E.n}x{E.n}")
     if eps_grid is None:
         eps_grid = (1e-2, 1e-3, 1e-4, 1e-5)
     contexts = detect_multiple(A, cluster_tol=cluster_tol)
     if not contexts:
-        raise SystemExit("no eigenvalue cluster found at this tolerance")
+        raise InputError("no eigenvalue cluster found at this tolerance")
     for ci, ctx in enumerate(contexts, start=1):
         preds = first_order_eigs(ctx, E, float(min(eps_grid)))
         fit = expansion_order(ctx, E, eps_grid)
@@ -338,32 +342,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     echo = " ".join(argv if argv is not None else sys.argv[1:])
+    try:
+        report = _run(args, echo)
+        sys.stdout.write(report.render())
+        if args.csv:
+            report.write_csv(args.csv)
+    except (InputError, MatrixFormatError, OSError) as exc:
+        parser.exit(2, f"error: {exc}\n")
+    return 0 if report.sound else 1
+
+
+def _run(args, echo: str) -> RunReport:
     if args.command == "bound-block":
         A = _as_dense(load_matrix(args.matrix).realize())
         E = _as_dense(load_matrix(args.perturbation).realize())
-        report = cmd_bound_block(A, E, args.k, indices=args.indices,
-                                 refined=args.refined, verify=args.verify,
-                                 command=echo)
-    elif args.command == "wilkinson":
-        report = cmd_wilkinson(args.n, ell_range=args.ell_range, command=echo)
-    elif args.command == "aed":
+        return cmd_bound_block(A, E, args.k, indices=args.indices,
+                               refined=args.refined, verify=args.verify,
+                               command=echo)
+    if args.command == "wilkinson":
+        return cmd_wilkinson(args.n, ell_range=args.ell_range, command=echo)
+    if args.command == "aed":
         T = _as_tridiagonal(load_matrix(args.matrix).realize())
-        report = cmd_aed(T, args.k, tol=args.tol, j=args.j, alpha=args.alpha,
-                         simulate=args.simulate, verify=args.verify,
-                         command=echo)
-    elif args.command == "multieig":
+        return cmd_aed(T, args.k, tol=args.tol, j=args.j, alpha=args.alpha,
+                       simulate=args.simulate, verify=args.verify,
+                       command=echo)
+    if args.command == "multieig":
         A = _as_dense(load_matrix(args.matrix).realize())
         E = _as_dense(load_matrix(args.perturbation).realize())
-        report = cmd_multieig(A, E, eps_grid=args.eps_grid,
-                              cluster_tol=args.cluster_tol, command=echo)
-    else:
-        report = cmd_verify_all(command=echo)
-    sys.stdout.write(report.render())
-    if args.csv:
-        report.write_csv(args.csv)
-    return 0 if report.sound else 1
+        return cmd_multieig(A, E, eps_grid=args.eps_grid,
+                            cluster_tol=args.cluster_tol, command=echo)
+    return cmd_verify_all(command=echo)
 
 
 if __name__ == "__main__":

@@ -62,7 +62,10 @@ class MatrixFile:
         if self.kind == "tridiagonal":
             return self.tridiagonal
         fn, _ = GENERATORS[self.generator]
-        return fn(**self.params)
+        try:
+            return fn(**self.params)
+        except ValueError as exc:
+            raise MatrixFormatError(f"generator {self.generator}: {exc}") from exc
 
 
 def _content_lines(text: str) -> list[tuple[str, str]]:
@@ -76,6 +79,13 @@ def _content_lines(text: str) -> list[tuple[str, str]]:
     return out
 
 
+def _number(text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise MatrixFormatError(f"malformed number: {exc}") from exc
+
+
 def parse_matrix(text: str) -> MatrixFile:
     lines = _content_lines(text)
     if not lines or lines[0][0] != "format":
@@ -86,12 +96,15 @@ def parse_matrix(text: str) -> MatrixFile:
         fields = dict(body)
         if set(fields) - {"diag", "offdiag"} or "diag" not in fields:
             raise MatrixFormatError("tridiagonal needs 'diag' and 'offdiag' lines")
-        diag = [float(v) for v in fields["diag"].split()]
-        off = [float(v) for v in fields.get("offdiag", "").split()]
-        return MatrixFile("tridiagonal",
-                          tridiagonal=SymTridiagonal(np.array(diag), np.array(off)))
+        diag = [_number(v) for v in fields["diag"].split()]
+        off = [_number(v) for v in fields.get("offdiag", "").split()]
+        try:
+            T = SymTridiagonal(np.array(diag), np.array(off))
+        except ValueError as exc:
+            raise MatrixFormatError(str(exc)) from exc
+        return MatrixFile("tridiagonal", tridiagonal=T)
     if tag == "dense-hermitian":
-        rows = [[complex(v) for v in rest.split()] for key, rest in body
+        rows = [[_number(v, complex) for v in rest.split()] for key, rest in body
                 if key == "row"]
         if not rows or any(key != "row" for key, _ in body):
             raise MatrixFormatError("dense-hermitian expects only 'row' lines")
@@ -113,7 +126,7 @@ def parse_matrix(text: str) -> MatrixFile:
         for key, value in fields.items():
             if key not in param_names:
                 raise MatrixFormatError(f"generator {name} takes no parameter {key!r}")
-            params[key] = int(value)
+            params[key] = _number(value, int)
         missing = set(param_names) - set(params)
         if missing:
             raise MatrixFormatError(f"generator {name} missing parameters {sorted(missing)}")

@@ -1,9 +1,12 @@
 """Self-contained eigensolvers and norms used as the oracle everywhere else.
 
 Dense Hermitian matrices go through round-robin Jacobi sweeps; symmetric
-tridiagonals through Sturm-sequence bisection plus inverse iteration.  These
-are deliberately independent of any library eigensolver so that every bound
-in the package is checked against an implementation with no shared code path.
+tridiagonals through Sturm-sequence bisection plus inverse iteration.  Each
+bisection pass counts a whole subtree of midpoints of every eigenvalue
+interval at once and replays several bisection steps from those counts, with
+results bit-identical to one midpoint per pass.  These are deliberately
+independent of any library eigensolver so that every bound in the package is
+checked against an implementation with no shared code path.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ _EPS = np.finfo(float).eps
 JACOBI_MAX_SWEEPS = 30
 TOL_RESID = 1e-12
 TOL_ORTH = 1e-12
+
+# Sturm bisection: shifts counted per pass, and the cap on bisection steps
+_SHIFTS_PER_PASS = 1024
+_MAX_BISECT_STEPS = 120
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -147,10 +154,21 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
     """Number of eigenvalues strictly below each shift in xs (vectorized)."""
     q = diag[0] - xs
     count = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.size):
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        q = diag[i] - xs - off_sq[i - 1] / q
-        count += q < 0.0
+    # one row per iteration, in place: q <- (d_i - xs) - b_{i-1}^2 / q with
+    # |q| < pivmin replaced by -pivmin first
+    t = np.empty_like(q)
+    neg = np.empty(q.shape, dtype=bool)
+    d = diag.tolist()
+    b2 = off_sq.tolist()
+    for i in range(1, len(d)):
+        np.abs(q, out=t)
+        np.less(t, pivmin, out=neg)
+        np.copyto(q, -pivmin, where=neg)
+        np.divide(b2[i - 1], q, out=q)
+        np.subtract(d[i], xs, out=t)
+        np.subtract(t, q, out=q)
+        np.less(q, 0.0, out=neg)
+        count += neg
     return count
 
 
@@ -183,25 +201,71 @@ def _gersch_bounds(T: SymTridiagonal) -> tuple[float, float]:
     return lo, hi
 
 
-def _bisect_values(T: SymTridiagonal, tol: float | None = None) -> np.ndarray:
+def _bisect_values(T: SymTridiagonal, tol: float | None = None,
+                   ranks=None) -> np.ndarray:
+    """Eigenvalues of the given ascending 1-based ranks (default all) by
+    Sturm bisection.
+
+    Each pass does the work of up to L bisection steps.  For every rank it
+    builds the depth-L subtree of midpoints of its interval, level by level,
+    each point 0.5 * (left + right) of its two neighbours one level up: the
+    midpoint a one-step loop would compute.  One _sturm_counts call counts
+    at all 2^L - 1 interior points of all ranks, and the L decisions are
+    then replayed on node indices, with the stop test before every step.
+    The values are bit-identical to one midpoint per step; L is chosen so a
+    pass evaluates about _SHIFTS_PER_PASS shifts (L = 1 from 1024 ranks).
+    """
     n = T.n
     off_sq = T.offdiag ** 2
     pivmin = _pivmin(off_sq)
     glo, ghi = _gersch_bounds(T)
     if tol is None:
         tol = 4.0 * _EPS * max(abs(glo), abs(ghi), 1e-30)
-    lo = np.full(n, glo)
-    hi = np.full(n, ghi)
-    ranks = np.arange(1, n + 1)
-    for _ in range(120):
+    ranks = np.arange(1, n + 1) if ranks is None else np.asarray(ranks)
+    m = ranks.size
+    lo = np.full(m, glo)
+    hi = np.full(m, ghi)
+    depth = max(1, int(math.log2(_SHIFTS_PER_PASS / m + 1)))
+    steps = 0
+    while steps < _MAX_BISECT_STEPS:
         mid = 0.5 * (lo + hi)
         # stop once midpoints can no longer move
         if np.all((hi - lo) <= tol) or np.all((mid <= lo) | (mid >= hi)):
             break
-        counts = _sturm_counts(T.diag, off_sq, mid, pivmin)
-        above = counts >= ranks
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+        L = min(depth, _MAX_BISECT_STEPS - steps)
+        w = 1 << L
+        grid = np.empty((m, w + 1))
+        grid[:, 0] = lo
+        grid[:, w // 2] = mid
+        grid[:, w] = hi
+        h = w // 2
+        while h > 1:
+            grid[:, h // 2::h] = 0.5 * (grid[:, :-1:h] + grid[:, h::h])
+            h //= 2
+        counts = np.empty((m, w + 1), dtype=np.int64)  # endpoints never read
+        counts[:, 1:w] = _sturm_counts(T.diag, off_sq, grid[:, 1:w].ravel(),
+                                       pivmin).reshape(m, w - 1)
+        # path[l] is each rank's left node (flat index) after l steps
+        flat = grid.ravel()
+        count_at = counts.ravel()
+        path = np.empty((L + 1, m), dtype=np.intp)
+        path[0] = np.arange(m) * (w + 1)
+        for lvl in range(1, L + 1):
+            h = w >> lvl
+            path[lvl] = path[lvl - 1] + h * (count_at[path[lvl - 1] + h] < ranks)
+        # the stop test before steps 2..L, all levels at once
+        half = (w >> np.arange(2, L + 1))[:, None]
+        left = flat[path[1:L]]
+        right = flat[path[1:L] + 2 * half]
+        centre = flat[path[1:L] + half]
+        stop = (np.all(right - left <= tol, axis=1)
+                | np.all((centre <= left) | (centre >= right), axis=1))
+        taken = 1 + int(np.argmax(stop)) if stop.any() else L
+        steps += taken
+        lo = flat[path[taken]]
+        hi = flat[path[taken] + (w >> taken)]
+        if taken < L:
+            break
     vals = 0.5 * (lo + hi)
     return np.maximum.accumulate(vals)  # enforce monotonicity at roundoff scale
 
@@ -353,7 +417,7 @@ def spectral_norm(A) -> float:
     if isinstance(A, SymTridiagonal):
         if A.n == 1:
             return abs(float(A.diag[0]))
-        vals = _bisect_values(A)
+        vals = _bisect_values(A, ranks=(1, A.n))
         return max(abs(float(vals[0])), abs(float(vals[-1])))
     if isinstance(A, DenseHermitian):
         vals = eig_dense(A).values

@@ -233,7 +233,8 @@ def aed_window_bounds(T: SymTridiagonal, k: int, j: int | None = None,
     With j given, evaluates the fixed-depth bound (None where the gap
     condition fails).  With j=None, scans every feasible depth per
     eigenvalue and keeps the smallest bound.  Returns (lam, bound, j_used)
-    triples, ascending in lam.  alpha defaults to |b_{n-k}|.
+    triples in the order of window_values (ascending when computed here).
+    alpha defaults to |b_{n-k}|.
     """
     n = T.n
     if not 1 <= k <= n - 1:

@@ -139,3 +139,59 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc in (0, 1)
         assert "record=top-pair" in out and "status=" in out
+
+
+class TestCliInputErrors:
+    """Bad input exits 2 with one error line; 1 means a failed verification."""
+
+    @staticmethod
+    def _exit_code(argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return info.value.code, lines[0]
+
+    def test_malformed_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.mat"
+        path.write_text("format tridiagonal\ndiag 1 x 3\noffdiag 1 1\n")
+        code, line = self._exit_code(["aed", "--matrix", str(path), "--k", "1"],
+                                     capsys)
+        assert code == 2 and "'x'" in line
+
+    def test_malformed_generator_parameter(self, tmp_path, capsys):
+        path = tmp_path / "bad.mat"
+        path.write_text("format generator\nname wilkinson_plus\nn five\n")
+        code, _ = self._exit_code(["aed", "--matrix", str(path), "--k", "1"],
+                                  capsys)
+        assert code == 2
+
+    def test_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.mat")
+        code, line = self._exit_code(["aed", "--matrix", missing, "--k", "1"],
+                                     capsys)
+        assert code == 2 and "nope.mat" in line
+
+    def test_shape_mismatch(self, matrix_files, capsys):
+        code, line = self._exit_code(
+            ["bound-block", "--matrix", matrix_files["A"],
+             "--perturbation", matrix_files["Esmall"], "--k", "1"], capsys)
+        assert code == 2 and "shape mismatch" in line
+
+    def test_dense_file_for_tridiagonal_command(self, matrix_files, capsys):
+        code, _ = self._exit_code(["aed", "--matrix", matrix_files["A"],
+                                   "--k", "2"], capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [["wilkinson", "--n", "3"],
+                                      ["wilkinson", "--n", "6", "--ell-range", "9"]])
+    def test_wilkinson_arguments(self, argv, capsys):
+        assert self._exit_code(argv, capsys)[0] == 2
+
+    def test_no_cluster_found(self, matrix_files, capsys):
+        code, line = self._exit_code(
+            ["multieig", "--matrix", matrix_files["A"],
+             "--perturbation", matrix_files["E"]], capsys)
+        assert code == 2 and "cluster" in line

@@ -1,0 +1,57 @@
+"""Package-level contracts: the README example runs, and the oracle shares
+no code path with a library eigensolver."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "eigbounds"
+
+
+def test_readme_python_block_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def _linalg_uses(tree):
+    """(line, what) for every scipy import and numpy.linalg use but norm."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "scipy" or alias.name == "numpy.linalg":
+                    found.append((node.lineno, f"import {alias.name}"))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {alias.name for alias in node.names}
+            if (module.split(".")[0] == "scipy"
+                    or (module == "numpy" and "linalg" in names)
+                    or (module == "numpy.linalg" and names != {"norm"})):
+                found.append((node.lineno, f"from {module} import {sorted(names)}"))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "linalg"
+              and isinstance(node.value.value, ast.Name)
+              and node.value.value.id in ("np", "numpy")
+              and node.attr != "norm"):
+            found.append((node.lineno, f"{node.value.value.id}.linalg.{node.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_library_eigensolver_under_src(path):
+    assert _linalg_uses(ast.parse(path.read_text())) == []
+
+
+def test_guard_catches_library_eigensolvers():
+    tree = ast.parse("import numpy as np\nimport scipy.linalg\n"
+                     "from numpy.linalg import eigh\nx = np.linalg.eigvalsh(a)\n"
+                     "y = np.linalg.norm(a)\n")
+    assert [line for line, _ in _linalg_uses(tree)] == [2, 3, 4]

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
-from conftest import random_hermitian, random_tridiagonal
-from eigbounds import (DenseHermitian, SymTridiagonal, eig_dense, eig_tridiag,
-                       gerschgorin_disks, spectral_norm, sturm_count,
-                       wilkinson_plus, wilkinson_split)
-from eigbounds.solvers import JacobiConvergenceError, _round_robin_pairs
+from conftest import graded_tridiagonal, random_hermitian, random_tridiagonal
+from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
+                       eig_tridiag, gerschgorin_disks, spectral_norm,
+                       sturm_count, wilkinson_plus, wilkinson_split)
+from eigbounds import solvers
+from eigbounds.solvers import (JacobiConvergenceError, _bisect_values,
+                               _round_robin_pairs)
 
 
 class TestEigDense:
@@ -217,3 +222,115 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(DenseHermitian.zeros(4)) == 0.0
+
+
+def _one_midpoint_bisection(T):
+    """Bisection with one midpoint per Sturm pass: the reference that the
+    subtree passes of _bisect_values must reproduce bit for bit."""
+    off_sq = T.offdiag ** 2
+    pivmin = solvers._pivmin(off_sq)
+    glo, ghi = solvers._gersch_bounds(T)
+    tol = 4.0 * solvers._EPS * max(abs(glo), abs(ghi), 1e-30)
+    lo, hi = np.full(T.n, glo), np.full(T.n, ghi)
+    ranks = np.arange(1, T.n + 1)
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if np.all((hi - lo) <= tol) or np.all((mid <= lo) | (mid >= hi)):
+            break
+        above = solvers._sturm_counts(T.diag, off_sq, mid, pivmin) >= ranks
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.maximum.accumulate(0.5 * (lo + hi))
+
+
+def _depth(n):
+    return max(1, int(math.log2(solvers._SHIFTS_PER_PASS / n + 1)))
+
+
+# one order per subtree depth the rule picks, 10 (n = 1) down to 1
+_DEPTH_ORDERS = [1, 2, 3, 5, 9, 17, 34, 69, 147, 342, 1100]
+
+
+def _assert_bit_identical(T):
+    got = _bisect_values(T)
+    ref = _one_midpoint_bisection(T)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class TestSubtreeBisection:
+    def test_orders_cover_every_depth(self):
+        assert sorted({_depth(n) for n in _DEPTH_ORDERS}) == list(range(1, 11))
+
+    @pytest.mark.parametrize("n", _DEPTH_ORDERS)
+    def test_random_bit_identical(self, n):
+        rng = np.random.default_rng(300 + n)
+        _assert_bit_identical(SymTridiagonal(10.0 * rng.standard_normal(n),
+                                             rng.standard_normal(n - 1)))
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 17, 34, 69, 147])
+    def test_graded_bit_identical(self, n):
+        _assert_bit_identical(graded_tridiagonal(np.random.default_rng(400 + n), n))
+
+    @pytest.mark.parametrize("n", range(5, 41))
+    def test_wilkinson_bit_identical(self, n):
+        # exactly zero pivots occur here (n = 5, 9, ...): the counts are not
+        # monotone in the shift, and the replay must follow them as they are
+        _assert_bit_identical(wilkinson_plus(n))
+        # the split matrix has two zero couplings and double eigenvalues
+        _assert_bit_identical(wilkinson_split(n)[0])
+
+    @pytest.mark.parametrize("n", [1, 3, 17, 342])
+    def test_diagonal_bit_identical(self, n):
+        rng = np.random.default_rng(500 + n)
+        _assert_bit_identical(SymTridiagonal(rng.standard_normal(n), np.zeros(n - 1)))
+
+    @staticmethod
+    def _count_passes(monkeypatch, T):
+        calls = []
+        counts = solvers._sturm_counts
+
+        def counting(*args):
+            calls.append(args[2].size)
+            return counts(*args)
+
+        monkeypatch.setattr(solvers, "_sturm_counts", counting)
+        return calls
+
+    def test_small_order_needs_few_passes(self, monkeypatch):
+        rng = np.random.default_rng(600)
+        T = random_tridiagonal(rng, 10)
+        calls = self._count_passes(monkeypatch, T)
+        eig_tridiag(T, want_vectors=True)
+        assert len(calls) <= 10
+        assert max(calls) <= solvers._SHIFTS_PER_PASS
+        calls.clear()
+        _one_midpoint_bisection(T)
+        assert len(calls) >= 40  # one pass per bisection step
+
+    @pytest.mark.parametrize("n", [1024, 1100])
+    def test_large_order_keeps_one_step_per_pass(self, monkeypatch, n):
+        T = aed_example(n)
+        calls = self._count_passes(monkeypatch, T)
+        _bisect_values(T)
+        passes = len(calls)
+        calls.clear()
+        _one_midpoint_bisection(T)
+        assert passes == len(calls)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 300, 1000])
+    def test_extreme_ranks_match_full_bisection(self, n):
+        # the two-rank run stops on its own intervals, so it may end up to
+        # one bisection tolerance away from the full run; against scipy
+        # both carry the counts' roundoff too (several tol at n = 200), so
+        # that comparison uses the oracle's 1e-12 relative gate
+        rng = np.random.default_rng(700 + n)
+        T = aed_example(n) if n == 1000 else random_tridiagonal(rng, n)
+        glo, ghi = solvers._gersch_bounds(T)
+        tol = 4.0 * solvers._EPS * max(abs(glo), abs(ghi))
+        ends = _bisect_values(T, ranks=(1, n))
+        full = _bisect_values(T)
+        ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
+        assert np.max(np.abs(ends - full[[0, -1]])) <= tol
+        norm = float(np.max(np.abs(ref)))
+        assert np.max(np.abs(ends - ref[[0, -1]])) <= 1e-12 * max(norm, 1.0)
+        assert spectral_norm(T) == max(abs(ends[0]), abs(ends[1]))
