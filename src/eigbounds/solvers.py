@@ -212,8 +212,10 @@ def _bisect_values(T: SymTridiagonal, tol: float | None = None,
     midpoint a one-step loop would compute.  One _sturm_counts call counts
     at all 2^L - 1 interior points of all ranks, and the L decisions are
     then replayed on node indices, with the stop test before every step.
-    The values are bit-identical to one midpoint per step; L is chosen so a
-    pass evaluates about _SHIFTS_PER_PASS shifts (L = 1 from 1024 ranks).
+    The values are bit-identical to one midpoint per step.  L is chosen so
+    a pass evaluates about _SHIFTS_PER_PASS shifts: 6 for 10 ranks, 9 for
+    the two ranks of spectral_norm, and 1 (one midpoint per pass) from 342
+    ranks on.
     """
     n = T.n
     off_sq = T.offdiag ** 2
@@ -242,17 +244,19 @@ def _bisect_values(T: SymTridiagonal, tol: float | None = None,
         while h > 1:
             grid[:, h // 2::h] = 0.5 * (grid[:, :-1:h] + grid[:, h::h])
             h //= 2
-        counts = np.empty((m, w + 1), dtype=np.int64)  # endpoints never read
-        counts[:, 1:w] = _sturm_counts(T.diag, off_sq, grid[:, 1:w].ravel(),
-                                       pivmin).reshape(m, w - 1)
-        # path[l] is each rank's left node (flat index) after l steps
+        # up[node]: fewer eigenvalues than the rank lie below the node, so
+        # bisection keeps the interval above it (endpoints are never read)
+        up = np.empty((m, w + 1), dtype=bool)
+        up[:, 1:w] = _sturm_counts(T.diag, off_sq, grid[:, 1:w].ravel(),
+                                   pivmin).reshape(m, w - 1) < ranks[:, None]
+        up = up.ravel()
         flat = grid.ravel()
-        count_at = counts.ravel()
+        # path[l] is each rank's left node (flat index) after l steps
         path = np.empty((L + 1, m), dtype=np.intp)
         path[0] = np.arange(m) * (w + 1)
         for lvl in range(1, L + 1):
-            h = w >> lvl
-            path[lvl] = path[lvl - 1] + h * (count_at[path[lvl - 1] + h] < ranks)
+            node = path[lvl - 1] + (w >> lvl)
+            path[lvl] = np.where(up[node], node, path[lvl - 1])
         # the stop test before steps 2..L, all levels at once
         half = (w >> np.arange(2, L + 1))[:, None]
         left = flat[path[1:L]]

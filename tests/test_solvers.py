@@ -243,6 +243,18 @@ def _one_midpoint_bisection(T):
     return np.maximum.accumulate(0.5 * (lo + hi))
 
 
+def _one_row_sturm_counts(diag, off_sq, xs, pivmin):
+    """The Sturm recurrence written with fresh arrays per row: the reference
+    for the in-place _sturm_counts, zero-pivot behaviour included."""
+    q = diag[0] - xs
+    count = (q < 0.0).astype(np.int64)
+    for i in range(1, diag.size):
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        q = diag[i] - xs - off_sq[i - 1] / q
+        count += q < 0.0
+    return count
+
+
 def _depth(n):
     return max(1, int(math.log2(solvers._SHIFTS_PER_PASS / n + 1)))
 
@@ -278,6 +290,19 @@ class TestSubtreeBisection:
         _assert_bit_identical(wilkinson_plus(n))
         # the split matrix has two zero couplings and double eigenvalues
         _assert_bit_identical(wilkinson_split(n)[0])
+
+    @pytest.mark.parametrize("T", [wilkinson_plus(5), wilkinson_plus(9),
+                                   wilkinson_split(6)[0],
+                                   random_tridiagonal(np.random.default_rng(450), 30)],
+                             ids=["w5", "w9", "split6", "random30"])
+    def test_sturm_counts_match_one_row_reference(self, T):
+        # integer shifts on the Wilkinson matrices hit exactly zero pivots
+        off_sq = T.offdiag ** 2
+        pivmin = solvers._pivmin(off_sq)
+        xs = np.concatenate([np.arange(-12.0, 13.0), np.linspace(-12, 12, 301),
+                             eigvalsh_tridiagonal(T.diag, T.offdiag)])
+        got = solvers._sturm_counts(T.diag, off_sq, xs, pivmin)
+        assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs, pivmin))
 
     @pytest.mark.parametrize("n", [1, 3, 17, 342])
     def test_diagonal_bit_identical(self, n):
