@@ -228,12 +228,16 @@ def _bisect_values(T: SymTridiagonal, tol: float | None = None,
     lo = np.full(m, glo)
     hi = np.full(m, ghi)
     depth = max(1, int(math.log2(_SHIFTS_PER_PASS / m + 1)))
+
+    def stop(lo, hi, mid):
+        # per row: all intervals within tol, or no midpoint can move
+        return (((hi - lo) <= tol).all(axis=-1)
+                | ((mid <= lo) | (mid >= hi)).all(axis=-1))
+
     steps = 0
-    while steps < _MAX_BISECT_STEPS:
-        mid = 0.5 * (lo + hi)
-        # stop once midpoints can no longer move
-        if np.all((hi - lo) <= tol) or np.all((mid <= lo) | (mid >= hi)):
-            break
+    mid = 0.5 * (lo + hi)
+    done = stop(lo, hi, mid)
+    while not done and steps < _MAX_BISECT_STEPS:
         L = min(depth, _MAX_BISECT_STEPS - steps)
         w = 1 << L
         grid = np.empty((m, w + 1))
@@ -257,19 +261,16 @@ def _bisect_values(T: SymTridiagonal, tol: float | None = None,
         for lvl in range(1, L + 1):
             node = path[lvl - 1] + (w >> lvl)
             path[lvl] = np.where(up[node], node, path[lvl - 1])
-        # the stop test before steps 2..L, all levels at once
-        half = (w >> np.arange(2, L + 1))[:, None]
-        left = flat[path[1:L]]
-        right = flat[path[1:L] + 2 * half]
-        centre = flat[path[1:L] + half]
-        stop = (np.all(right - left <= tol, axis=1)
-                | np.all((centre <= left) | (centre >= right), axis=1))
-        taken = 1 + int(np.argmax(stop)) if stop.any() else L
+        # the stop test after each of the L steps, all at once; each
+        # midpoint is computed as the next pass (or grid level) would
+        left = flat[path[1:]]
+        right = flat[path[1:] + (w >> np.arange(1, L + 1))[:, None]]
+        centre = 0.5 * (left + right)
+        stopped = stop(left, right, centre)
+        taken = 1 + int(stopped.argmax()) if stopped.any() else L
         steps += taken
-        lo = flat[path[taken]]
-        hi = flat[path[taken] + (w >> taken)]
-        if taken < L:
-            break
+        lo, hi, mid = left[taken - 1], right[taken - 1], centre[taken - 1]
+        done = stopped[taken - 1]
     vals = 0.5 * (lo + hi)
     return np.maximum.accumulate(vals)  # enforce monotonicity at roundoff scale
 
