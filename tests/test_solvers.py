@@ -310,7 +310,7 @@ class TestSubtreeBisection:
         _assert_bit_identical(SymTridiagonal(rng.standard_normal(n), np.zeros(n - 1)))
 
     @staticmethod
-    def _count_passes(monkeypatch, T):
+    def _count_passes(monkeypatch):
         calls = []
         counts = solvers._sturm_counts
 
@@ -324,7 +324,7 @@ class TestSubtreeBisection:
     def test_small_order_needs_few_passes(self, monkeypatch):
         rng = np.random.default_rng(600)
         T = random_tridiagonal(rng, 10)
-        calls = self._count_passes(monkeypatch, T)
+        calls = self._count_passes(monkeypatch)
         eig_tridiag(T, want_vectors=True)
         assert len(calls) <= 10
         assert max(calls) <= solvers._SHIFTS_PER_PASS
@@ -335,7 +335,7 @@ class TestSubtreeBisection:
     @pytest.mark.parametrize("n", [1024, 1100])
     def test_large_order_keeps_one_step_per_pass(self, monkeypatch, n):
         T = aed_example(n)
-        calls = self._count_passes(monkeypatch, T)
+        calls = self._count_passes(monkeypatch)
         _bisect_values(T)
         passes = len(calls)
         calls.clear()
