@@ -37,7 +37,6 @@ class AedOutcome:
     vectors: np.ndarray             # V columns aligned with values
     coupling: float                 # b_{n-k}
     deflatable: np.ndarray = field(default=None)
-    tol: float | None = None
     scale: float | None = None
 
     def __post_init__(self):
@@ -69,7 +68,7 @@ def deflation_decide(outcome: AedOutcome, tol: float, scale: float) -> AedOutcom
     if tol <= 0.0 or scale <= 0.0:
         raise ValueError("tol and scale must be positive")
     flags = np.abs(outcome.spike) <= tol * scale
-    return replace(outcome, deflatable=flags, tol=tol, scale=scale)
+    return replace(outcome, deflatable=flags, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,6 @@ class DeflationCheck:
     values: np.ndarray
     predicted: np.ndarray
     observed: np.ndarray
-
-    def max_observed(self) -> float:
-        return float(np.max(self.observed)) if self.observed.size else 0.0
 
 
 def deflation_soundness_check(T: SymTridiagonal, k: int,
@@ -187,7 +183,6 @@ class RunStatistics:
     sweeps: int = 0
     converged: bool = False
     first_pass_aed_count: int = 0
-    first_pass_had_negligible_offdiag: bool = False
 
     @property
     def total_aed(self) -> int:
@@ -257,8 +252,6 @@ def run_qr_with_aed(T: SymTridiagonal, window: int, tol: float = 1e-16,
         return outcome.deflation_count
 
     # first AED pass before any sweep
-    stats.first_pass_had_negligible_offdiag = any(
-        negligible(i) for i in range(e.size))
     first = aed_pass() if d.size > 1 else 0
     stats.first_pass_aed_count = first
     stats.records.append(SweepRecord(0, first, deflate_trailing(), d.size))

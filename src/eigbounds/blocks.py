@@ -7,7 +7,6 @@ trailing diagonal block A22.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +17,8 @@ from .types import BlockSplit, DenseHermitian, LogScalar
 __all__ = [
     "BoundReport",
     "weyl_bound",
-    "quadratic_residual_bound",
     "quadratic_residual_bounds",
     "eigvec_tail_bound",
-    "tau",
-    "theorem1_bound",
     "theorem1_bounds",
 ]
 
@@ -60,8 +56,10 @@ def _gap_to_block(lam: float, block_vals: np.ndarray) -> float:
 def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
                               E: DenseHermitian,
                               indices=None) -> list[BoundReport]:
-    """quadratic_residual_bound for many indices with the shared
-    eigendecompositions computed once."""
+    """Quadratic residual bound ||E||^2 / gap_i for block-diagonal A under a
+    perturbation E with zero diagonal blocks, gap_i measured from the i-th
+    eigenvalue of A to the spectrum of A22.  A zero gap falls back to the
+    Weyl bound, flagged invalid."""
     split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
@@ -89,13 +87,6 @@ def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
     return out
 
 
-def quadratic_residual_bound(A: DenseHermitian, split: BlockSplit,
-                             E: DenseHermitian, i: int) -> BoundReport:
-    """Quadratic residual bound for block-diagonal A under an off-diagonal
-    perturbation: ||E||^2 / gap, gap measured to the trailing block."""
-    return quadratic_residual_bounds(A, split, E, [i])[0]
-
-
 def eigvec_tail_bound(A: DenseHermitian, split: BlockSplit, lam: float) -> float:
     """Bound on the trailing eigenvector component norm ||x2|| for an
     eigenvalue lam of A: ||A21|| / min_j |lam - lambda_j(A22)|."""
@@ -107,38 +98,21 @@ def eigvec_tail_bound(A: DenseHermitian, split: BlockSplit, lam: float) -> float
     return spectral_norm(A.block(split, "21")) / gap
 
 
-def tau(A: DenseHermitian, E: DenseHermitian, split: BlockSplit, i: int,
-        refined: bool = False) -> float | None:
-    """Trailing-component bound along the homotopy from A to A+E.
-
-    tau_i = (||A21|| + ||E21||) / (gap_i - 2||E||), where gap_i is the
-    distance from the i-th eigenvalue of A to the spectrum of A22.  The
-    refined variant subtracts ||E|| + ||E22|| instead, which the homotopy
-    argument justifies.  Returns None when the denominator is not positive.
-    """
-    split.check(A.n)
-    _check_index(i, A.n)
-    lam = float(eig_dense(A).values[i - 1])
-    a22_vals = eig_dense(DenseHermitian.from_array(A.block(split, "22"))).values
-    gap = _gap_to_block(lam, a22_vals)
-    norm_e = spectral_norm(E)
-    if refined:
-        e22 = spectral_norm(DenseHermitian.from_array(E.block(split, "22")))
-        denom = gap - norm_e - e22
-    else:
-        denom = gap - 2.0 * norm_e
-    if denom <= 0.0:
-        return None
-    numer = spectral_norm(A.block(split, "21")) + spectral_norm(E.block(split, "21"))
-    return numer / denom
-
-
 def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
                     indices=None, refined: bool = False,
                     values=None) -> list[BoundReport]:
-    """theorem1_bound for many indices with the shared eigendecompositions
-    and block norms computed once.  Callers that already hold the ascending
-    eigenvalues of A can pass them as `values` to skip that decomposition."""
+    """Three-term eigenvalue movement bound
+    ||E11|| + 2 ||E21|| tau_i + ||E22|| tau_i^2, reported as its minimum
+    against the Weyl bound (formula tag min_of).
+
+    tau_i = (||A21|| + ||E21||) / (gap_i - 2||E||) bounds the trailing
+    eigenvector component along the homotopy from A to A+E, where gap_i is
+    the distance from the i-th eigenvalue of A to the spectrum of A22; the
+    refined variant subtracts ||E|| + ||E22|| instead.  When that
+    denominator is not positive the report falls back to the Weyl bound,
+    flagged invalid, with tau None.  Callers that already hold the
+    ascending eigenvalues of A can pass them as `values` to skip that
+    decomposition."""
     split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
@@ -173,11 +147,3 @@ def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
                                            "E22_term": term3, "weyl": weyl,
                                            "theorem1": thm}))
     return out
-
-
-def theorem1_bound(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
-                   i: int, refined: bool = False) -> BoundReport:
-    """Three-term eigenvalue movement bound
-    ||E11|| + 2 ||E21|| tau_i + ||E22|| tau_i^2, reported together with its
-    minimum against the Weyl bound (formula tag min_of)."""
-    return theorem1_bounds(A, E, split, [i], refined=refined)[0]

@@ -1,12 +1,27 @@
 """Tridiagonal eigenvalue machinery: Gerschgorin decay profiles, Wilkinson
 pair-gap bounds, and the deflation-window perturbation bound, all in log
 space so magnitudes like 1e-271 are first-class values.
+
+The window bound.  Split T (order n, diagonal a_i, couplings b_i, rows
+1-based) before its trailing k-by-k window by zeroing b_{n-k}.  A window
+eigenvalue lam moves by at most
+
+    (|b_{n-k}| / 2) * eta_{n-k} * prod_{i=1..j} eta_{n-k+i}^2,
+    eta_i = |b_i| / (|a_i - lam| - alpha - max(|b_i|, |b_{i-1}|)),
+
+when the coupling is restored, with alpha >= 0 the homotopy slack (|b_0| is
+0).  The eta factors bound the decay of the eigenvector's components, so
+the bound is small when they are.  Depth j needs the gap condition
+|a_i - lam| > |b_i| + |b_{i-1}| + alpha on rows 1..n-k+j and a positive eta
+denominator on rows n-k..n-k+j.  The feasible depth F of lam is the largest
+j in 1..k-1 that meets both, and 0 (no bound) when none does; a window of
+one row always has F = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,29 +30,14 @@ from .types import LogScalar, SymTridiagonal
 
 __all__ = [
     "DecayProfile",
-    "AedBoundInput",
     "decay_step_bound",
     "decay_profile",
     "wilkinson_gap_bound",
     "wilkinson_pair_gap_bound",
-    "aed_eta",
-    "aed_perturbation_bound",
     "aed_window_bounds",
-    "EtaInvalidError",
 ]
 
 _LN10 = math.log(10.0)
-
-NEIGHBOR_RULES = ("paper_def", "proof_form", "conservative")
-
-
-class EtaInvalidError(ValueError):
-    """A decay factor's denominator was not positive; names the row."""
-
-    def __init__(self, row: int, denom: float):
-        self.row = row
-        self.denom = denom
-        super().__init__(f"eta denominator {denom:.6g} <= 0 at row {row}")
 
 
 def _log_factorial10(m: int) -> float:
@@ -129,160 +129,86 @@ def wilkinson_pair_gap_bound(n: int, ell: int) -> LogScalar:
     return LogScalar.from_log10(log10)
 
 
-@dataclass(frozen=True)
-class AedBoundInput:
-    """Inputs of the window perturbation bound: matrix, window size k,
-    decay depth j, target window eigenvalue lam, homotopy slack alpha."""
-
-    matrix: SymTridiagonal
-    k: int
-    j: int
-    lam: float
-    alpha: float
-
-    def __post_init__(self):
-        n = self.matrix.n
-        if not 1 <= self.k <= n - 1:
-            raise ValueError(f"window size k={self.k} out of range for order {n}")
-        if self.j < 1:
-            raise ValueError("decay depth j must be >= 1")
-        if n - self.k + self.j > n - 1:
-            raise ValueError(f"depth j={self.j} exceeds window interior (k={self.k})")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+def _log10(x: float) -> float:
+    """math.log10 as LogScalar.from_float takes it, with log10(0) = -inf."""
+    return math.log10(x) if x > 0.0 else -math.inf
 
 
-def _eta_denom(T: SymTridiagonal, lam: float, alpha: float, i: int,
-               neighbor_rule: str) -> float:
-    n = T.n
-    b_i = abs(float(T.offdiag[i - 1])) if i <= n - 1 else 0.0
-    b_im1 = abs(float(T.offdiag[i - 2])) if i >= 2 else 0.0
-    gap = abs(float(T.diag[i - 1]) - lam)
-    if neighbor_rule == "paper_def":
-        sub = b_i
-    elif neighbor_rule == "proof_form":
-        sub = b_im1
-    elif neighbor_rule == "conservative":
-        sub = max(b_i, b_im1)
-    else:
-        raise ValueError(f"unknown neighbor rule {neighbor_rule!r}")
-    return gap - alpha - sub
-
-
-def aed_eta(inp: AedBoundInput, i: int,
-            neighbor_rule: str = "conservative") -> float | None:
-    """Per-row decay factor eta_i = b_i / (|a_i - lam| - alpha - b_nb);
-    the neighbor b_nb subtracted depends on the rule.  None when the
-    denominator is not positive."""
-    n = inp.matrix.n
-    if not 1 <= i <= n:
-        raise IndexError(f"row {i} out of range 1..{n}")
-    denom = _eta_denom(inp.matrix, inp.lam, inp.alpha, i, neighbor_rule)
-    if denom <= 0.0:
-        return None
-    b_i = abs(float(inp.matrix.offdiag[i - 1])) if i <= n - 1 else 0.0
-    return b_i / denom
-
-
-def _check_gap_condition(T: SymTridiagonal, lam: float, alpha: float,
-                         upto: int) -> None:
-    """Require |a_i - lam| > b_{i-1} + b_i + alpha for rows 1..upto.
-
-    This is what the eigenvector monotonicity induction actually needs:
-    each ratio b_i / (|a_i - lam| - alpha - b_{i-1}) must stay below 1.
-    """
-    d = T.diag[:upto]
-    b = np.abs(T.offdiag[:upto])
-    b_prev = np.concatenate([[0.0], b[:upto - 1]])
-    margin = np.abs(d - lam) - b - b_prev - alpha
-    bad = np.nonzero(margin <= 0.0)[0]
-    if bad.size:
-        raise EtaInvalidError(int(bad[0]) + 1, float(margin[bad[0]]))
-
-
-def aed_perturbation_bound(inp: AedBoundInput,
-                           neighbor_rule: str = "conservative") -> LogScalar:
-    """Movement bound (b_{n-k}/2) eta_{n-k} prod_{i=1..j} eta_{n-k+i}^2 on a
-    window eigenvalue when the coupling b_{n-k} is restored."""
-    T, k, j, lam, alpha = inp.matrix, inp.k, inp.j, inp.lam, inp.alpha
-    n = T.n
-    b_nk = abs(float(T.offdiag[n - k - 1]))
-    if b_nk == 0.0:
-        return LogScalar.from_float(0.0)
-    _check_gap_condition(T, lam, alpha, n - k + j)
-    eta0 = aed_eta(inp, n - k, neighbor_rule)
-    if eta0 is None:
-        raise EtaInvalidError(n - k, _eta_denom(T, lam, alpha, n - k, neighbor_rule))
-    acc = LogScalar.from_float(b_nk / 2.0) * LogScalar.from_float(eta0)
-    for i in range(1, j + 1):
-        row = n - k + i
-        eta = aed_eta(inp, row, neighbor_rule)
-        if eta is None:
-            raise EtaInvalidError(row, _eta_denom(T, lam, alpha, row, neighbor_rule))
-        acc = acc * (LogScalar.from_float(eta) ** 2)
-    return acc
+# aed_window_bounds holds a few (window eigenvalue x row) float arrays; it
+# takes the eigenvalues in blocks so that each array stays near 8 MB
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def aed_window_bounds(T: SymTridiagonal, k: int, j: int | None = None,
                       alpha: float | None = None,
-                      neighbor_rule: str = "conservative",
                       window_values: np.ndarray | None = None,
                       ) -> list[tuple[float, LogScalar | None, int | None]]:
-    """Window bound per trailing-window eigenvalue.
+    """Window bound (see the module docstring) per trailing-window
+    eigenvalue, computed for many of them at once.
 
-    With j given, evaluates the fixed-depth bound (None where the gap
-    condition fails).  With j=None, scans every feasible depth per
-    eigenvalue and keeps the smallest bound.  Returns (lam, bound, j_used)
-    triples in the order of window_values (ascending when computed here).
-    alpha defaults to |b_{n-k}|.
+    With j given, evaluates the bound at depth j, which needs 1 <= j <= F
+    (None otherwise); when b_{n-k} = 0 it is 0 at every depth 1..k-1.
+    With j=None, takes the depth in 1..F with the smallest bound, the
+    first on ties.  Returns (lam, bound, j_used) triples in the order of
+    window_values (ascending when computed here).  alpha defaults to
+    |b_{n-k}|; a negative alpha or a window size outside 1..n-1 raises
+    ValueError.
     """
     n = T.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"window size k={k} out of range for order {n}")
+    b = np.abs(T.offdiag)
+    b_nk = float(b[n - k - 1])
     if alpha is None:
-        alpha = abs(float(T.offdiag[n - k - 1]))
+        alpha = b_nk
+    if alpha < 0:
+        raise ValueError(f"alpha={alpha} must be nonnegative")
     if window_values is None:
         window_values = eig_tridiag(T.window(k)).values
+    lams = np.asarray(window_values, dtype=float).reshape(-1)
+    if j is not None and not 1 <= j <= k - 1:
+        return [(lam, None, None) for lam in lams.tolist()]
+    if j is not None and b_nk == 0.0:
+        return [(lam, LogScalar(0), j) for lam in lams.tolist()]
+    step = max(1, _BLOCK_ELEMENTS // n)
+    return [triple for start in range(0, lams.size, step)
+            for triple in _window_block(T, b, k, j, alpha, lams[start:start + step])]
+
+
+def _window_block(T: SymTridiagonal, b: np.ndarray, k: int, j: int | None,
+                  alpha: float, lams: np.ndarray) -> list[tuple]:
+    """aed_window_bounds for the window eigenvalues lams, b = |offdiag|."""
+    n = T.n
+    # (window eigenvalue x row) arrays over rows 1..n-1; the tail holds
+    # rows n-k..n-1, whose eta factors enter the bound
+    b_prev = np.concatenate([[0.0], b[:-1]])
+    gap = np.abs(T.diag[:-1] - lams[:, None])
+    margin = gap - b - b_prev - alpha
+    tail = slice(n - k - 1, n - 1)
+    denom = gap[:, tail] - alpha - np.maximum(b, b_prev)[tail]
+    ok = (margin[:, tail] > 0.0) & (denom > 0.0)
+    # F = (leading run of ok tail rows) - 1, and 0 when a head row fails
+    run = np.argmin(np.column_stack([ok, np.zeros(lams.size, dtype=bool)]), axis=1)
+    head_ok = np.all(margin[:, :n - k - 1] > 0.0, axis=1)
+    feasible = np.where(head_ok, np.maximum(run - 1, 0), 0)
+
+    eta = np.divide(b[tail], denom, out=np.zeros_like(denom), where=ok)
+    logs = np.array([_log10(x) for x in eta.ravel().tolist()]).reshape(eta.shape)
+    terms = 2.0 * logs
+    terms[:, 0] = _log10(float(b[n - k - 1]) / 2.0) + logs[:, 0]
+    prefix = np.cumsum(terms, axis=1)     # prefix[:, d]: log10 bound at depth d
+    if j is None:
+        depths = np.arange(k)
+        reachable = (depths >= 1) & (depths <= feasible[:, None])
+        used = np.argmin(np.where(reachable, prefix, np.inf), axis=1)
+    else:
+        used = np.full(lams.size, j)
     out = []
-    for lam in map(float, window_values):
-        if j is not None:
-            try:
-                inp = AedBoundInput(T, k, j, lam, alpha)
-                out.append((lam, aed_perturbation_bound(inp, neighbor_rule), j))
-            except (EtaInvalidError, ValueError):
-                out.append((lam, None, None))
-            continue
-        # scan: extend the eta product row by row while the gap condition
-        # holds, tracking the depth that minimizes the bound
-        try:
-            _check_gap_condition(T, lam, alpha, n - k)
-        except EtaInvalidError:
+    for lam, f, d, row in zip(lams.tolist(), feasible.tolist(), used.tolist(),
+                              prefix.tolist()):
+        if not 1 <= d <= f:
             out.append((lam, None, None))
-            continue
-        inp1 = AedBoundInput(T, k, 1, lam, alpha)
-        eta0 = aed_eta(inp1, n - k, neighbor_rule)
-        if eta0 is None:
-            out.append((lam, None, None))
-            continue
-        b_nk = abs(float(T.offdiag[n - k - 1]))
-        acc = LogScalar.from_float(b_nk / 2.0) * LogScalar.from_float(eta0)
-        best = None
-        best_j = None
-        for depth in range(1, k):
-            row = n - k + depth
-            denom = _eta_denom(T, lam, alpha, row, neighbor_rule)
-            if row <= n - 1:
-                b_row_next = abs(float(T.offdiag[row - 1]))
-                b_row_prev = abs(float(T.offdiag[row - 2])) if row >= 2 else 0.0
-                gap_ok = abs(float(T.diag[row - 1]) - lam) > \
-                    b_row_next + b_row_prev + alpha
-            else:
-                gap_ok = False
-            if denom <= 0.0 or not gap_ok:
-                break
-            b_row = abs(float(T.offdiag[row - 1]))
-            acc = acc * (LogScalar.from_float(b_row / denom) ** 2)
-            if best is None or acc < best:
-                best, best_j = acc, depth
-        out.append((lam, best, best_j))
+        else:
+            bound = LogScalar(1, row[d]) if row[d] > -math.inf else LogScalar(0)
+            out.append((lam, bound, d))
     return out

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import dense_shift, random_hermitian
 from eigbounds import (BlockSplit, DenseHermitian, eig_dense, eigvec_tail_bound,
-                       quadratic_residual_bound, spectral_norm, tau,
-                       theorem1_bound, weyl_bound)
+                       quadratic_residual_bounds, spectral_norm, theorem1_bounds,
+                       weyl_bound)
 
 
 def off_diagonal_perturbation(rng, m, k, scale):
@@ -34,7 +34,7 @@ class TestQuadraticResidual:
         # A = diag(0, 2), off-diagonal perturbation 0.1: bound 0.1^2/2 = 0.005
         A = DenseHermitian.from_array(np.diag([0.0, 2.0]))
         E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
-        rep = quadratic_residual_bound(A, BlockSplit(1), E, 1)
+        rep = quadratic_residual_bounds(A, BlockSplit(1), E, [1])[0]
         assert rep.valid and rep.formula == "quad_residual"
         assert rep.bound_float() == pytest.approx(0.005, rel=1e-13)
         assert np.max(dense_shift(A, E)) <= rep.bound_float()
@@ -50,8 +50,8 @@ class TestQuadraticResidual:
                 random_hermitian(rng, k).entries)
             E = off_diagonal_perturbation(rng, m, k, 0.05)
             shifts = dense_shift(A, E)
-            for i in range(1, m + k + 1):
-                rep = quadratic_residual_bound(A, BlockSplit(k), E, i)
+            for i, rep in enumerate(quadratic_residual_bounds(A, BlockSplit(k), E),
+                                    start=1):
                 if rep.valid and rep.gap >= 10.0 * spectral_norm(E):
                     assert shifts[i - 1] <= rep.bound_float() + 1e-12
 
@@ -59,18 +59,18 @@ class TestQuadraticResidual:
         A = DenseHermitian.from_array([[1.0, 0.5], [0.5, 2.0]])
         E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
         with pytest.raises(ValueError):
-            quadratic_residual_bound(A, BlockSplit(1), E, 1)
+            quadratic_residual_bounds(A, BlockSplit(1), E, [1])
 
     def test_rejects_diagonal_perturbation(self):
         A = DenseHermitian.from_array(np.diag([0.0, 2.0]))
         E = DenseHermitian.from_array(np.diag([0.1, 0.0]))
         with pytest.raises(ValueError):
-            quadratic_residual_bound(A, BlockSplit(1), E, 1)
+            quadratic_residual_bounds(A, BlockSplit(1), E, [1])
 
     def test_zero_gap_falls_back_to_weyl(self):
         A = DenseHermitian.from_array(np.diag([2.0, 2.0]))
         E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
-        rep = quadratic_residual_bound(A, BlockSplit(1), E, 1)
+        rep = quadratic_residual_bounds(A, BlockSplit(1), E, [1])[0]
         assert not rep.valid and rep.formula == "weyl"
         assert rep.bound_float() == pytest.approx(0.1, rel=1e-12)
 
@@ -106,7 +106,7 @@ class TestTau:
     def test_none_when_gap_too_small(self):
         A = DenseHermitian.from_array(np.diag([1.0, 1.05]))
         E = random_hermitian(np.random.default_rng(24), 2, scale=0.5)
-        assert tau(A, E, BlockSplit(1), 1) is None
+        assert theorem1_bounds(A, E, BlockSplit(1), [1])[0].tau is None
 
     def test_refined_never_exceeds_plain(self):
         rng = np.random.default_rng(25)
@@ -116,11 +116,11 @@ class TestTau:
             A = random_hermitian(rng, n)
             A = DenseHermitian.from_array(A.entries + np.diag(np.arange(n) * 4.0))
             E = random_hermitian(rng, n, scale=0.05)
-            for i in range(1, n + 1):
-                plain = tau(A, E, BlockSplit(k), i)
-                sharp = tau(A, E, BlockSplit(k), i, refined=True)
-                if plain is not None and sharp is not None:
-                    assert sharp <= plain + 1e-15
+            plain = theorem1_bounds(A, E, BlockSplit(k))
+            sharp = theorem1_bounds(A, E, BlockSplit(k), refined=True)
+            for p, q in zip(plain, sharp):
+                if p.tau is not None and q.tau is not None:
+                    assert q.tau <= p.tau + 1e-15
 
     def test_bounds_perturbed_tail_component(self):
         rng = np.random.default_rng(26)
@@ -133,7 +133,7 @@ class TestTau:
             E = random_hermitian(rng, m + k, scale=0.02)
             spec = eig_dense(DenseHermitian.from_array(A.entries + E.entries),
                              want_vectors=True)
-            t = tau(A, E, BlockSplit(k), m + k)
+            t = theorem1_bounds(A, E, BlockSplit(k), [m + k])[0].tau
             assert t is not None
             assert np.linalg.norm(spec.vectors[m:, -1]) <= t + 1e-12
 
@@ -146,7 +146,7 @@ class TestTheorem1:
             A = random_hermitian(rng, n)
             E = random_hermitian(rng, n, scale=0.1)
             k = int(rng.integers(1, n))
-            rep = theorem1_bound(A, E, BlockSplit(k), 1)
+            rep = theorem1_bounds(A, E, BlockSplit(k), [1])[0]
             assert rep.bound_float() <= weyl_bound(E) * (1 + 1e-14)
 
     def test_soundness_randomized(self):
@@ -159,8 +159,7 @@ class TestTheorem1:
             A = DenseHermitian.from_array(A.entries + np.diag(np.arange(n) * 5.0))
             E = random_hermitian(rng, n, scale=0.02, complex_entries=True)
             shifts = dense_shift(A, E)
-            for i in range(1, n + 1):
-                rep = theorem1_bound(A, E, BlockSplit(k), i)
+            for i, rep in enumerate(theorem1_bounds(A, E, BlockSplit(k)), start=1):
                 assert shifts[i - 1] <= rep.bound_float() + 1e-12
                 if rep.valid:
                     valid_seen += 1
@@ -173,14 +172,14 @@ class TestTheorem1:
                                        np.full((1, 3), 1e-3), [[50.0]])
         E = DenseHermitian.from_blocks(np.zeros((3, 3)),
                                        np.full((1, 3), 1e-3), [[1e-3]])
-        rep = theorem1_bound(A, E, BlockSplit(1), 1)
+        rep = theorem1_bounds(A, E, BlockSplit(1), [1])[0]
         assert rep.valid
         assert rep.bound_float() < 1e-6 < weyl_bound(E)
 
     def test_invalid_tau_reports_weyl_fallback(self):
         A = DenseHermitian.from_array(np.diag([1.0, 1.01]))
         E = DenseHermitian.from_array([[0.0, 0.3], [0.3, 0.0]])
-        rep = theorem1_bound(A, E, BlockSplit(1), 1)
+        rep = theorem1_bounds(A, E, BlockSplit(1), [1])[0]
         assert not rep.valid
         assert rep.bound_float() == pytest.approx(weyl_bound(E), rel=1e-12)
 

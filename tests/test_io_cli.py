@@ -140,6 +140,13 @@ class TestCli:
         assert rc in (0, 1)
         assert "record=top-pair" in out and "status=" in out
 
+    def test_aed_window_of_one_row(self, matrix_files, capsys):
+        # a one-row window has no decay depth: its bound reads invalid
+        rc = main(["aed", "--matrix", matrix_files["T"], "--k", "1", "--verify"])
+        out = capsys.readouterr().out
+        assert rc in (0, 1)
+        assert "index=1 " in out and "bound=invalid" in out and "status=" in out
+
 
 class TestCliInputErrors:
     """Bad input exits 2 with one error line; 1 means a failed verification."""
@@ -189,6 +196,24 @@ class TestCliInputErrors:
                                       ["wilkinson", "--n", "6", "--ell-range", "9"]])
     def test_wilkinson_arguments(self, argv, capsys):
         assert self._exit_code(argv, capsys)[0] == 2
+
+    @pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "8"],
+                                       ["--k", "3", "--alpha", "-1"],
+                                       ["--k", "3", "--j", "1", "--alpha", "-1"],
+                                       ["--k", "3", "--simulate", "--alpha", "-1"]])
+    def test_aed_arguments(self, matrix_files, flags, capsys):
+        code, line = self._exit_code(["aed", "--matrix", matrix_files["T"]] + flags,
+                                     capsys)
+        assert code == 2 and ("window size" in line or "alpha" in line)
+
+    @pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "6"],
+                                       ["--k", "2", "--indices", "0"],
+                                       ["--k", "2", "--indices", "1,7"]])
+    def test_bound_block_arguments(self, matrix_files, flags, capsys):
+        code, _ = self._exit_code(["bound-block", "--matrix", matrix_files["A"],
+                                   "--perturbation", matrix_files["E"]] + flags,
+                                  capsys)
+        assert code == 2
 
     def test_no_cluster_found(self, matrix_files, capsys):
         code, line = self._exit_code(

@@ -1,11 +1,13 @@
-"""Package-level contracts: the README example runs, and the oracle shares
-no code path with a library eigensolver."""
+"""Package-level contracts: the README example runs and documents the
+public API, and the oracle shares no code path with a library eigensolver."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+import eigbounds
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "eigbounds"
@@ -18,6 +20,23 @@ def test_readme_python_block_runs(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def _undocumented(names, readme: str) -> list[str]:
+    return [name for name in names
+            if not re.search(rf"`{re.escape(name)}`", readme)]
+
+
+def test_public_api_is_documented():
+    for name in eigbounds.__all__:
+        assert getattr(eigbounds, name) is not None
+    assert _undocumented(eigbounds.__all__, (ROOT / "README.md").read_text()) == []
+
+
+def test_guard_catches_undocumented_name():
+    readme = (ROOT / "README.md").read_text()
+    assert _undocumented(["aed_window_bounds", "planted_name"], readme) == ["planted_name"]
+    assert _undocumented(["aed_window"], readme) == ["aed_window"]
 
 
 def _linalg_uses(tree):

@@ -6,11 +6,12 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from conftest import graded_tridiagonal, random_hermitian, random_tridiagonal
 from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
-                       eig_tridiag, gerschgorin_disks, spectral_norm,
-                       sturm_count, wilkinson_plus, wilkinson_split)
+                       eig_tridiag, spectral_norm, wilkinson_plus,
+                       wilkinson_split)
 from eigbounds import solvers
 from eigbounds.solvers import (JacobiConvergenceError, _bisect_values,
-                               _round_robin_pairs)
+                               _round_robin_pairs, gerschgorin_disks,
+                               sturm_count)
 
 
 class TestEigDense:

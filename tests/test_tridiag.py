@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import graded_tridiagonal
-from eigbounds import (AedBoundInput, SymTridiagonal, aed_eta,
-                       aed_perturbation_bound, aed_window_bounds,
+from eigbounds import (SymTridiagonal, aed_example, aed_window_bounds,
                        decay_profile, decay_step_bound, eig_tridiag,
                        wilkinson_gap_bound, wilkinson_pair_gap_bound,
                        wilkinson_plus)
-from eigbounds.tridiag import EtaInvalidError
+from eigbounds import tridiag
 
 
 class TestDecayStep:
@@ -132,45 +131,176 @@ class TestWilkinsonBounds:
             assert gap <= wilkinson_pair_gap_bound(8, ell).to_float() + 1e-14
 
 
+def reference_window_bounds(T, k, j=None, alpha=None, window_values=None):
+    """One window eigenvalue and one row at a time, in plain floats: the
+    gap test in numpy's float order for the fixed depth and the rows
+    1..n-k, in Python's (|a - lam| > b_i + b_{i-1} + alpha) for the scan.
+    Returns (lam, log10 or None, j_used), log10 -inf for a zero bound."""
+    n, a = T.n, T.diag.tolist()
+    b = [0.0] + np.abs(T.offdiag).tolist() + [0.0]       # b[i] = |b_i|
+    alpha = b[n - k] if alpha is None else alpha
+    log10 = lambda x: math.log10(x) if x > 0.0 else -math.inf
+    denom = lambda i, lam: abs(a[i - 1] - lam) - alpha - max(b[i], b[i - 1])
+    fixed_gap = lambda i, lam: abs(a[i - 1] - lam) - b[i] - b[i - 1] - alpha > 0.0
+    scan_gap = lambda i, lam: abs(a[i - 1] - lam) > b[i] + b[i - 1] + alpha
+    out = []
+    for lam in map(float, window_values):
+        if j is not None and (not 1 <= j <= k - 1 or b[n - k] == 0.0):
+            out.append((lam, -math.inf, j) if 1 <= j <= k - 1 else (lam, None, None))
+            continue
+        best = (None, None)
+        if all(fixed_gap(i, lam) for i in range(1, n - k + 1)) and denom(n - k, lam) > 0.0:
+            acc = log10(b[n - k] / 2.0) + log10(b[n - k] / denom(n - k, lam))
+            for depth in range(1, k if j is None else j + 1):
+                row = n - k + depth
+                gap_ok = scan_gap if j is None else fixed_gap
+                if denom(row, lam) <= 0.0 or not gap_ok(row, lam):
+                    break
+                acc += 2.0 * log10(b[row] / denom(row, lam))
+                if (j is None and (best[0] is None or acc < best[0])) or depth == j:
+                    best = (acc, depth)
+        out.append((lam,) + best)
+    return out
+
+
+def as_triples(bounds):
+    """(lam, log10 or None, j_used), checking that a zero bound has sign 0."""
+    out = []
+    for lam, b, jj in bounds:
+        if b is not None:
+            assert (b.sign == 0) == (b.log10 == -math.inf)
+        out.append((lam, None if b is None else b.log10, jj))
+    return out
+
+
+def jittered_tridiagonal(rng, n):
+    """Diagonal n, ..., 1 with jitter, couplings of random size and sign:
+    the graded inputs of the benchmark's aed-window workload."""
+    d = np.arange(n, 0, -1, dtype=float) + rng.uniform(-0.25, 0.25, n)
+    b = rng.uniform(0.5, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    return SymTridiagonal(d, b)
+
+
+def assert_matches_reference(T, k, j=None, alpha=None, window_values=None):
+    if window_values is None:
+        window_values = eig_tridiag(T.window(k)).values
+    got = as_triples(aed_window_bounds(T, k, j, alpha, window_values=window_values))
+    want = reference_window_bounds(T, k, j, alpha, window_values)
+    assert got == want
+    return got
+
+
+class TestAedWindowBoundsReference:
+    @pytest.mark.parametrize("j, alpha", [(None, None), (None, 1.0), (88, 1.0)])
+    def test_headline_fixture(self, j, alpha):
+        got = assert_matches_reference(aed_example(1000), 100, j, alpha)
+        assert sum(1 for _, lg, _ in got if lg is not None) >= (10 if j else 90)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_graded(self, seed):
+        rng = np.random.default_rng(seed)
+        g500, g800 = jittered_tridiagonal(rng, 500), jittered_tridiagonal(rng, 800)
+        assert_matches_reference(g500, 50, j=40)
+        assert_matches_reference(g500, 50)
+        assert_matches_reference(g800, 80)
+
+    def test_zero_window_coupling(self):
+        # b_{n-k} = 0: zero at any fixed depth in range, gap test or not;
+        # the scan still needs a feasible depth
+        T = SymTridiagonal([5.0, 4.0, 3.0, 2.0], [1.0, 0.0, 1.0])
+        for lam in (4.0, 0.5):
+            _, b, jj = aed_window_bounds(T, 2, j=1, window_values=[lam])[0]
+            assert b.is_zero and jj == 1
+        assert_matches_reference(T, 2, j=1, window_values=[4.0, 0.5])
+        got = assert_matches_reference(T, 2, window_values=[4.0, 0.5])
+        assert got == [(4.0, None, None), (0.5, -math.inf, 1)]
+
+    def test_zero_interior_coupling(self):
+        # b_{n-k+2} = 0: eta vanishes from depth 2 on; the scan takes the
+        # first zero
+        T = SymTridiagonal([80.0, 70.0, 60.0, 50.0, 40.0, 30.0, 20.0, 10.0],
+                           [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+        got = assert_matches_reference(T, 4, window_values=[10.0])
+        assert got == [(10.0, -math.inf, 2)]
+        for j in (1, 2, 3):
+            assert_matches_reference(T, 4, j=j, window_values=[10.0])
+        assert aed_window_bounds(T, 4, j=3, window_values=[10.0])[0][1].is_zero
+
+    @pytest.mark.parametrize("row", [1, 6])
+    def test_gap_failure_in_head_rows(self, row):
+        # row 1 and row n-k = 6 of an order-8 matrix with k = 2
+        diag = [80.0, 70.0, 60.0, 50.0, 40.0, 30.0, 20.0, 10.0]
+        diag[row - 1] = 10.5
+        T = SymTridiagonal(diag, np.full(7, 1.0))
+        for j in (None, 1):
+            assert aed_window_bounds(T, 2, j=j, window_values=[10.0]) == \
+                [(10.0, None, None)]
+            assert_matches_reference(T, 2, j=j, window_values=[10.0])
+
+    @pytest.mark.parametrize("a3", [10.5, 13.0])
+    def test_no_feasible_depth(self, a3):
+        # the gap condition fails on row n-k+1 = 3, at 13 with |a_3 - lam|
+        # equal to b_3 + b_2 + alpha: F = 0
+        T = SymTridiagonal([80.0, 70.0, a3, 30.0, 10.0], np.full(4, 1.0))
+        for j in (None, 1):
+            assert aed_window_bounds(T, 3, j=j, window_values=[10.0]) == \
+                [(10.0, None, None)]
+            assert_matches_reference(T, 3, j=j, window_values=[10.0])
+
+    def test_depth_out_of_range_is_none(self):
+        T = aed_example(50)
+        for j in (0, 5, 6):
+            got = aed_window_bounds(T, 5, j=j)
+            assert got and all(b is None and jj is None for _, b, jj in got)
+            assert_matches_reference(T, 5, j=j)
+
+    def test_window_of_one_row_has_no_bound(self):
+        # the gap condition holds on every head row; depth 1 needs k >= 2
+        T = SymTridiagonal([80.0, 70.0, 60.0, 10.0], [1.0, 1.0, 0.1])
+        for j in (None, 1):
+            assert aed_window_bounds(T, 1, j=j) == [(10.0, None, None)]
+
+    @pytest.mark.parametrize("j", [None, 30])
+    def test_eigenvalue_blocks_give_the_same_bounds(self, j, monkeypatch):
+        T = aed_example(200)
+        whole = aed_window_bounds(T, 40, j=j)
+        monkeypatch.setattr(tridiag, "_BLOCK_ELEMENTS", 3 * T.n)
+        assert aed_window_bounds(T, 40, j=j) == whole
+        assert sum(1 for _, b, _ in whole if b is not None) > 3
+
+    @pytest.mark.parametrize("j", [None, 2])
+    def test_invalid_arguments_raise(self, j):
+        T = aed_example(50)
+        with pytest.raises(ValueError, match="alpha"):
+            aed_window_bounds(T, 5, j=j, alpha=-1.0)
+        for k in (0, 50):
+            with pytest.raises(ValueError, match="window size"):
+                aed_window_bounds(T, k, j=j)
+
+
 class TestAedEta:
-    def test_rules_coincide_for_equal_couplings(self):
-        # |a - lam| = 10, alpha = 1, all b = 1: eta = 1/8 under every rule
-        T = SymTridiagonal([30.0, 20.0, 10.0, 0.0], [1.0, 1.0, 1.0])
-        inp = AedBoundInput(T, 2, 1, 0.0, 1.0)
-        for rule in ("paper_def", "proof_form", "conservative"):
-            assert aed_eta(inp, 3, rule) == pytest.approx(1.0 / 8.0)
-
-    def test_conservative_is_largest(self):
-        rng = np.random.default_rng(80)
-        for _ in range(20):
-            n = 8
-            T = SymTridiagonal(np.arange(n, 0, -1.0) * 5.0,
-                               rng.uniform(0.01, 0.3, n - 1))
-            inp = AedBoundInput(T, 3, 1, 0.1, 0.05)
-            for i in range(2, n):
-                etas = {r: aed_eta(inp, i, r)
-                        for r in ("paper_def", "proof_form", "conservative")}
-                if None in etas.values():
-                    continue
-                assert etas["conservative"] >= max(etas["paper_def"],
-                                                   etas["proof_form"]) - 1e-15
-
     def test_invalid_denominator_is_none(self):
+        # row 2: |1.05 - 1| - 0.1 - 0.5 < 0
         T = SymTridiagonal([1.0, 1.05, 0.5], [0.5, 0.5])
-        inp = AedBoundInput(T, 2, 1, 1.0, 0.1)
-        assert aed_eta(inp, 2) is None
+        for j in (None, 1):
+            assert aed_window_bounds(T, 2, j=j, alpha=0.1, window_values=[1.0]) == \
+                [(1.0, None, None)]
 
 
 class TestAedPerturbationBound:
     def test_zero_coupling_gives_zero(self):
         T = SymTridiagonal([5.0, 4.0, 3.0, 2.0], [1.0, 0.0, 1.0])
-        inp = AedBoundInput(T, 2, 1, 2.0, 0.0)
-        assert aed_perturbation_bound(inp).is_zero
+        (_, bound, j_used), = aed_window_bounds(T, 2, j=1, alpha=0.0,
+                                                 window_values=[2.0])
+        assert bound.is_zero and j_used == 1
 
     def test_gap_condition_violation_raises(self):
+        # named for the exception the fixed-depth bound once raised; the
+        # violation now reads as no bound, at a fixed depth and in the scan
         T = SymTridiagonal([5.0, 4.0, 1.0, 0.9], [0.5, 0.5, 0.5])
-        with pytest.raises(EtaInvalidError):
-            aed_perturbation_bound(AedBoundInput(T, 2, 1, 4.0, 0.5))
+        for j in (None, 1):
+            assert aed_window_bounds(T, 2, j=j, alpha=0.5, window_values=[4.0]) == \
+                [(4.0, None, None)]
 
     def test_soundness_at_observable_scale(self):
         # constant couplings with diagonal gaps a few couplings wide keep the
@@ -210,11 +340,17 @@ class TestAedPerturbationBound:
                 assert b.log10 <= fixed[lam].log10 + 1e-12
 
     def test_headline_fixture_row_factors(self):
-        # graded 1000x1000 fixture: eta at row n-100+i is at most 1/(|90-i|-1)
-        from eigbounds import aed_example
+        # graded 1000x1000 fixture at lam = 5, alpha = 1: eta at row n-100+i
+        # is at most 1/(|90-i|-1), so consecutive depths differ by at most
+        # its square and the bound at depth j by at most the product
         T = aed_example(1000)
-        inp = AedBoundInput(T, 100, 88, 5.0, 1.0)
-        for i in (1, 20, 70, 88):
-            eta = aed_eta(inp, 900 + i)
-            assert eta is not None
-            assert eta <= 1.0 / (abs(90 - i) - 1) + 1e-15
+        depths = (1, 19, 20, 69, 70, 87, 88)
+        log10 = {j: aed_window_bounds(T, 100, j=j, alpha=1.0,
+                                      window_values=[5.0])[0][1].log10
+                 for j in depths}
+        cap = lambda i: -math.log10(abs(90 - i) - 1)
+        for j in (20, 70, 88):
+            assert log10[j] - log10[j - 1] <= 2.0 * cap(j) + 1e-12
+        for j in (1, 20, 70, 88):
+            product = math.log10(0.5) + cap(0) + 2.0 * sum(cap(i) for i in range(1, j + 1))
+            assert log10[j] <= product + 1e-9
