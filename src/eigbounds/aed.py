@@ -204,6 +204,8 @@ def run_qr_with_aed(T: SymTridiagonal, window: int, tol: float = 1e-16,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if window < 1 or aed_interval < 1:
+        raise ValueError(f"window={window} and aed_interval={aed_interval} must be >= 1")
     scale = spectral_norm(T)
     if scale == 0.0:
         stats = RunStatistics(converged=True)

@@ -223,7 +223,8 @@ def cmd_verify_all(command: str = "verify-all") -> RunReport:
     # graded 1000x1000 deflation fixture: headline bound and spike profile
     T = generators.aed_example(1000)
     scale = spectral_norm(T)
-    win_vals = eig_tridiag(T.window(100)).values
+    outcome = deflation_decide(aed_transform(T, 100), 1e-16, scale)
+    win_vals = np.sort(outcome.values)
     small = np.array([v for v in win_vals if v < 10.0])
     fixed = aed_window_bounds(T, 100, j=88, alpha=1.0, window_values=small)
     min_log10 = min(b.log10 for _, b, _ in fixed if b is not None)
@@ -234,7 +235,6 @@ def cmd_verify_all(command: str = "verify-all") -> RunReport:
     scan = aed_window_bounds(T, 100, alpha=1.0, window_values=win_vals)
     tiny = sum(1 for _, b, _ in scan if b is not None and b.log10 <= -16.0)
     report.check("deflation-count-1e-16", tiny > 80, f"count={tiny}")
-    outcome = deflation_decide(aed_transform(T, 100), 1e-16, scale)
     spike_norm = float(np.linalg.norm(outcome.spike))
     report.check("spike-norm", abs(spike_norm - 1.0) <= 1e-12,
                  f"norm={spike_norm!r}")

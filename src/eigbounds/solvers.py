@@ -1,10 +1,10 @@
 """Self-contained eigensolvers and norms used as the oracle everywhere else.
 
 Dense Hermitian matrices go through round-robin Jacobi sweeps; symmetric
-tridiagonals through Sturm-sequence bisection plus inverse iteration.  Each
-bisection pass counts a whole subtree of midpoints of every eigenvalue
-interval at once and replays several bisection steps from those counts, with
-results bit-identical to one midpoint per pass.  These are deliberately
+tridiagonals through Sturm-sequence bisection (each pass counts a subtree of
+midpoints of every interval and replays several steps, bit-identical to one
+midpoint per pass) and twisted factorisations for the eigenvectors of all
+eigenvalues at once (Fernando 1997; LAPACK dlar1v).  These are deliberately
 independent of any library eigensolver so that every bound in the package is
 checked against an implementation with no shared code path.
 """
@@ -37,13 +37,18 @@ TOL_ORTH = 1e-12
 _SHIFTS_PER_PASS = 1024
 _MAX_BISECT_STEPS = 120
 
+# (eigenvalue x row) arrays, here and in tridiag.aed_window_bounds, take the
+# eigenvalues in blocks of _BLOCK_ELEMENTS / n so each stays near 8 MB;
+# clustered eigenvectors start from fixed-seed random vectors, as in LAPACK
+_BLOCK_ELEMENTS = 1 << 20
+
 
 class JacobiConvergenceError(RuntimeError):
     """Jacobi sweeps exhausted without meeting the off-diagonal target."""
 
 
 class InverseIterationError(RuntimeError):
-    """Inverse iteration failed to reach the residual target for an index."""
+    """An eigenvector missed the residual or orthogonality contract."""
 
 
 def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -185,20 +190,19 @@ def sturm_count(T: SymTridiagonal, x: float) -> int:
 
 def gerschgorin_disks(T: SymTridiagonal) -> list[tuple[float, float]]:
     """Per-row (center, radius); boundary rows use their single neighbor."""
-    n = T.n
-    b = np.abs(T.offdiag)
-    disks = []
-    for i in range(n):
-        r = (b[i - 1] if i > 0 else 0.0) + (b[i] if i < n - 1 else 0.0)
-        disks.append((float(T.diag[i]), float(r)))
-    return disks
+    return list(zip(T.diag.tolist(), _gersch_radii(T).tolist()))
+
+
+def _gersch_radii(T: SymTridiagonal) -> np.ndarray:
+    r = np.zeros(T.n)
+    r[1:] += np.abs(T.offdiag)
+    r[:-1] += np.abs(T.offdiag)
+    return r
 
 
 def _gersch_bounds(T: SymTridiagonal) -> tuple[float, float]:
-    disks = gerschgorin_disks(T)
-    lo = min(c - r for c, r in disks)
-    hi = max(c + r for c, r in disks)
-    return lo, hi
+    r = _gersch_radii(T)
+    return float(np.min(T.diag - r)), float(np.max(T.diag + r))
 
 
 def _bisect_values(T: SymTridiagonal, tol: float | None = None,
@@ -275,118 +279,114 @@ def _bisect_values(T: SymTridiagonal, tol: float | None = None,
     return np.maximum.accumulate(vals)  # enforce monotonicity at roundoff scale
 
 
-def _lu_solve_shifted(diag: np.ndarray, off: np.ndarray, shift: float,
-                      rhs: np.ndarray) -> np.ndarray:
-    """Solve (T - shift*I) x = rhs; Gaussian elimination with row swaps."""
-    n = diag.size
-    d = (diag - shift).astype(float)
-    if n == 1:
-        piv = d[0] if d[0] != 0.0 else _EPS
-        return rhs / piv
-    du = np.zeros(n - 1)
-    du[:] = off
-    du2 = np.zeros(max(n - 2, 0))
-    dl = np.array(off, dtype=float)
-    x = np.array(rhs, dtype=float)
-    safe = _EPS * max(float(np.max(np.abs(diag))) + float(np.max(np.abs(off))) + 1e-30, 1.0)
-    dd = d.copy()
+def _qr_solve(diag, off, shifts, Y, floor):
+    """Solve (T - s*I) X = Y for the shift s of each column by Givens QR, row
+    by row and all columns at once; |R_ii| below floor becomes floor."""
+    n = len(diag)
+    R = np.zeros((3,) + Y.shape)
+    X = np.concatenate([Y, np.zeros((2, Y.shape[1]))])
+    a, e = diag[0] - shifts, off[0] if n > 1 else 0.0
     for i in range(n - 1):
-        sub = dl[i]
-        if abs(dd[i]) >= abs(sub):
-            piv = dd[i] if dd[i] != 0.0 else safe
-            m = sub / piv
-            dd[i + 1] -= m * du[i]
-            x[i + 1] -= m * x[i]
-        else:
-            # pivot on row i+1: swap rows i, i+1
-            m = dd[i] / sub
-            dd[i] = sub
-            tmp_u = du[i]
-            du[i] = dd[i + 1]
-            dd[i + 1] = tmp_u - m * dd[i + 1]
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -m * du[i + 1]
-            x[i], x[i + 1] = x[i + 1], x[i] - m * x[i + 1]
-    # back substitution (upper triangular with two superdiagonals)
-    out = np.zeros(n)
-    piv = dd[n - 1] if dd[n - 1] != 0.0 else safe
-    out[n - 1] = x[n - 1] / piv
-    if n >= 2:
-        piv = dd[n - 2] if dd[n - 2] != 0.0 else safe
-        out[n - 2] = (x[n - 2] - du[n - 2] * out[n - 1]) / piv
-    for i in range(n - 3, -1, -1):
-        piv = dd[i] if dd[i] != 0.0 else safe
-        out[i] = (x[i] - du[i] * out[i + 1] - du2[i] * out[i + 2]) / piv
-    return out
+        r = np.hypot(a, off[i]) if off[i] else a
+        c, s = (a / r, off[i] / r) if off[i] else (1.0, 0.0)
+        d, b = diag[i + 1] - shifts, off[i + 1] if i + 2 < n else 0.0
+        R[0, i], R[1, i], R[2, i] = r, c * e + s * d, s * b
+        X[i], X[i + 1] = c * X[i] + s * X[i + 1], c * X[i + 1] - s * X[i]
+        a, e = c * d - s * e, c * b
+    R[0, -1] = a
+    R[0][np.abs(R[0]) < floor] = floor
+    for i in range(n - 1, -1, -1):
+        X[i] = (X[i] - R[1, i] * X[i + 1] - R[2, i] * X[i + 2]) / R[0, i]
+    return X[:n]
 
 
-def _tridiag_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = diag * v
-    if off.size:
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
-    return out
+def _residual_norms(diag, off, shifts, X):
+    R = (diag[:, None] - shifts) * X
+    R[:-1] += off[:, None] * X[1:]
+    R[1:] += off[:, None] * X[:-1]
+    return np.linalg.norm(R, axis=0)
 
 
-def _inverse_iteration_vectors(T: SymTridiagonal, vals: np.ndarray,
-                               norm_scale: float) -> np.ndarray:
-    """Eigenvectors by inverse iteration, reorthogonalized within clusters."""
-    n = T.n
-    vecs = np.zeros((n, n))
-    cluster_tol = max(1e-12 * norm_scale, 1e3 * _EPS * norm_scale, 1e-30)
-    # aim well below TOL_RESID so the Gram-Schmidt cleanup and the
+def _chunk_vectors(diag, off, lam, clusters, pivmin, norm_scale):
+    """Eigenvectors for the ascending values lam: twisted factorisations
+    T - s*I = N_r Delta_r N_r^T at r = argmin |gamma_r|, gamma = D+ + D- -
+    (d - s), give z with N_r^T z = e_r as running products of -b_i / D+_i
+    above r and -b_{i-1} / D-_i below it.  Clusters [a, b) would share one z:
+    they take inverse iteration from fixed-seed random vectors, Gram-Schmidt
+    inside the cluster, as does any column that misses the target."""
+    # D+ of T and of T reversed (D- bottom up) in one row loop; a pivot below
+    # pivmin in magnitude becomes -pivmin, as in _sturm_counts
+    piv = np.stack([diag, diag[::-1]], 1)[..., None] - lam
+    b2 = np.stack([off, off[::-1]], 1)[..., None] ** 2
+    for i in range(len(diag)):
+        if i:
+            piv[i] -= b2[i - 1] / piv[i - 1]
+        np.copyto(piv[i], -pivmin, where=np.abs(piv[i]) < pivmin)
+    dp, dm = piv[:, 0], piv[::-1, 1]
+    gamma = dp + dm - (diag[:, None] - lam)
+    r = np.argmin(np.abs(gamma), axis=0)
+    rows = np.arange(diag.size)[:, None]
+    X = np.ones_like(dp)
+    X[:-1] = np.cumprod(np.where(rows[:-1] < r, -off[:, None] / dp[:-1], 1.0)[::-1],
+                        axis=0)[::-1]
+    X[1:] *= np.cumprod(np.where(rows[1:] > r, -off[:, None] / dm[1:], 1.0), axis=0)
+    todo = np.zeros(lam.size, dtype=bool)
+    shifts = lam.copy()
+    for a, b in clusters:
+        todo[a:b] = True
+        X[:, a:b] = np.random.default_rng(0x5eed).standard_normal((diag.size, b - a))
+        # shifts at least 10 eps ||T|| apart, as in LAPACK dstein
+        k = 10 * _EPS * norm_scale * np.arange(b - a)
+        shifts[a:b] = np.maximum.accumulate(lam[a:b] - k) + k
+    # aim well below TOL_RESID so the orthogonality cleanup and the
     # Gerschgorin-vs-spectral-norm slack cannot push past the contract
-    resid_target = 0.02 * TOL_RESID * max(norm_scale, 1e-30)
-    rng = np.random.default_rng(0x5eed)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and vals[stop] - vals[stop - 1] <= cluster_tol:
-            stop += 1
-        members = []
-        for idx in range(start, stop):
-            lam = vals[idx]
-            best = None
-            best_resid = math.inf
-            for attempt in range(6):
-                x = rng.standard_normal(n)
-                x /= np.linalg.norm(x)
-                shift = lam + (attempt % 3) * _EPS * norm_scale
-                for _ in range(4):
-                    x = _lu_solve_shifted(T.diag, T.offdiag, shift, x)
-                    for w in members:
-                        x -= (w @ x) * w
-                    nx = np.linalg.norm(x)
-                    if nx == 0.0:
-                        break
-                    x /= nx
-                    resid = np.linalg.norm(
-                        _tridiag_matvec(T.diag, T.offdiag, x) - lam * x)
-                    if resid <= resid_target:
-                        break
-                else:
-                    resid = np.linalg.norm(
-                        _tridiag_matvec(T.diag, T.offdiag, x) - lam * x)
-                if np.linalg.norm(x) > 0 and resid < best_resid:
-                    best, best_resid = x, resid
-                if best_resid <= resid_target:
-                    break
-            if best is None or best_resid > 100 * resid_target:
-                raise InverseIterationError(
-                    f"index {idx}: residual {best_resid:.3e} above target")
-            members.append(best)
-            vecs[:, idx] = best
-        start = stop
-    # Global cleanup: close-but-unclustered eigenvalue pairs leave mutual
-    # overlaps of order resid/gap.  Each Gram-Schmidt subtraction costs only
-    # O(resid) extra residual, so two passes restore orthogonality safely.
-    for _ in range(2):
-        for i in range(1, n):
-            v = vecs[:, i]
-            v -= vecs[:, :i] @ (vecs[:, :i].T @ v)
-            v /= np.linalg.norm(v)
-            vecs[:, i] = v
+    target = 0.02 * TOL_RESID * max(norm_scale, 1e-30)
+    for _ in range(3):                      # rounds of inverse iteration
+        if todo.any():
+            X[:, todo] = _qr_solve(diag, off, shifts[todo], X[:, todo],
+                                   _EPS * norm_scale)
+        X /= np.linalg.norm(X, axis=0)
+        for a, b in clusters:
+            for p in range(a + 1, b):
+                for _ in range(2):
+                    X[:, p] -= X[:, a:p] @ (X[:, a:p].T @ X[:, p])
+                X[:, p] /= np.linalg.norm(X[:, p])
+        resid = _residual_norms(diag, off, lam, X)
+        todo = ~(resid <= target)
+        if not todo.any():
+            break
+    return X
+
+
+def _twisted_vectors(T, vals, norm_scale):
+    """Orthonormal eigenvectors for the ascending eigenvalues vals.  No split
+    at zero couplings: the pivots restart there, so a twisted vector stays in
+    its block, and a value two blocks share falls in a cluster spanning both."""
+    n = T.n
+    pivmin = _pivmin(T.offdiag ** 2)
+    cluster_tol = max(1e-12 * norm_scale, 1e3 * _EPS * norm_scale, 1e-30)
+    bounds = np.array([0, *(np.flatnonzero(np.diff(vals) > cluster_tol) + 1), n])
+    steps = np.arange(0, n, max(1, _BLOCK_ELEMENTS // n))
+    cuts = np.unique([*bounds[np.searchsorted(bounds, steps)], n])
+    vecs = np.empty((n, n))
+    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+        clusters = [(a - c0, b - c0) for a, b in zip(bounds, bounds[1:])
+                    if c0 <= a < c1 and b - a > 1]
+        vecs[:, c0:c1] = _chunk_vectors(
+            T.diag, T.offdiag, vals[c0:c1], clusters, pivmin, norm_scale)
+    # close values in different clusters leave overlaps of order resid/gap:
+    # Newton-Schulz steps X <- X (I - E/2), E = X^T X - I, clear them for
+    # O(resid) more residual
+    for _ in range(8):
+        E = vecs.T @ vecs - np.eye(n)
+        if np.max(np.abs(E)) <= 0.1 * TOL_ORTH:
+            break
+        vecs -= 0.5 * (vecs @ E)
+    # the contract itself, with ||T|| = max |lambda|, decides the fallback
+    resid = _residual_norms(T.diag, T.offdiag, vals, vecs)
+    if not (np.max(np.abs(E)) <= TOL_ORTH
+            and np.all(resid <= TOL_RESID * max(abs(vals[0]), abs(vals[-1])))):
+        raise InverseIterationError("residual or orthogonality contract missed")
     return vecs
 
 
@@ -395,9 +395,8 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False,
     """Spectrum of a symmetric tridiagonal matrix.
 
     Eigenvalues come from Sturm-sequence bisection; eigenvectors, when
-    requested, from shifted inverse iteration with one reorthogonalization
-    pass per cluster of close eigenvalues.  On a pathological inverse
-    iteration failure the dense Jacobi solver takes over.
+    requested, from one batched twisted-factorisation pass (_chunk_vectors).
+    Dense Jacobi steps in only for vectors that miss the contract.
     """
     n = T.n
     if n == 1:
@@ -409,7 +408,7 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False,
     glo, ghi = _gersch_bounds(T)
     norm_scale = max(abs(glo), abs(ghi))
     try:
-        vecs = _inverse_iteration_vectors(T, vals, norm_scale)
+        vecs = _twisted_vectors(T, vals, norm_scale)
     except InverseIterationError:
         dense = eig_dense(T.to_dense(), want_vectors=True)
         return Spectrum(dense.values, dense.vectors.real)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import eig_tridiag
+from .solvers import _BLOCK_ELEMENTS, eig_tridiag
 from .types import LogScalar, SymTridiagonal
 
 __all__ = [
@@ -132,11 +132,6 @@ def wilkinson_pair_gap_bound(n: int, ell: int) -> LogScalar:
 def _log10(x: float) -> float:
     """math.log10 as LogScalar.from_float takes it, with log10(0) = -inf."""
     return math.log10(x) if x > 0.0 else -math.inf
-
-
-# aed_window_bounds holds a few (window eigenvalue x row) float arrays; it
-# takes the eigenvalues in blocks so that each array stays near 8 MB
-_BLOCK_ELEMENTS = 1 << 20
 
 
 def aed_window_bounds(T: SymTridiagonal, k: int, j: int | None = None,

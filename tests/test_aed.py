@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh_tridiagonal
+
 from conftest import random_tridiagonal
-from eigbounds import (SymTridiagonal, aed_transform, deflation_decide,
-                       deflation_soundness_check, eig_tridiag, qr_sweep,
-                       run_qr_with_aed, spectral_norm, wilkinson_plus)
+from eigbounds import (SymTridiagonal, aed_example, aed_transform,
+                       deflation_decide, deflation_soundness_check,
+                       eig_tridiag, qr_sweep, run_qr_with_aed, spectral_norm,
+                       wilkinson_plus)
 
 
 def graded_example(rng, n, b_scale=0.05):
@@ -36,6 +39,17 @@ class TestAedTransform:
         out = aed_transform(T, 5)
         assert np.allclose(np.sort(out.values),
                            eig_tridiag(T.window(5)).values, atol=1e-12)
+
+    def test_spike_matches_library_on_the_graded_fixture(self):
+        # a third opinion (tests only): |t_i| = |b_{n-k} V(1, i)| to 1e-8 |b_{n-k}|
+        T = aed_example(1000)
+        out = aed_transform(T, 100)
+        W = T.window(100)
+        vals, V = eigh_tridiagonal(W.diag, W.offdiag)
+        order = np.argsort(out.values, kind="stable")
+        assert np.max(np.abs(out.values[order] - vals)) <= 1e-12 * vals[-1]
+        ref = np.abs(out.coupling * V[0, :])
+        assert np.max(np.abs(np.abs(out.spike[order]) - ref)) <= 1e-8 * abs(out.coupling)
 
     def test_spike_is_coupling_times_first_basis_row(self):
         rng = np.random.default_rng(33)
@@ -134,3 +148,13 @@ class TestRunQrWithAed:
         assert stats.first_pass_aed_count == stats.total_aed
         ref = eig_tridiag(T).values
         assert np.max(np.abs(spec.values - ref)) <= 1e-11 * spectral_norm(T)
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_raises(self, window):
+        with pytest.raises(ValueError, match="window"):
+            run_qr_with_aed(aed_example(30), window=window)
+
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_aed_interval_below_one_raises(self, interval):
+        with pytest.raises(ValueError, match="aed_interval"):
+            run_qr_with_aed(aed_example(30), window=5, aed_interval=interval)

@@ -39,18 +39,23 @@ def test_guard_catches_undocumented_name():
     assert _undocumented(["aed_window"], readme) == ["aed_window"]
 
 
+# packages with eigensolvers of their own: none may be imported under src/
+_FOREIGN = {"scipy", "mpmath", "sympy"}
+
+
 def _linalg_uses(tree):
-    """(line, what) for every scipy import and numpy.linalg use but norm."""
+    """(line, what) for every scipy, mpmath or sympy import and numpy.linalg
+    use but norm."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] == "scipy" or alias.name == "numpy.linalg":
+                if alias.name.split(".")[0] in _FOREIGN or alias.name == "numpy.linalg":
                     found.append((node.lineno, f"import {alias.name}"))
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             names = {alias.name for alias in node.names}
-            if (module.split(".")[0] == "scipy"
+            if (module.split(".")[0] in _FOREIGN
                     or (module == "numpy" and "linalg" in names)
                     or (module == "numpy.linalg" and names != {"norm"})):
                 found.append((node.lineno, f"from {module} import {sorted(names)}"))
@@ -72,5 +77,7 @@ def test_no_library_eigensolver_under_src(path):
 def test_guard_catches_library_eigensolvers():
     tree = ast.parse("import numpy as np\nimport scipy.linalg\n"
                      "from numpy.linalg import eigh\nx = np.linalg.eigvalsh(a)\n"
-                     "y = np.linalg.norm(a)\n")
-    assert [line for line, _ in _linalg_uses(tree)] == [2, 3, 4]
+                     "y = np.linalg.norm(a)\nimport mpmath\n"
+                     "from mpmath import eigsy\nimport sympy.matrices as sm\n"
+                     "from sympy import Matrix\nimport math, sys\n")
+    assert sorted(line for line, _ in _linalg_uses(tree)) == [2, 3, 4, 6, 7, 8, 9]

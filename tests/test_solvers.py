@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from conftest import graded_tridiagonal, random_hermitian, random_tridiagonal
 from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
@@ -12,6 +12,15 @@ from eigbounds import solvers
 from eigbounds.solvers import (JacobiConvergenceError, _bisect_values,
                                _round_robin_pairs, gerschgorin_disks,
                                sturm_count)
+
+
+def _assert_eigenpairs(T, spec):
+    """Residual within 1e-12 of the norm and orthonormal columns within
+    1e-12, both on the full matrix."""
+    D = T.to_dense().real_array()
+    V = spec.vectors
+    assert np.max(np.abs(D @ V - V * spec.values)) <= 1e-12 * spectral_norm(T)
+    assert np.max(np.abs(V.T @ V - np.eye(T.n))) <= 1e-12
 
 
 class TestEigDense:
@@ -360,3 +369,143 @@ class TestSubtreeBisection:
         norm = float(np.max(np.abs(ref)))
         assert np.max(np.abs(ends - ref[[0, -1]])) <= 1e-12 * max(norm, 1.0)
         assert spectral_norm(T) == max(abs(ends[0]), abs(ends[1]))
+
+
+def _zero_pivot_rows(T, shifts):
+    """Rows where an unguarded L D L^T pivot of T - s*I is exactly zero for
+    some shift s, counted top down and bottom up."""
+    rows = []
+    for d, b in ((T.diag, T.offdiag), (T.diag[::-1], T.offdiag[::-1])):
+        q = d[0] - shifts
+        hit = [0] if (q == 0.0).any() else []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(1, d.size):
+                q = d[i] - shifts - b[i - 1] ** 2 / q
+                if (q == 0.0).any():
+                    hit.append(i)
+        rows.append(hit)
+    return rows
+
+
+# integer matrices whose bisected eigenvalues are exact (or exactly hit a
+# pivot): -2 = d_1 = d_3 in the first, 3 in the second
+_ZERO_PIVOT_MATRICES = [
+    SymTridiagonal([-2.0, 0.0, -2.0], [1.0, -1.0]),
+    SymTridiagonal([-1.0, 2.0, -2.0, 1.0, 0.0, 2.0], [-2.0, 2.0, -1.0, -2.0, -1.0]),
+    SymTridiagonal([2.0, 0.0, 0.0, 1.0], [-2.0, 2.0, 2.0]),
+]
+
+def _glued_wilkinson(m, copies, coupling=1e-14):
+    W = wilkinson_plus(m)
+    return SymTridiagonal(np.tile(W.diag, copies),
+                          np.tile(np.append(W.offdiag, coupling), copies)[:-1])
+
+
+_VECTOR_CASES = {
+    "wilkinson10": wilkinson_plus(10),
+    "wilkinson50": wilkinson_plus(50),
+    "split8": wilkinson_split(8)[0],
+    # copies of W+(2m+1) glued by 1e-14: clusters of values equal to
+    # roundoff, whose vectors spread over the copies
+    "glued-wilkinson5x6": _glued_wilkinson(5, 6),
+    "glued-wilkinson3x20": _glued_wilkinson(3, 20),
+    "glued-wilkinson10x20": _glued_wilkinson(10, 20),
+    # 500 values within 1e-13, one cluster: the solves grow by about 100 a
+    # row, and members closer than the values' error cannot all meet the
+    # rounds' target
+    "near-constant": SymTridiagonal(1.0 + 1e-14 * np.cos(np.arange(500.0)),
+                                    1e-14 * (1.5 + np.sin(np.arange(499.0)))),
+    # repeated entries, all couplings zero: every value is a block of its own
+    "diagonal": SymTridiagonal([2.0, 1.0, 2.0, 2.0, 1.0, 3.0], np.zeros(5)),
+    # two equal 2x2 blocks around a 1x1 block: exact doubles across splits
+    "equal-blocks": SymTridiagonal([1.0, 1.0, 2.0, 1.0, 1.0], [0.5, 0.0, 0.0, 0.5]),
+    "n1": SymTridiagonal([3.0], []),
+    "n2": SymTridiagonal([1.0, 3.0], [0.5]),
+    "n2-split": SymTridiagonal([1.0, 1.0], [0.0]),
+    **{f"zero-pivot{i}": T for i, T in enumerate(_ZERO_PIVOT_MATRICES)},
+}
+
+
+class TestTwistedVectors:
+    @pytest.mark.parametrize("name", list(_VECTOR_CASES))
+    def test_residual_and_orthogonality(self, name):
+        T = _VECTOR_CASES[name]
+        spec = eig_tridiag(T, want_vectors=True)
+        assert np.array_equal(spec.values, eig_tridiag(T).values)
+        _assert_eigenpairs(T, spec)
+
+    @pytest.mark.parametrize("T", _ZERO_PIVOT_MATRICES)
+    def test_inputs_hit_an_exact_zero_pivot(self, T):
+        vals = eig_tridiag(T).values
+        assert any(_zero_pivot_rows(T, vals))
+        assert np.max(np.abs(vals - eigvalsh_tridiagonal(T.diag, T.offdiag))) <= 1e-14
+
+    def test_near_exact_cluster_spans_its_invariant_subspace(self):
+        # the top pair of W+(101) is about 1e-30 apart and the bisected
+        # values coincide: the two vectors must span the pair's subspace
+        T = wilkinson_plus(50)
+        spec = eig_tridiag(T, want_vectors=True)
+        assert spec.values[-1] == spec.values[-2]
+        U = eigh_tridiagonal(T.diag, T.offdiag)[1][:, -2:]
+        top = spec.vectors[:, -2:]
+        assert np.max(np.abs(top @ top.T - U @ U.T)) <= 1e-12
+
+    def test_no_dense_fallback(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eig_tridiag fell back to eig_dense")
+
+        monkeypatch.setattr(solvers, "eig_dense", refuse)
+        for T in _VECTOR_CASES.values():
+            eig_tridiag(T, want_vectors=True)
+        rng = np.random.default_rng(103)  # criterion 9's generator
+        for _ in range(500):
+            n = int(rng.integers(2, 51))
+            eig_tridiag(random_tridiagonal(rng, n), want_vectors=True)
+
+    def test_dense_fallback_is_the_last_resort(self, monkeypatch):
+        # values 1e-6 off leave every residual above target after all
+        # rounds: the dense solver answers, with its own values
+        calls = []
+        dense = solvers.eig_dense
+        bisect = solvers._bisect_values
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n)
+            return dense(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "eig_dense", counting)
+        monkeypatch.setattr(solvers, "_bisect_values",
+                            lambda *args, **kwargs: bisect(*args, **kwargs) + 1e-6)
+        T = random_tridiagonal(np.random.default_rng(800), 12)
+        spec = eig_tridiag(T, want_vectors=True)
+        assert calls == [12]
+        _assert_eigenpairs(T, spec)
+
+    def test_eigenvalue_blocks_give_the_same_vectors(self, monkeypatch):
+        # a pass starts at the first cluster head from a multiple of 4 on, so
+        # the pairs of W+(21) stay whole and a pass holds at most 4 + 1 values
+        T = wilkinson_plus(10)
+        whole = eig_tridiag(T, want_vectors=True)
+        widths = []
+        chunk = solvers._chunk_vectors
+
+        def recording(diag, off, shifts, clusters, *args):
+            widths.append((shifts.size, clusters))
+            return chunk(diag, off, shifts, clusters, *args)
+
+        monkeypatch.setattr(solvers, "_chunk_vectors", recording)
+        monkeypatch.setattr(solvers, "_BLOCK_ELEMENTS", 4 * T.n)
+        parts = eig_tridiag(T, want_vectors=True)
+        assert len(widths) > 1 and all(m <= 5 for m, _ in widths)
+        assert any(clusters for _, clusters in widths)
+        _assert_eigenpairs(T, parts)
+        assert np.max(np.abs(parts.vectors - whole.vectors)) <= 1e-12
+
+    def test_vectors_at_order_1000(self):
+        # the twisted vectors overlap by up to 2e-13 here: the cleanup
+        # brings them to a tenth of the orthogonality contract
+        T = aed_example(1000)
+        spec = eig_tridiag(T, want_vectors=True)
+        _assert_eigenpairs(T, spec)
+        V = spec.vectors
+        assert np.max(np.abs(V.T @ V - np.eye(T.n))) <= 0.1 * solvers.TOL_ORTH
