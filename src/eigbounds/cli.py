@@ -167,7 +167,7 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
                    bound=b, log10=(b.log10 if b is not None else None),
                    j_used=jj)
     if verify:
-        checked = deflation_soundness_check(T, k, outcome)
+        checked = deflation_soundness_check(T, outcome)
         for v, p, o in zip(checked.values, checked.predicted, checked.observed):
             report.check(f"deflated-{v:.6g}",
                          o <= p + 1e-12 * max(scale, 1.0),

@@ -4,7 +4,10 @@ Dense Hermitian matrices go through round-robin Jacobi sweeps; symmetric
 tridiagonals through Sturm-sequence bisection (each pass counts a subtree of
 midpoints of every interval and replays several steps, bit-identical to one
 midpoint per pass) and twisted factorisations for the eigenvectors of all
-eigenvalues at once (Fernando 1997; LAPACK dlar1v).  These are deliberately
+eigenvalues at once (Fernando 1997; LAPACK dlar1v).  Bisection can isolate
+chosen ranks alone: the AED deflation check takes the Sturm count c below
+each deflated value and bisects only ranks c and c + 1, the two eigenvalues
+that bracket it (Barth, Martin & Wilkinson 1967).  These are deliberately
 independent of any library eigensolver so that every bound in the package is
 checked against an implementation with no shared code path.
 """
@@ -277,6 +280,24 @@ def _bisect_values(T: SymTridiagonal, tol: float | None = None,
         done = stopped[taken - 1]
     vals = 0.5 * (lo + hi)
     return np.maximum.accumulate(vals)  # enforce monotonicity at roundoff scale
+
+
+def _distance_to_spectrum(T: SymTridiagonal, xs) -> np.ndarray:
+    """Distance from each x in xs to the nearest eigenvalue of T.
+
+    With c the Sturm count of eigenvalues strictly below x, the nearest
+    eigenvalue has rank c or c + 1 (clipped to 1..n), so only those ranks
+    are bisected, in one _bisect_values call for all of xs.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        return np.empty(0)
+    off_sq = T.offdiag ** 2
+    c = _sturm_counts(T.diag, off_sq, xs, _pivmin(off_sq))
+    near = np.clip(np.stack([c, c + 1]), 1, T.n)
+    ranks = np.unique(near)
+    vals = _bisect_values(T, ranks=ranks)[np.searchsorted(ranks, near)]
+    return np.min(np.abs(vals - xs), axis=0)
 
 
 def _qr_solve(diag, off, shifts, Y, floor):

@@ -4,6 +4,8 @@ The two matrix types store their data canonically: DenseHermitian keeps the
 lower triangle authoritative and mirrors the conjugate into the upper
 triangle, so hermiticity is exact by construction.  SymTridiagonal places no
 sign constraint on the couplings; all bound formulas take absolute values.
+Both reject NaN and infinite entries, which the oracle would otherwise turn
+into plausible wrong spectra.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ def _canonical_hermitian(entries: np.ndarray, atol: float) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise HermitianError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise HermitianError("matrix has NaN or infinite entries")
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     if float(np.max(np.abs(a - a.conj().T))) > atol * scale:
         raise HermitianError("matrix deviates from Hermitian beyond tolerance")
@@ -126,6 +130,8 @@ class SymTridiagonal:
             raise ValueError("empty diagonal")
         if b.size != d.size - 1:
             raise ValueError(f"offdiag length {b.size} != diag length {d.size} - 1")
+        if not (np.isfinite(d).all() and np.isfinite(b).all()):
+            raise ValueError("tridiagonal has NaN or infinite entries")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", b)
         d.setflags(write=False)

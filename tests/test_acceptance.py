@@ -176,14 +176,15 @@ def test_criterion_9_oracle_cross_validation():
     for _ in range(500):
         n = int(rng.integers(2, 51))
         T = random_tridiagonal(rng, n)
-        scale = max(1.0, spectral_norm(T))
+        norm = spectral_norm(T)
+        scale = max(1.0, norm)
         spec = eig_tridiag(T, want_vectors=True)
         dense_vals = eig_dense(T.to_dense()).values
         worst_val = max(worst_val,
                         float(np.max(np.abs(spec.values - dense_vals))) / scale)
         R = T.to_dense().real_array() @ spec.vectors - spec.vectors * spec.values
         worst_resid = max(worst_resid,
-                          float(np.max(np.abs(R))) / max(spectral_norm(T), 1e-30))
+                          float(np.max(np.abs(R))) / max(norm, 1e-30))
     report(9, "oracle cross-validation",
            worst_val <= 1e-12 and worst_resid <= 1e-12,
            f"val err={worst_val:.2e} resid={worst_resid:.2e}",

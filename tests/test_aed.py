@@ -3,11 +3,14 @@ import pytest
 
 from scipy.linalg import eigh_tridiagonal
 
+import eigbounds.aed
+import eigbounds.solvers
 from conftest import random_tridiagonal
 from eigbounds import (SymTridiagonal, aed_example, aed_transform,
                        deflation_decide, deflation_soundness_check,
                        eig_tridiag, qr_sweep, run_qr_with_aed, spectral_norm,
                        wilkinson_plus)
+from eigbounds.solvers import _distance_to_spectrum, _gersch_bounds
 
 
 def graded_example(rng, n, b_scale=0.05):
@@ -90,8 +93,77 @@ class TestDeflationDecide:
             out = deflation_decide(aed_transform(T, 10), 1e-8, scale)
             if out.deflation_count == 0:
                 continue
-            chk = deflation_soundness_check(T, 10, out)
+            chk = deflation_soundness_check(T, out)
             assert np.all(chk.observed <= chk.predicted + 1e-12 * scale)
+
+
+def bisection_tol(T):
+    glo, ghi = _gersch_bounds(T)
+    return 4.0 * np.finfo(float).eps * max(abs(glo), abs(ghi))
+
+
+def full_spectrum_distance(T, xs):
+    full = eig_tridiag(T).values
+    return np.array([float(np.min(np.abs(full - x))) for x in xs])
+
+
+class TestDeflationSoundnessCheck:
+    """The check bisects only the ranks c and c + 1 next to each value."""
+
+    def test_matches_full_spectrum_distance(self):
+        rng = np.random.default_rng(43)
+        for trial in range(20):
+            n = int(rng.integers(100, 601))
+            k = int(rng.choice([10, 40, 90]))
+            T = (graded_example(rng, n, b_scale=float(rng.choice([1e-3, 0.3])))
+                 if trial % 2 else random_tridiagonal(rng, n))
+            xs = aed_transform(T, k).values
+            observed = _distance_to_spectrum(T, xs)
+            ref = full_spectrum_distance(T, xs)
+            assert np.max(np.abs(observed - ref)) <= bisection_tol(T)
+
+    def test_values_outside_and_between_eigenvalues(self):
+        # ranks c = 0 and c = n (clipped to 1 and n), and a point on each
+        # side of the middle of a pair 4e-8 apart
+        T = wilkinson_plus(7)
+        full = eig_tridiag(T).values
+        glo, ghi = _gersch_bounds(T)
+        gap = full[-1] - full[-2]
+        xs = np.array([glo - 1.0, ghi + 1.0, full[-2] + 0.3 * gap,
+                       full[-2] + 0.7 * gap])
+        observed = _distance_to_spectrum(T, xs)
+        expected = [full[0] - xs[0], xs[1] - full[-1], 0.3 * gap, 0.3 * gap]
+        assert np.allclose(observed, expected, rtol=0.0,
+                           atol=2 * bisection_tol(T))
+
+    def test_never_asks_for_the_full_spectrum(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        T = graded_example(rng, 200, b_scale=1e-3)
+        out = deflation_decide(aed_transform(T, 40), 1e-8, spectral_norm(T))
+        assert out.deflation_count > 0
+        ref = full_spectrum_distance(T, out.values[out.deflatable])
+
+        def no_full_spectrum(*args, **kwargs):
+            raise AssertionError("full spectrum requested")
+
+        monkeypatch.setattr(eigbounds.aed, "eig_tridiag", no_full_spectrum)
+        chk = deflation_soundness_check(T, out)
+        assert np.max(np.abs(chk.observed - ref)) <= bisection_tol(T)
+        assert np.array_equal(chk.predicted, np.abs(out.spike[out.deflatable]))
+
+    def test_nothing_deflated_makes_no_sturm_call(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        T = graded_example(rng, 30)
+        out = aed_transform(T, 10)
+        assert out.deflation_count == 0
+
+        def no_sturm(*args, **kwargs):
+            raise AssertionError("Sturm count requested")
+
+        monkeypatch.setattr(eigbounds.solvers, "_sturm_counts", no_sturm)
+        chk = deflation_soundness_check(T, out)
+        for arr in (chk.values, chk.predicted, chk.observed):
+            assert arr.shape == (0,)
 
 
 class TestQrSweep:

@@ -175,6 +175,13 @@ class TestCliInputErrors:
                                   capsys)
         assert code == 2
 
+    def test_non_finite_entry(self, tmp_path, capsys):
+        path = tmp_path / "bad.mat"
+        path.write_text("format tridiagonal\ndiag 1 nan 3\noffdiag 1 1\n")
+        code, line = self._exit_code(["aed", "--matrix", str(path), "--k", "1"],
+                                     capsys)
+        assert code == 2 and "NaN" in line
+
     def test_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.mat")
         code, line = self._exit_code(["aed", "--matrix", missing, "--k", "1"],

@@ -16,6 +16,12 @@ class TestDenseHermitian:
         with pytest.raises(HermitianError):
             DenseHermitian.from_array([[1.0, 5.0], [2.0, 3.0]])
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(HermitianError, match="infinite"):
+            DenseHermitian.from_array([[1.0, np.inf], [np.inf, 2.0]])
+        with pytest.raises(HermitianError, match="NaN"):
+            DenseHermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_from_blocks_assembly(self):
         A = DenseHermitian.from_blocks(np.diag([1.0, 2.0]), [[0.5, 0.0]], [[7.0]])
         split = BlockSplit(1)
@@ -53,6 +59,12 @@ class TestSymTridiagonal:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SymTridiagonal([1.0, 2.0], [0.1, 0.2])
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="NaN"):
+            SymTridiagonal([1.0, np.nan, 3.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="infinite"):
+            SymTridiagonal([1.0, 2.0, 3.0], [0.5, -np.inf])
 
 
 class TestLogScalar:
