@@ -4,7 +4,12 @@ Dense Hermitian matrices go through round-robin Jacobi sweeps; symmetric
 tridiagonals through Sturm-sequence bisection (each pass counts a subtree of
 midpoints of every interval and replays several steps, bit-identical to one
 midpoint per pass) and twisted factorisations for the eigenvectors of all
-eigenvalues at once (Fernando 1997; LAPACK dlar1v).  Bisection can isolate
+eigenvalues at once (Fernando 1997; LAPACK dlar1v).  A Sturm count runs the
+pivot recurrence in row blocks with one division and one subtraction per
+row and no pivot guard; the guard of LAPACK dstebz is applied afterwards,
+by recounting only the shifts whose pivots came below pivmin (Demmel,
+Dhillon & Ren 1995).  Entries beyond [2^-500, 2^500] are scaled by a power
+of two first, and the results scaled back exactly.  Bisection can isolate
 chosen ranks alone: the AED deflation check takes the Sturm count c below
 each deflated value and bisects only ranks c and c + 1, the two eigenvalues
 that bracket it (Barth, Martin & Wilkinson 1967).  These are deliberately
@@ -39,6 +44,8 @@ TOL_ORTH = 1e-12
 # Sturm bisection: shifts counted per pass, and the cap on bisection steps
 _SHIFTS_PER_PASS = 1024
 _MAX_BISECT_STEPS = 120
+# rows per block of the unguarded Sturm recurrence (_sturm_counts)
+_STURM_ROWS = 64
 
 # (eigenvalue x row) arrays, here and in tridiag.aed_window_bounds, take the
 # eigenvalues in blocks of _BLOCK_ELEMENTS / n so each stays near 8 MB;
@@ -159,7 +166,52 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
 
 def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
                   pivmin: float) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift in xs (vectorized)."""
+    """Number of eigenvalues strictly below each shift in xs (vectorized).
+
+    The pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} run without the pivot
+    guard, in blocks of _STURM_ROWS rows: one subtraction d_i - xs for the
+    whole block, then one division and one subtraction per row.  Once per
+    block the negative pivots are counted and each shift's chain is checked
+    for a pivot with |q| < pivmin (or NaN, from 0/0).  Up to its first such
+    pivot a chain is the same with or without the guard, so only the shifts
+    that met one are recounted, by the guarded recurrence; the counts are
+    those of the guarded recurrence for every shift.
+    """
+    n, m = diag.size, xs.size
+    h = min(n, _STURM_ROWS)
+    # buf[1:] holds a block of pivots and buf[0] the row above it; above
+    # row 0 that is 1.0 under the zero coupling b2[0], and d_0 - x - 0 / 1
+    # is d_0 - x exactly
+    buf = np.empty((h + 1, m))
+    buf[-1] = 1.0
+    rows = list(buf)
+    neg = np.empty((h, m), dtype=bool)
+    t = np.empty(m)
+    count = np.zeros(m, dtype=np.int64)
+    small = np.zeros(m, dtype=bool)
+    b2 = [0.0, *off_sq.tolist()]            # b2[i] couples rows i - 1 and i
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for r0 in range(0, n, h):
+            k = min(h, n - r0)
+            buf[0] = buf[-1]                # every block but the last is full
+            q = buf[1:k + 1]
+            np.subtract(diag[r0:r0 + k, None], xs, out=q)
+            for b, prev, row in zip(b2[r0:r0 + k], rows, rows[1:]):
+                np.divide(b, prev, out=t)
+                np.subtract(row, t, out=row)
+            # _STURM_ROWS < 256, so a block's counts fit in uint8
+            neg8 = np.less(q, 0.0, out=neg[:k]).view(np.uint8)
+            count += neg8.sum(axis=0, dtype=np.uint8)
+            # a NaN pivot makes the minimum NaN, which fails the test as well
+            small |= ~(np.abs(q).min(axis=0) >= pivmin)
+    if small.any():
+        count[small] = _guarded_sturm_counts(diag, off_sq, xs[small], pivmin)
+    return count
+
+
+def _guarded_sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
+                          pivmin: float) -> np.ndarray:
+    """The Sturm counts with the pivot guard of LAPACK dstebz on every row."""
     q = diag[0] - xs
     count = (q < 0.0).astype(np.int64)
     # one row per iteration, in place: q <- (d_i - xs) - b_{i-1}^2 / q with
@@ -185,10 +237,25 @@ def _pivmin(off_sq: np.ndarray) -> float:
     return max(base, 1.0) * _EPS ** 2
 
 
+def _unit_scaled(T: SymTridiagonal) -> tuple[SymTridiagonal, int]:
+    """(S, e) with T = 2^e S exactly.  e is 0 when max |entry| of T lies in
+    [2^-500, 2^500], so in-range input is used as it is; otherwise the
+    entries of S peak in [0.5, 1), which keeps b_i^2 and the Sturm pivots in
+    range (LAPACK dsterf and dstebz scale the same way)."""
+    top = max(float(np.max(np.abs(T.diag))),
+              float(np.max(np.abs(T.offdiag))) if T.n > 1 else 0.0)
+    if top == 0.0 or 2.0 ** -500 <= top <= 2.0 ** 500:
+        return T, 0
+    e = math.frexp(top)[1]
+    return SymTridiagonal(np.ldexp(T.diag, -e), np.ldexp(T.offdiag, -e)), e
+
+
 def sturm_count(T: SymTridiagonal, x: float) -> int:
     """Count of eigenvalues of T strictly less than x."""
+    T, e = _unit_scaled(T)
     off_sq = T.offdiag ** 2
-    return int(_sturm_counts(T.diag, off_sq, np.asarray([float(x)]), _pivmin(off_sq))[0])
+    xs = np.asarray([math.ldexp(float(x), -e)])
+    return int(_sturm_counts(T.diag, off_sq, xs, _pivmin(off_sq))[0])
 
 
 def gerschgorin_disks(T: SymTridiagonal) -> list[tuple[float, float]]:
@@ -232,6 +299,8 @@ def _bisect_values(T: SymTridiagonal, tol: float | None = None,
         tol = 4.0 * _EPS * max(abs(glo), abs(ghi), 1e-30)
     ranks = np.arange(1, n + 1) if ranks is None else np.asarray(ranks)
     m = ranks.size
+    if m == 0:
+        return np.empty(0)
     lo = np.full(m, glo)
     hi = np.full(m, ghi)
     depth = max(1, int(math.log2(_SHIFTS_PER_PASS / m + 1)))
@@ -292,12 +361,14 @@ def _distance_to_spectrum(T: SymTridiagonal, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.empty(0)
+    T, e = _unit_scaled(T)
+    xs = np.ldexp(xs, -e)
     off_sq = T.offdiag ** 2
     c = _sturm_counts(T.diag, off_sq, xs, _pivmin(off_sq))
     near = np.clip(np.stack([c, c + 1]), 1, T.n)
     ranks = np.unique(near)
     vals = _bisect_values(T, ranks=ranks)[np.searchsorted(ranks, near)]
-    return np.min(np.abs(vals - xs), axis=0)
+    return np.ldexp(np.min(np.abs(vals - xs), axis=0), e)
 
 
 def _qr_solve(diag, off, shifts, Y, floor):
@@ -336,7 +407,7 @@ def _chunk_vectors(diag, off, lam, clusters, pivmin, norm_scale):
     they take inverse iteration from fixed-seed random vectors, Gram-Schmidt
     inside the cluster, as does any column that misses the target."""
     # D+ of T and of T reversed (D- bottom up) in one row loop; a pivot below
-    # pivmin in magnitude becomes -pivmin, as in _sturm_counts
+    # pivmin in magnitude becomes -pivmin, as in _guarded_sturm_counts
     piv = np.stack([diag, diag[::-1]], 1)[..., None] - lam
     b2 = np.stack([off, off[::-1]], 1)[..., None] ** 2
     for i in range(len(diag)):
@@ -417,23 +488,28 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False,
 
     Eigenvalues come from Sturm-sequence bisection; eigenvectors, when
     requested, from one batched twisted-factorisation pass (_chunk_vectors).
-    Dense Jacobi steps in only for vectors that miss the contract.
+    Dense Jacobi steps in only for vectors that miss the contract.  Input
+    with entries outside [2^-500, 2^500] is solved scaled by a power of two
+    (_unit_scaled), and the values are scaled back exactly.
     """
     n = T.n
     if n == 1:
         vals = T.diag.copy()
         return Spectrum(vals, np.ones((1, 1)) if want_vectors else None)
+    T, e = _unit_scaled(T)
+    if tol is not None:
+        tol = math.ldexp(tol, -e)
     vals = _bisect_values(T, tol=tol)
     if not want_vectors:
-        return Spectrum(vals)
+        return Spectrum(np.ldexp(vals, e))
     glo, ghi = _gersch_bounds(T)
     norm_scale = max(abs(glo), abs(ghi))
     try:
         vecs = _twisted_vectors(T, vals, norm_scale)
     except InverseIterationError:
         dense = eig_dense(T.to_dense(), want_vectors=True)
-        return Spectrum(dense.values, dense.vectors.real)
-    return Spectrum(vals, vecs)
+        return Spectrum(np.ldexp(dense.values, e), dense.vectors.real)
+    return Spectrum(np.ldexp(vals, e), vecs)
 
 
 def spectral_norm(A) -> float:
@@ -442,8 +518,9 @@ def spectral_norm(A) -> float:
     if isinstance(A, SymTridiagonal):
         if A.n == 1:
             return abs(float(A.diag[0]))
-        vals = _bisect_values(A, ranks=(1, A.n))
-        return max(abs(float(vals[0])), abs(float(vals[-1])))
+        S, e = _unit_scaled(A)
+        vals = _bisect_values(S, ranks=(1, A.n))
+        return math.ldexp(max(abs(float(vals[0])), abs(float(vals[-1]))), e)
     if isinstance(A, DenseHermitian):
         vals = eig_dense(A).values
         return max(abs(float(vals[0])), abs(float(vals[-1])))

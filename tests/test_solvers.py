@@ -10,8 +10,8 @@ from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
                        wilkinson_split)
 from eigbounds import solvers
 from eigbounds.solvers import (JacobiConvergenceError, _bisect_values,
-                               _round_robin_pairs, gerschgorin_disks,
-                               sturm_count)
+                               _distance_to_spectrum, _round_robin_pairs,
+                               gerschgorin_disks, sturm_count)
 
 
 def _assert_eigenpairs(T, spec):
@@ -303,13 +303,26 @@ class TestSubtreeBisection:
 
     @pytest.mark.parametrize("T", [wilkinson_plus(5), wilkinson_plus(9),
                                    wilkinson_split(6)[0],
-                                   random_tridiagonal(np.random.default_rng(450), 30)],
-                             ids=["w5", "w9", "split6", "random30"])
+                                   random_tridiagonal(np.random.default_rng(450), 30),
+                                   wilkinson_plus(40), wilkinson_split(40)[0],
+                                   random_tridiagonal(np.random.default_rng(451),
+                                                      2 * solvers._STURM_ROWS + 1),
+                                   aed_example(1000),
+                                   SymTridiagonal([0.0, 1.0, 2.0], [1.0, 1.0]),
+                                   SymTridiagonal([0.0, -1.0, -2.0], [0.0, 1.0])],
+                             ids=["w5", "w9", "split6", "random30", "w40", "split40",
+                                  "random-2blocks+1", "aed1000", "zero-diag",
+                                  "zero-diag-and-coupling"])
     def test_sturm_counts_match_one_row_reference(self, T):
-        # integer shifts on the Wilkinson matrices hit exactly zero pivots
+        # integer shifts on the Wilkinson matrices hit exactly zero pivots;
+        # orders from 81 rows up cross row-block edges of _sturm_counts; the
+        # shifts +-1e-40 make a zero diagonal a nonzero pivot below pivmin,
+        # and at shift 0 a zero coupling under a zero pivot gives 0 / 0,
+        # a NaN pivot with negative pivots after it
         off_sq = T.offdiag ** 2
         pivmin = solvers._pivmin(off_sq)
         xs = np.concatenate([np.arange(-12.0, 13.0), np.linspace(-12, 12, 301),
+                             [-1e-40, 1e-40],
                              eigvalsh_tridiagonal(T.diag, T.offdiag)])
         got = solvers._sturm_counts(T.diag, off_sq, xs, pivmin)
         assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs, pivmin))
@@ -369,6 +382,107 @@ class TestSubtreeBisection:
         norm = float(np.max(np.abs(ref)))
         assert np.max(np.abs(ends - ref[[0, -1]])) <= 1e-12 * max(norm, 1.0)
         assert spectral_norm(T) == max(abs(ends[0]), abs(ends[1]))
+
+    def test_empty_rank_list(self):
+        T = random_tridiagonal(np.random.default_rng(710), 6)
+        assert _bisect_values(T, ranks=()).shape == (0,)
+
+
+def _meets_small_pivot(T, x, pivmin):
+    """Whether the unguarded pivots of T - x*I, one float at a time, reach
+    one with |q| < pivmin (before any guard could change the chain)."""
+    q = float(T.diag[0]) - x
+    for d, b in zip(T.diag[1:].tolist(), T.offdiag.tolist()):
+        if abs(q) < pivmin:
+            return True
+        q = d - x - b * b / q
+    return abs(q) < pivmin
+
+
+class TestSturmKernel:
+    @staticmethod
+    def _record_guarded(monkeypatch):
+        calls = []
+        guarded = solvers._guarded_sturm_counts
+
+        def recording(diag, off_sq, xs, pivmin):
+            calls.append(xs.copy())
+            return guarded(diag, off_sq, xs, pivmin)
+
+        monkeypatch.setattr(solvers, "_guarded_sturm_counts", recording)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["random", "graded"])
+    def test_continuous_inputs_never_take_the_guard(self, monkeypatch, kind):
+        rng = np.random.default_rng(800)
+        T = (random_tridiagonal(rng, 150) if kind == "random"
+             else graded_tridiagonal(rng, 150))
+        calls = self._record_guarded(monkeypatch)
+        eig_tridiag(T, want_vectors=True)
+        spectral_norm(T)
+        sturm_count(T, 0.5)
+        assert calls == []
+
+    def test_guard_gets_exactly_the_zero_pivot_shifts(self, monkeypatch):
+        T = wilkinson_plus(5)
+        off_sq = T.offdiag ** 2
+        pivmin = solvers._pivmin(off_sq)
+        xs = np.arange(-12.0, 13.0)
+        hit = np.array([_meets_small_pivot(T, x, pivmin) for x in xs.tolist()])
+        assert 0 < hit.sum() < xs.size
+        calls = self._record_guarded(monkeypatch)
+        got = solvers._sturm_counts(T.diag, off_sq, xs, pivmin)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], xs[hit])
+        assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs, pivmin))
+
+
+def _scaled(T, k):
+    return SymTridiagonal(np.ldexp(T.diag, k), np.ldexp(T.offdiag, k))
+
+
+class TestPowerOfTwoScaling:
+    @pytest.mark.parametrize("s", [1e300, 1e-300])
+    def test_out_of_range_matches_library(self, s):
+        # b_i^2 overflows at 1e300 and underflows at 1e-300
+        rng = np.random.default_rng(900)
+        for T in (SymTridiagonal([s, 2 * s, 3 * s], [0.5 * s, 1.5 * s]),
+                  SymTridiagonal(s * rng.standard_normal(20), s * rng.standard_normal(19))):
+            ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
+            norm = float(np.max(np.abs(ref)))
+            for vec in (False, True):
+                vals = eig_tridiag(T, want_vectors=vec).values
+                assert np.max(np.abs(vals - ref)) <= 1e-12 * norm
+            assert spectral_norm(T) == pytest.approx(norm, rel=1e-12)
+            mids = 0.5 * (ref[1:] + ref[:-1])
+            assert [sturm_count(T, x) for x in mids] == list(range(1, T.n))
+            near = np.min(np.abs(ref[:, None] - mids), axis=0)
+            assert np.allclose(_distance_to_spectrum(T, mids), near, rtol=0.0,
+                               atol=1e-12 * norm)
+
+    @pytest.mark.parametrize("k", [600, -600, 900, -900])
+    def test_spectrum_scales_bit_for_bit(self, k):
+        rng = np.random.default_rng(910)
+        # at 1e+-300 the order-3 matrix overflowed or collapsed unscaled; a
+        # bisection midpoint lands on its zero pivot at d_0 = 1 at every
+        # scale, so its values are wrong, and here compared only with
+        # themselves
+        for T in (random_tridiagonal(rng, 40), graded_tridiagonal(rng, 30),
+                  aed_example(200), SymTridiagonal([1.0, 2.0, 3.0], [1.0, 1.0])):
+            S = _scaled(T, k)
+            vals = eig_tridiag(T).values
+            assert np.array_equal(eig_tridiag(S).values, np.ldexp(vals, k))
+            assert spectral_norm(S) == math.ldexp(spectral_norm(T), k)
+            xs = 0.5 * (vals[1:] + vals[:-1])
+            assert ([sturm_count(S, x) for x in np.ldexp(xs, k)]
+                    == [sturm_count(T, x) for x in xs])
+
+    def test_in_range_input_is_not_rescaled(self):
+        T = random_tridiagonal(np.random.default_rng(920), 10)
+        for k in (-499, 0, 490):
+            S = _scaled(T, k)
+            same, e = solvers._unit_scaled(S)
+            assert same is S and e == 0
 
 
 def _zero_pivot_rows(T, shifts):
