@@ -2,7 +2,9 @@
 
 The transform eigendecomposes a trailing window, exposing the spike vector
 t = b_{n-k} V(1,:) whose small entries mark window eigenvalues that can be
-locked.  A Wilkinson-shift QR sweep plus an end-to-end driver make the
+locked.  The outcome keeps only the window values, the spike and the
+coupling; the window eigenvectors are used once, for the spike, and
+dropped.  A Wilkinson-shift QR sweep plus an end-to-end driver make the
 deflation behavior observable on whole matrices.
 """
 
@@ -26,22 +28,19 @@ __all__ = [
     "RunStatistics",
 ]
 
+# safety cap on QR sweeps in run_qr_with_aed
+_MAX_SWEEPS = 100000
+
 
 @dataclass(frozen=True)
 class AedOutcome:
-    """Window eigendecomposition plus spike, ordered by decreasing |D|."""
+    """Window spectrum and spike, ordered by decreasing |D|, with the
+    deflation flags of deflation_decide (all False from aed_transform)."""
 
-    k: int
     values: np.ndarray              # window spectrum D, descending magnitude
     spike: np.ndarray               # t = b_{n-k} * (first row of V)
-    vectors: np.ndarray             # V columns aligned with values
     coupling: float                 # b_{n-k}
-    deflatable: np.ndarray = field(default=None)
-    scale: float | None = None
-
-    def __post_init__(self):
-        if self.deflatable is None:
-            object.__setattr__(self, "deflatable", np.zeros(self.k, dtype=bool))
+    deflatable: np.ndarray          # |t_i| <= tol * scale
 
     @property
     def deflation_count(self) -> int:
@@ -56,11 +55,10 @@ def aed_transform(T: SymTridiagonal, k: int) -> AedOutcome:
     spec = eig_tridiag(T.window(k), want_vectors=True)
     order = np.argsort(-np.abs(spec.values), kind="stable")
     values = spec.values[order]
-    vectors = spec.vectors[:, order]
     coupling = float(T.offdiag[n - k - 1])
-    spike = coupling * vectors[0, :]
-    return AedOutcome(k=k, values=values, spike=spike, vectors=vectors,
-                      coupling=coupling)
+    spike = coupling * spec.vectors[0, order]
+    return AedOutcome(values=values, spike=spike, coupling=coupling,
+                      deflatable=np.zeros(k, dtype=bool))
 
 
 def deflation_decide(outcome: AedOutcome, tol: float, scale: float) -> AedOutcome:
@@ -68,32 +66,20 @@ def deflation_decide(outcome: AedOutcome, tol: float, scale: float) -> AedOutcom
     if tol <= 0.0 or scale <= 0.0:
         raise ValueError("tol and scale must be positive")
     flags = np.abs(outcome.spike) <= tol * scale
-    return replace(outcome, deflatable=flags, scale=scale)
-
-
-@dataclass(frozen=True)
-class DeflationCheck:
-    """Per deflated eigenvalue: predicted spike size vs observed distance
-    to the nearest eigenvalue of the full matrix."""
-
-    values: np.ndarray
-    predicted: np.ndarray
-    observed: np.ndarray
+    return replace(outcome, deflatable=flags)
 
 
 def deflation_soundness_check(T: SymTridiagonal,
-                              outcome: AedOutcome) -> DeflationCheck:
-    """Measure, via the oracle, how far each deflated window eigenvalue sits
-    from the spectrum of the full matrix.
+                              outcome: AedOutcome) -> np.ndarray:
+    """Distance, via the oracle, from each deflated window eigenvalue to the
+    spectrum of the full matrix, aligned with
+    outcome.values[outcome.deflatable]; sound deflation keeps each within
+    its |spike| entry.
 
     The full spectrum is never formed: with c the Sturm count of eigenvalues
     of T below a deflated value, only ranks c and c + 1 are bisected.
     """
-    mask = outcome.deflatable
-    vals = outcome.values[mask]
-    predicted = np.abs(outcome.spike[mask])
-    observed = _distance_to_spectrum(T, vals)
-    return DeflationCheck(values=vals, predicted=predicted, observed=observed)
+    return _distance_to_spectrum(T, outcome.values[outcome.deflatable])
 
 
 def _wilkinson_shift(d1: float, d2: float, b: float) -> float:
@@ -185,7 +171,10 @@ class RunStatistics:
     records: list[SweepRecord] = field(default_factory=list)
     sweeps: int = 0
     converged: bool = False
-    first_pass_aed_count: int = 0
+
+    @property
+    def first_pass_aed_count(self) -> int:
+        return self.records[0].aed_deflations if self.records else 0
 
     @property
     def total_aed(self) -> int:
@@ -196,19 +185,21 @@ class RunStatistics:
         return sum(r.negligible_deflations for r in self.records)
 
 
-def run_qr_with_aed(T: SymTridiagonal, window: int, tol: float = 1e-16,
-                    max_sweeps: int = 100000,
-                    aed_interval: int = 1) -> tuple[Spectrum, RunStatistics]:
+def run_qr_with_aed(T: SymTridiagonal, window: int,
+                    tol: float = 1e-16) -> tuple[Spectrum, RunStatistics]:
     """Wilkinson-shift QR alternated with aggressive early deflation.
 
-    Deflated eigenvalues are locked immediately and the active matrix
-    shrinks; spike entries of surviving window eigenvalues are recomputed on
-    the next pass.  Returns the final spectrum and per-sweep statistics.
+    One AED pass on the trailing window of the active matrix runs before
+    the first sweep and after every sweep.  Deflated eigenvalues are locked
+    immediately and the active matrix shrinks; spike entries of surviving
+    window eigenvalues are recomputed on the next pass.  A run stops after
+    _MAX_SWEEPS sweeps, unconverged, at the latest.  Returns the final
+    spectrum and per-sweep statistics.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if window < 1 or aed_interval < 1:
-        raise ValueError(f"window={window} and aed_interval={aed_interval} must be >= 1")
+    if window < 1:
+        raise ValueError(f"window={window} must be >= 1")
     scale = spectral_norm(T)
     if scale == 0.0:
         stats = RunStatistics(converged=True)
@@ -235,11 +226,10 @@ def run_qr_with_aed(T: SymTridiagonal, window: int, tol: float = 1e-16,
         return count
 
     def aed_pass() -> int:
+        # called with at least two active rows, so 1 <= k_eff <= n_a - 1
         nonlocal d, e
         n_a = d.size
         k_eff = min(window, n_a - 1)
-        if k_eff < 1:
-            return 0
         active = SymTridiagonal(d, e)
         outcome = deflation_decide(aed_transform(active, k_eff), tol, scale)
         kept = ~outcome.deflatable
@@ -258,20 +248,16 @@ def run_qr_with_aed(T: SymTridiagonal, window: int, tol: float = 1e-16,
 
     # first AED pass before any sweep
     first = aed_pass() if d.size > 1 else 0
-    stats.first_pass_aed_count = first
     stats.records.append(SweepRecord(0, first, deflate_trailing(), d.size))
 
-    while d.size > 0 and stats.sweeps < max_sweeps:
+    # deflate_trailing locks a lone row, so the active size is never 1 here
+    while d.size > 0 and stats.sweeps < _MAX_SWEEPS:
         stats.sweeps += 1
-        if d.size == 1:
-            locked.append(float(d[0]))
-            d = d[:0]
-            break
         swept = qr_sweep(SymTridiagonal(d, e))
         d, e = swept.diag.copy(), swept.offdiag.copy()
         neg = deflate_trailing()
         aed_count = 0
-        if d.size > 1 and stats.sweeps % aed_interval == 0:
+        if d.size > 1:
             aed_count = aed_pass()
             neg += deflate_trailing()
         stats.records.append(SweepRecord(stats.sweeps, aed_count, neg, d.size))

@@ -2,20 +2,20 @@
 
 Three format tags: dense-hermitian (entry rows), tridiagonal (two number
 sequences) and generator (name plus parameters, so the large case-study
-fixtures need no data files).  Numbers are serialized with repr, which
-round-trips every finite float bit-exactly.
+fixtures need no data files).  Parsing returns the matrix itself, a
+DenseHermitian or SymTridiagonal; a generator file is realised while it is
+parsed.  Numbers are serialized with repr, which round-trips every finite
+float bit-exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import generators
 from .types import DenseHermitian, SymTridiagonal
 
-__all__ = ["MatrixFile", "parse_matrix", "load_matrix", "serialize_matrix",
+__all__ = ["parse_matrix", "load_matrix", "serialize_matrix",
            "MatrixFormatError", "GENERATORS"]
 
 
@@ -45,29 +45,6 @@ GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class MatrixFile:
-    """Parsed matrix file: a format tag plus its payload."""
-
-    kind: str                                   # dense-hermitian | tridiagonal | generator
-    dense: DenseHermitian | None = None
-    tridiagonal: SymTridiagonal | None = None
-    generator: str | None = None
-    params: dict = field(default_factory=dict)
-
-    def realize(self):
-        """Materialize the matrix the file describes."""
-        if self.kind == "dense-hermitian":
-            return self.dense
-        if self.kind == "tridiagonal":
-            return self.tridiagonal
-        fn, _ = GENERATORS[self.generator]
-        try:
-            return fn(**self.params)
-        except ValueError as exc:
-            raise MatrixFormatError(f"generator {self.generator}: {exc}") from exc
-
-
 def _content_lines(text: str) -> list[tuple[str, str]]:
     out = []
     for raw in text.splitlines():
@@ -86,7 +63,7 @@ def _number(text: str, kind=float):
         raise MatrixFormatError(f"malformed number: {exc}") from exc
 
 
-def parse_matrix(text: str) -> MatrixFile:
+def parse_matrix(text: str) -> DenseHermitian | SymTridiagonal:
     lines = _content_lines(text)
     if not lines or lines[0][0] != "format":
         raise MatrixFormatError("first line must be 'format <tag>'")
@@ -99,10 +76,9 @@ def parse_matrix(text: str) -> MatrixFile:
         diag = [_number(v) for v in fields["diag"].split()]
         off = [_number(v) for v in fields.get("offdiag", "").split()]
         try:
-            T = SymTridiagonal(np.array(diag), np.array(off))
+            return SymTridiagonal(np.array(diag), np.array(off))
         except ValueError as exc:
             raise MatrixFormatError(str(exc)) from exc
-        return MatrixFile("tridiagonal", tridiagonal=T)
     if tag == "dense-hermitian":
         rows = [[_number(v, complex) for v in rest.split()] for key, rest in body
                 if key == "row"]
@@ -111,8 +87,7 @@ def parse_matrix(text: str) -> MatrixFile:
         if any(len(r) != len(rows) for r in rows):
             raise MatrixFormatError("dense-hermitian rows must form a square matrix")
         try:
-            return MatrixFile("dense-hermitian",
-                              dense=DenseHermitian.from_array(np.array(rows)))
+            return DenseHermitian.from_array(np.array(rows))
         except ValueError as exc:
             raise MatrixFormatError(str(exc)) from exc
     if tag == "generator":
@@ -121,7 +96,7 @@ def parse_matrix(text: str) -> MatrixFile:
         if name not in GENERATORS:
             raise MatrixFormatError(
                 f"unknown generator {name!r}; choose from {sorted(GENERATORS)}")
-        _, param_names = GENERATORS[name]
+        fn, param_names = GENERATORS[name]
         params = {}
         for key, value in fields.items():
             if key not in param_names:
@@ -130,23 +105,20 @@ def parse_matrix(text: str) -> MatrixFile:
         missing = set(param_names) - set(params)
         if missing:
             raise MatrixFormatError(f"generator {name} missing parameters {sorted(missing)}")
-        return MatrixFile("generator", generator=name, params=params)
+        try:
+            return fn(**params)
+        except ValueError as exc:
+            raise MatrixFormatError(f"generator {name}: {exc}") from exc
     raise MatrixFormatError(f"unknown format tag {tag!r}")
 
 
-def load_matrix(path: str) -> MatrixFile:
+def load_matrix(path: str) -> DenseHermitian | SymTridiagonal:
     with open(path, encoding="utf-8") as fh:
         return parse_matrix(fh.read())
 
 
 def serialize_matrix(m) -> str:
-    """Render a matrix (or MatrixFile) to file text; bit-exact round trip."""
-    if isinstance(m, MatrixFile):
-        if m.kind == "generator":
-            lines = ["format generator", f"name {m.generator}"]
-            lines += [f"{k} {v}" for k, v in sorted(m.params.items())]
-            return "\n".join(lines) + "\n"
-        m = m.realize()
+    """Render a matrix to file text; bit-exact round trip."""
     if isinstance(m, SymTridiagonal):
         diag = " ".join(repr(float(v)) for v in m.diag)
         off = " ".join(repr(float(v)) for v in m.offdiag)

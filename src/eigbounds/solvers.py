@@ -275,10 +275,10 @@ def _gersch_bounds(T: SymTridiagonal) -> tuple[float, float]:
     return float(np.min(T.diag - r)), float(np.max(T.diag + r))
 
 
-def _bisect_values(T: SymTridiagonal, tol: float | None = None,
-                   ranks=None) -> np.ndarray:
+def _bisect_values(T: SymTridiagonal, ranks=None) -> np.ndarray:
     """Eigenvalues of the given ascending 1-based ranks (default all) by
-    Sturm bisection.
+    Sturm bisection, to tol = 4 eps max(|glo|, |ghi|) of the Gerschgorin
+    interval [glo, ghi].
 
     Each pass does the work of up to L bisection steps.  For every rank it
     builds the depth-L subtree of midpoints of its interval, level by level,
@@ -295,8 +295,7 @@ def _bisect_values(T: SymTridiagonal, tol: float | None = None,
     off_sq = T.offdiag ** 2
     pivmin = _pivmin(off_sq)
     glo, ghi = _gersch_bounds(T)
-    if tol is None:
-        tol = 4.0 * _EPS * max(abs(glo), abs(ghi), 1e-30)
+    tol = 4.0 * _EPS * max(abs(glo), abs(ghi), 1e-30)
     ranks = np.arange(1, n + 1) if ranks is None else np.asarray(ranks)
     m = ranks.size
     if m == 0:
@@ -482,11 +481,11 @@ def _twisted_vectors(T, vals, norm_scale):
     return vecs
 
 
-def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False,
-                tol: float | None = None) -> Spectrum:
+def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     """Spectrum of a symmetric tridiagonal matrix.
 
-    Eigenvalues come from Sturm-sequence bisection; eigenvectors, when
+    Eigenvalues come from Sturm-sequence bisection, each to within 4 eps
+    times the larger end of the Gerschgorin interval; eigenvectors, when
     requested, from one batched twisted-factorisation pass (_chunk_vectors).
     Dense Jacobi steps in only for vectors that miss the contract.  Input
     with entries outside [2^-500, 2^500] is solved scaled by a power of two
@@ -497,9 +496,7 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False,
         vals = T.diag.copy()
         return Spectrum(vals, np.ones((1, 1)) if want_vectors else None)
     T, e = _unit_scaled(T)
-    if tol is not None:
-        tol = math.ldexp(tol, -e)
-    vals = _bisect_values(T, tol=tol)
+    vals = _bisect_values(T)
     if not want_vectors:
         return Spectrum(np.ldexp(vals, e))
     glo, ghi = _gersch_bounds(T)

@@ -59,7 +59,7 @@ def test_criterion_3_deflation_window_bounds():
     scan = aed_window_bounds(T, 100, alpha=1.0, window_values=win_vals)
     tiny = sum(1 for _, b, _ in scan if b is not None and b.log10 <= -16.0)
     report(3, "deflation window bounds",
-           min_log10 <= -270.7 and tiny >= 80,
+           min_log10 <= -270.7 and tiny > 80,
            f"min_log10={min_log10:.1f} count<=1e-16: {tiny}",
            time.perf_counter() - t0, 30.0)
 

@@ -12,25 +12,28 @@ class TestMatrixFiles:
     def test_dense_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(60)
         A = random_hermitian(rng, 8, complex_entries=True)
-        back = parse_matrix(serialize_matrix(A)).realize()
+        back = parse_matrix(serialize_matrix(A))
         assert np.array_equal(back.entries, A.entries)
 
     def test_tridiagonal_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(61)
         T = random_tridiagonal(rng, 12)
-        back = parse_matrix(serialize_matrix(T)).realize()
+        back = parse_matrix(serialize_matrix(T))
         assert np.array_equal(back.diag, T.diag)
         assert np.array_equal(back.offdiag, T.offdiag)
 
     def test_generator_file(self):
-        m = parse_matrix("format generator\nname wilkinson_plus\nn 5\n")
-        T = m.realize()
+        T = parse_matrix("format generator\nname wilkinson_plus\nn 5\n")
         assert T.n == 11
         assert np.array_equal(T.diag, wilkinson_plus(5).diag)
 
+    def test_generator_error_is_a_format_error(self):
+        with pytest.raises(MatrixFormatError, match="wilkinson_plus"):
+            parse_matrix("format generator\nname wilkinson_plus\nn 0\n")
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\nformat tridiagonal\n\ndiag 1.0 2.0  # trailing\noffdiag 0.5\n"
-        T = parse_matrix(text).realize()
+        T = parse_matrix(text)
         assert np.array_equal(T.diag, [1.0, 2.0])
 
     def test_unknown_format_rejected(self):
@@ -45,7 +48,7 @@ class TestMatrixFiles:
         T = SymTridiagonal([2.0, 1.0], [0.25])
         path = tmp_path / "t.mat"
         path.write_text(serialize_matrix(T))
-        assert np.array_equal(load_matrix(str(path)).realize().diag, T.diag)
+        assert np.array_equal(load_matrix(str(path)).diag, T.diag)
 
 
 @pytest.fixture

@@ -22,6 +22,15 @@ def test_readme_python_block_runs(capsys):
     assert capsys.readouterr().out
 
 
+def test_readme_matrix_file_blocks_parse():
+    blocks = re.findall(r"```\n(format .*?)```", (ROOT / "README.md").read_text(),
+                        re.DOTALL)
+    tags = [block.split("\n", 1)[0].split()[1] for block in blocks]
+    assert sorted(tags) == ["dense-hermitian", "generator", "tridiagonal"]
+    for block in blocks:
+        assert eigbounds.parse_matrix(block).n > 0
+
+
 def _undocumented(names, readme: str) -> list[str]:
     return [name for name in names
             if not re.search(rf"`{re.escape(name)}`", readme)]
