@@ -5,7 +5,11 @@ t = b_{n-k} V(1,:) whose small entries mark window eigenvalues that can be
 locked.  The outcome keeps only the window values, the spike and the
 coupling; the window eigenvectors are used once, for the spike, and
 dropped.  A Wilkinson-shift QR sweep plus an end-to-end driver make the
-deflation behavior observable on whole matrices.
+deflation behavior observable on whole matrices; the driver returns the
+undeflated part of each window to tridiagonal form with the solvers'
+Householder reduction, and takes the norm that scales its deflation test
+once, from the extreme ranks by bisection (Jacobi is used only for full
+spectra).
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .solvers import _distance_to_spectrum, eig_tridiag, spectral_norm
+from .solvers import (_distance_to_spectrum, _householder_tridiagonal, eig_tridiag,
+                      spectral_norm)
 from .types import Spectrum, SymTridiagonal
 
 __all__ = [
@@ -133,29 +138,7 @@ def _tridiagonalize_bordered(head: float, spike: np.ndarray,
     B[0, 1:] = spike
     B[1:, 0] = spike
     B[1:, 1:] = np.diag(window_vals)
-    n = m + 1
-    for kk in range(n - 2):
-        x = B[kk + 1:, kk].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        alpha = -math.copysign(nx, x[0]) if x[0] != 0.0 else -nx
-        v = x
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        sub = B[kk + 1:, kk + 1:]
-        w = sub @ v
-        w -= (v @ w) * v
-        sub -= 2.0 * np.outer(v, w) + 2.0 * np.outer(w, v)
-        B[kk + 1, kk] = alpha
-        B[kk, kk + 1] = alpha
-        B[kk + 2:, kk] = 0.0
-        B[kk, kk + 2:] = 0.0
-    return SymTridiagonal(np.diagonal(B).copy(),
-                          np.diagonal(B, offset=1).copy())
+    return SymTridiagonal(*_householder_tridiagonal(B))
 
 
 @dataclass
@@ -171,6 +154,7 @@ class RunStatistics:
     records: list[SweepRecord] = field(default_factory=list)
     sweeps: int = 0
     converged: bool = False
+    scale: float = 0.0              # ||T||, the deflation scale
 
     @property
     def first_pass_aed_count(self) -> int:
@@ -207,7 +191,7 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
     d = T.diag.copy()
     e = T.offdiag.copy()
     locked: list[float] = []
-    stats = RunStatistics()
+    stats = RunStatistics(scale=scale)
 
     def negligible(i: int) -> bool:
         return abs(e[i]) <= tol * (abs(d[i]) + abs(d[i + 1]))

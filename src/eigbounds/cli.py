@@ -136,10 +136,10 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
     if alpha is not None and alpha < 0:
         raise InputError(f"alpha={alpha} must be nonnegative")
     report = RunReport(command)
-    scale = spectral_norm(T)
-    report.summary["norm"] = scale
     if simulate:
         spec, stats = run_qr_with_aed(T, window=k, tol=tol)
+        scale = stats.scale
+        report.summary["norm"] = scale
         report.summary["sweeps"] = stats.sweeps
         report.summary["converged"] = stats.converged
         report.summary["first_pass_aed"] = stats.first_pass_aed_count
@@ -155,6 +155,8 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
             report.check("spectrum-match", err <= 1e-10 * max(scale, 1.0),
                          f"max_err={err:.6e}")
         return report
+    scale = spectral_norm(T)
+    report.summary["norm"] = scale
     outcome = deflation_decide(aed_transform(T, k), tol, scale)
     report.summary["spike_norm"] = float(np.linalg.norm(outcome.spike))
     report.summary["deflation_count"] = outcome.deflation_count

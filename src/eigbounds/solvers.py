@@ -1,6 +1,6 @@
 """Self-contained eigensolvers and norms used as the oracle everywhere else.
 
-Dense Hermitian matrices go through round-robin Jacobi sweeps; symmetric
+Full dense Hermitian spectra go through round-robin Jacobi sweeps; symmetric
 tridiagonals through Sturm-sequence bisection (each pass counts a subtree of
 midpoints of every interval and replays several steps, bit-identical to one
 midpoint per pass) and twisted factorisations for the eigenvectors of all
@@ -12,9 +12,14 @@ Dhillon & Ren 1995).  Entries beyond [2^-500, 2^500] are scaled by a power
 of two first, and the results scaled back exactly.  Bisection can isolate
 chosen ranks alone: the AED deflation check takes the Sturm count c below
 each deflated value and bisects only ranks c and c + 1, the two eigenvalues
-that bracket it (Barth, Martin & Wilkinson 1967).  These are deliberately
-independent of any library eigensolver so that every bound in the package is
-checked against an implementation with no shared code path.
+that bracket it (Barth, Martin & Wilkinson 1967).  A spectral norm needs
+only the two extreme eigenvalues, so a dense matrix is reduced to
+tridiagonal form by Householder reflections (Golub & Van Loan, section 8.3)
+and ranks 1 and n are bisected, rank 1 with Sturm counts taken from above;
+Jacobi is used only for full spectra.
+These are deliberately independent of any library eigensolver so that every
+bound in the package is checked against an implementation with no shared
+code path.
 """
 
 from __future__ import annotations
@@ -93,12 +98,16 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
     # real input stays in real arithmetic: the rotation formulas below are
     # dtype-generic (the phase ph degenerates to +-1) and run much faster
     dtype = float if A.is_real else complex
-    H = A.real_array().astype(float, copy=True) if A.is_real \
-        else A.entries.astype(complex, copy=True)
+    H = A.real_array() if A.is_real else A.entries.astype(complex, copy=True)
+    # entries beyond [2^-500, 2^500]: H = 2^e S, solved as S and the values
+    # scaled back exactly, as in eig_tridiag
+    e = _scale_exponent(float(np.max(np.abs(H))))
+    if e:
+        H = _ldexp(H, -e)
     V = np.eye(n, dtype=dtype) if want_vectors else None
     scale = math.sqrt(float(np.sum(np.abs(H) ** 2)))
     if n == 1 or scale == 0.0:
-        vals = H.diagonal().real.copy()
+        vals = np.ldexp(H.diagonal().real, e)
         order = np.argsort(vals, kind="stable")
         return Spectrum(vals[order], V[:, order] if want_vectors else None)
 
@@ -159,14 +168,15 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
     if not converged and off_norm() > 10 * off_target:
         raise JacobiConvergenceError(
             f"off-diagonal norm {off_norm():.3e} above target after {max_sweeps} sweeps")
-    vals = H.diagonal().real.copy()
+    vals = np.ldexp(H.diagonal().real, e)
     order = np.argsort(vals, kind="stable")
     return Spectrum(vals[order], V[:, order] if want_vectors else None)
 
 
 def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
-                  pivmin: float) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift in xs (vectorized).
+                  pivmin: float, above=None) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift in xs (vectorized);
+    where the boolean mask above is set, n minus the number strictly above.
 
     The pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} run without the pivot
     guard, in blocks of _STURM_ROWS rows: one subtraction d_i - xs for the
@@ -176,6 +186,18 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
     pivot a chain is the same with or without the guard, so only the shifts
     that met one are recounted, by the guarded recurrence; the counts are
     those of the guarded recurrence for every shift.
+
+    The guard continues a chain from a pivot within pivmin of zero as if it
+    were -pivmin but counts it by its own sign, so at an exactly zero pivot
+    the count comes out one short; it never reads n where fewer eigenvalues
+    lie below x, since that needs every pivot negative.  Counting from
+    above, a shift in above is recounted by the recurrence of -T at -x,
+    whose unguarded pivots are those of T at x negated; its n - count then
+    never reads 0 where an eigenvalue lies at or below x.  Bisecting rank 1
+    from above and rank n from below is thus safe from the zero pivot: for
+    T = tridiag(1, (-3, -2, -1), 1), a shift on d_0 counts 0 eigenvalues
+    below it where there is one, and rank 1 from below bisects to -3
+    instead of -2 - sqrt(3).
     """
     n, m = diag.size, xs.size
     h = min(n, _STURM_ROWS)
@@ -204,8 +226,12 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
             count += neg8.sum(axis=0, dtype=np.uint8)
             # a NaN pivot makes the minimum NaN, which fails the test as well
             small |= ~(np.abs(q).min(axis=0) >= pivmin)
-    if small.any():
-        count[small] = _guarded_sturm_counts(diag, off_sq, xs[small], pivmin)
+    flip = small & above if above is not None else np.zeros(m, dtype=bool)
+    plain = small & ~flip
+    if plain.any():
+        count[plain] = _guarded_sturm_counts(diag, off_sq, xs[plain], pivmin)
+    if flip.any():
+        count[flip] = n - _guarded_sturm_counts(-diag, off_sq, -xs[flip], pivmin)
     return count
 
 
@@ -237,16 +263,30 @@ def _pivmin(off_sq: np.ndarray) -> float:
     return max(base, 1.0) * _EPS ** 2
 
 
-def _unit_scaled(T: SymTridiagonal) -> tuple[SymTridiagonal, int]:
-    """(S, e) with T = 2^e S exactly.  e is 0 when max |entry| of T lies in
-    [2^-500, 2^500], so in-range input is used as it is; otherwise the
-    entries of S peak in [0.5, 1), which keeps b_i^2 and the Sturm pivots in
-    range (LAPACK dsterf and dstebz scale the same way)."""
-    top = max(float(np.max(np.abs(T.diag))),
-              float(np.max(np.abs(T.offdiag))) if T.n > 1 else 0.0)
+def _scale_exponent(top: float) -> int:
+    """The power of two e by which a matrix whose largest |entry| is top is
+    scaled down: 0 when top is 0 or lies in [2^-500, 2^500], so in-range
+    input is used as it is; otherwise the e that brings top * 2^-e into
+    [0.5, 1), which keeps squares of entries and Sturm pivots in range
+    (LAPACK dsterf and dstebz scale the same way)."""
     if top == 0.0 or 2.0 ** -500 <= top <= 2.0 ** 500:
+        return 0
+    return math.frexp(top)[1]
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2^e for real or complex a, exact barring underflow."""
+    if np.iscomplexobj(a):
+        return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
+    return np.ldexp(a, e)
+
+
+def _unit_scaled(T: SymTridiagonal) -> tuple[SymTridiagonal, int]:
+    """(S, e) with T = 2^e S exactly, e from _scale_exponent."""
+    e = _scale_exponent(max(float(np.max(np.abs(T.diag))),
+                            float(np.max(np.abs(T.offdiag))) if T.n > 1 else 0.0))
+    if e == 0:
         return T, 0
-    e = math.frexp(top)[1]
     return SymTridiagonal(np.ldexp(T.diag, -e), np.ldexp(T.offdiag, -e)), e
 
 
@@ -275,10 +315,11 @@ def _gersch_bounds(T: SymTridiagonal) -> tuple[float, float]:
     return float(np.min(T.diag - r)), float(np.max(T.diag + r))
 
 
-def _bisect_values(T: SymTridiagonal, ranks=None) -> np.ndarray:
+def _bisect_values(T: SymTridiagonal, ranks=None, above=None) -> np.ndarray:
     """Eigenvalues of the given ascending 1-based ranks (default all) by
     Sturm bisection, to tol = 4 eps max(|glo|, |ghi|) of the Gerschgorin
-    interval [glo, ghi].
+    interval [glo, ghi].  above, one flag per rank, counts that rank's
+    shifts from above (see _sturm_counts).
 
     Each pass does the work of up to L bisection steps.  For every rank it
     builds the depth-L subtree of midpoints of its interval, level by level,
@@ -326,8 +367,9 @@ def _bisect_values(T: SymTridiagonal, ranks=None) -> np.ndarray:
         # up[node]: fewer eigenvalues than the rank lie below the node, so
         # bisection keeps the interval above it (endpoints are never read)
         up = np.empty((m, w + 1), dtype=bool)
-        up[:, 1:w] = _sturm_counts(T.diag, off_sq, grid[:, 1:w].ravel(),
-                                   pivmin).reshape(m, w - 1) < ranks[:, None]
+        flip = None if above is None else np.repeat(above, w - 1)
+        up[:, 1:w] = _sturm_counts(T.diag, off_sq, grid[:, 1:w].ravel(), pivmin,
+                                   flip).reshape(m, w - 1) < ranks[:, None]
         up = up.ravel()
         flat = grid.ravel()
         # path[l] is each rank's left node (flat index) after l steps
@@ -509,25 +551,99 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     return Spectrum(np.ldexp(vals, e), vecs)
 
 
+def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and subdiagonal of a tridiagonal matrix unitarily similar to
+    the Hermitian array B, which is overwritten.
+
+    Step k applies the reflection I - 2 v v^H to rows and columns k+1..,
+    mapping B[k+1:, k] to alpha e_1 (Golub & Van Loan, section 8.3).  alpha
+    has the modulus of that column and the phase opposite its first entry,
+    so v[0] = x[0] - alpha does not cancel; for complex B the subdiagonal is
+    complex, and its moduli are the couplings of a real tridiagonal with the
+    same spectrum.  Row and column 0 are never reflected, so B[0, 0] stays.
+    """
+    cplx = np.iscomplexobj(B)
+    for kk in range(B.shape[0] - 2):
+        x = B[kk + 1:, kk].copy()
+        nx = np.linalg.norm(x)
+        if nx == 0.0:
+            continue
+        if x[0] == 0.0:
+            alpha = -nx
+        elif cplx:
+            alpha = -nx * (x[0] / abs(x[0]))
+        else:
+            alpha = -math.copysign(nx, x[0])
+        v = x
+        v[0] -= alpha
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            continue
+        v /= nv
+        # B <- H B H with w = B v - (v^H B v) v: B - 2 v w^H - 2 w v^H
+        sub = B[kk + 1:, kk + 1:]
+        w = sub @ v
+        if cplx:
+            vh = v.conj()
+            w -= (vh @ w) * v
+            sub -= 2.0 * np.outer(v, w.conj()) + 2.0 * np.outer(w, vh)
+        else:
+            w -= (v @ w) * v
+            sub -= 2.0 * np.outer(v, w) + 2.0 * np.outer(w, v)
+        B[kk + 1, kk] = alpha
+    return np.diagonal(B).real.copy(), np.diagonal(B, offset=-1).copy()
+
+
+def _tridiagonal_norm(T: SymTridiagonal) -> float:
+    """max(|lambda_1|, |lambda_n|) of T, bisecting those two ranks only,
+    rank 1 counted from above so that a zero pivot cannot mislead it (see
+    _sturm_counts).  T is first scaled by the power of two that brings its
+    largest |entry| into [0.5, 1), whatever its range: 2^k T then gives
+    exactly 2^k times the norm of T, and the absolute floor of _pivmin
+    never meets in-range input far from unit scale (unscaled, the
+    tridiagonal form of a random order-17 matrix times 2^300 or 2^-300 got
+    a norm 65% or 89% off)."""
+    if T.n == 1:
+        return abs(float(T.diag[0]))
+    top = max(float(np.max(np.abs(T.diag))), float(np.max(np.abs(T.offdiag))))
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    S = SymTridiagonal(np.ldexp(T.diag, -e), np.ldexp(T.offdiag, -e))
+    vals = _bisect_values(S, ranks=(1, T.n), above=(True, False))
+    return math.ldexp(max(abs(float(vals[0])), abs(float(vals[-1]))), e)
+
+
+def _hermitian_norm(H: np.ndarray) -> float:
+    """Spectral norm of the Hermitian array H, from the tridiagonal that
+    _householder_tridiagonal makes of it.  Input beyond [2^-500, 2^500] is
+    scaled by a power of two first, as in eig_dense, so that the column
+    norms of the reduction neither overflow nor underflow."""
+    e = _scale_exponent(float(np.max(np.abs(H))))
+    d, sub = _householder_tridiagonal(_ldexp(H, -e))
+    return math.ldexp(_tridiagonal_norm(SymTridiagonal(d, np.abs(sub))), e)
+
+
 def spectral_norm(A) -> float:
     """Largest singular value: spectral norm for the Hermitian types,
-    and sigma_1 via the Gram matrix for a general rectangular block."""
+    and sigma_1 via the Gram matrix for a general rectangular block.
+
+    Only the extreme eigenvalues are computed: ranks 1 and n by bisection,
+    after a Householder reduction for dense input; never a full spectrum.
+    """
     if isinstance(A, SymTridiagonal):
-        if A.n == 1:
-            return abs(float(A.diag[0]))
-        S, e = _unit_scaled(A)
-        vals = _bisect_values(S, ranks=(1, A.n))
-        return math.ldexp(max(abs(float(vals[0])), abs(float(vals[-1]))), e)
+        return _tridiagonal_norm(A)
     if isinstance(A, DenseHermitian):
-        vals = eig_dense(A).values
-        return max(abs(float(vals[0])), abs(float(vals[-1])))
-    B = np.atleast_2d(np.asarray(A, dtype=complex))
-    if not np.any(B):
+        return _hermitian_norm(A.entries.real if A.is_real else A.entries)
+    B = np.atleast_2d(np.asarray(A))
+    if not np.any(B.imag):
+        B = B.real
+    top = float(np.max(np.abs(B)))
+    if top == 0.0:
         return 0.0
     # sigma_1 = sqrt(lambda_max) of the Gram matrix on the smaller side;
-    # pre-scaling by the largest entry keeps the squares in range
-    scale = float(np.max(np.abs(B)))
-    Bs = B / scale
+    # scaling the largest entry into [0.5, 1) keeps the squares in range
+    e = math.frexp(top)[1]
+    Bs = _ldexp(B, -e)
     G = Bs.conj().T @ Bs if B.shape[1] <= B.shape[0] else Bs @ Bs.conj().T
-    vals = eig_dense(DenseHermitian.from_array(G)).values
-    return scale * math.sqrt(max(float(vals[-1]), 0.0))
+    return math.ldexp(math.sqrt(_hermitian_norm(G)), e)

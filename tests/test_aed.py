@@ -4,6 +4,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import eigbounds.aed
+import eigbounds.cli
 import eigbounds.solvers
 from conftest import random_tridiagonal
 from eigbounds import (SymTridiagonal, aed_example, aed_transform,
@@ -213,6 +214,21 @@ class TestRunQrWithAed:
         assert stats.total_aed >= stats.first_pass_aed_count
         ref = eig_tridiag(T).values
         assert np.max(np.abs(spec.values - ref)) <= 1e-10 * spectral_norm(T)
+
+    def test_simulation_takes_the_norm_once(self, monkeypatch):
+        T = aed_example(60)
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return spectral_norm(A)
+
+        monkeypatch.setattr(eigbounds.aed, "spectral_norm", counting)
+        monkeypatch.setattr(eigbounds.cli, "spectral_norm", counting)
+        report = eigbounds.cli.cmd_aed(T, 10, simulate=True)
+        assert len(calls) == 1
+        assert next(iter(report.summary)) == "norm"
+        assert report.summary["norm"] == spectral_norm(T)
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_window_below_one_raises(self, window):

@@ -55,6 +55,25 @@ class TestQuadraticResidual:
                 if rep.valid and rep.gap >= 10.0 * spectral_norm(E):
                     assert shifts[i - 1] <= rep.bound_float() + 1e-12
 
+    def test_trailing_block_eigenvalue_gap_is_to_leading_block(self):
+        # the three smallest eigenvalues of A belong to A22; measured against
+        # the A22 spectrum they had a roundoff gap and a useless bound
+        rng = np.random.default_rng(24)
+        a11 = random_hermitian(rng, 4).entries + 12.0 * np.eye(4)
+        a22 = random_hermitian(rng, 3).entries
+        A = DenseHermitian.from_blocks(a11, np.zeros((3, 4)), a22)
+        E = off_diagonal_perturbation(rng, 4, 3, 0.05)
+        a11_low = eig_dense(DenseHermitian.from_array(a11)).values[0]
+        a22_vals = eig_dense(DenseHermitian.from_array(a22)).values
+        shifts = dense_shift(A, E)
+        reps = quadratic_residual_bounds(A, BlockSplit(3), E)
+        for i in (1, 2, 3):
+            rep = reps[i - 1]
+            assert rep.valid and rep.formula == "quad_residual"
+            assert rep.gap == pytest.approx(a11_low - a22_vals[i - 1], rel=1e-13)
+            assert rep.bound_float() < spectral_norm(E)
+            assert shifts[i - 1] <= rep.bound_float()
+
     def test_rejects_coupled_a(self):
         A = DenseHermitian.from_array([[1.0, 0.5], [0.5, 2.0]])
         E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])

@@ -209,13 +209,20 @@ class TestEigTridiag:
         assert abs(vals[-1] - vals[-2]) <= 1e-13
 
 
+def _rank_deficient(rng, m, k, rank, complex_entries=False):
+    a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, k))
+    if complex_entries:
+        a = a + 1j * (rng.standard_normal((m, rank)) @ rng.standard_normal((rank, k)))
+    return a
+
+
 class TestSpectralNorm:
     def test_tridiagonal_matches_dense(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             T = random_tridiagonal(rng, int(rng.integers(2, 25)))
             assert spectral_norm(T) == pytest.approx(
-                spectral_norm(T.to_dense()), rel=1e-11)
+                np.linalg.norm(T.to_dense().real_array(), 2), rel=1e-11)
 
     def test_diagonal_is_max_abs(self):
         A = DenseHermitian.from_array(np.diag([1.0, -9.0, 4.0]))
@@ -232,6 +239,113 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(DenseHermitian.zeros(4)) == 0.0
+
+    # dense and rectangular input: a Householder reduction and bisection of
+    # the extreme ranks, checked against numpy (tests only)
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_hermitian_matches_library(self, complex_entries):
+        rng = np.random.default_rng(31)
+        for n in range(1, 41):
+            A = random_hermitian(rng, n, complex_entries=complex_entries)
+            ref = np.linalg.norm(A.entries, 2)
+            assert spectral_norm(A) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_rectangular_matches_library(self, complex_entries):
+        rng = np.random.default_rng(32)
+        for m, k in [(1, 1), (1, 7), (3, 6), (6, 3), (7, 1), (13, 29), (29, 13)]:
+            B = rng.standard_normal((m, k))
+            if complex_entries:
+                B = B + 1j * rng.standard_normal((m, k))
+            assert spectral_norm(B) == pytest.approx(
+                np.linalg.norm(B, 2), rel=1e-13, abs=0.0)
+
+    def test_rank_deficient_and_diagonal(self):
+        rng = np.random.default_rng(33)
+        for cplx in (False, True):
+            for m, k in [(12, 12), (9, 20), (20, 9)]:
+                B = _rank_deficient(rng, m, k, 2, cplx)
+                assert spectral_norm(B) == pytest.approx(
+                    np.linalg.norm(B, 2), rel=1e-13, abs=0.0)
+            B = _rank_deficient(rng, 15, 15, 3, cplx)
+            H = DenseHermitian.from_array(B + B.conj().T)
+            assert spectral_norm(H) == pytest.approx(
+                np.linalg.norm(H.entries, 2), rel=1e-13, abs=0.0)
+        for d in ([0.0, 0.0, -3.5, 1e-3], [2.0, -2.0], [5.0], [0.0, 7.25, 0.0]):
+            top = max(map(abs, d))
+            assert spectral_norm(DenseHermitian.from_array(np.diag(d))) == pytest.approx(
+                top, rel=1e-13, abs=0.0)
+            assert spectral_norm(np.diag(d)) == pytest.approx(top, rel=1e-13, abs=0.0)
+
+    def test_zero_pivot_on_the_bisection_grid(self):
+        # scaled by 1/4, the Gerschgorin interval is [-1, 0] and the first
+        # rank-1 subtree has a shift on d_0 = -0.75, a zero pivot
+        A = np.array([[-3.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+        ref = 2.0 + math.sqrt(3.0)
+        for M in (A, -A):
+            assert spectral_norm(DenseHermitian.from_array(M)) == pytest.approx(
+                ref, rel=1e-13, abs=0.0)
+            T = SymTridiagonal(M.diagonal().copy(), np.ones(2))
+            assert spectral_norm(T) == pytest.approx(ref, rel=1e-13, abs=0.0)
+            assert spectral_norm(M[:, :2]) == pytest.approx(
+                np.linalg.norm(M[:, :2], 2), rel=1e-13, abs=0.0)
+
+    def test_small_integer_matrices(self):
+        rng = np.random.default_rng(37)
+        for n in range(1, 7):
+            for _ in range(40):
+                M = rng.integers(-3, 4, (n, n)).astype(float)
+                H = M + M.T
+                R = rng.integers(-3, 4, (n, n + 2)).astype(float)
+                T = SymTridiagonal(rng.integers(-3, 4, n).astype(float),
+                                   rng.integers(-2, 3, n - 1).astype(float))
+                for got, ref in ((spectral_norm(DenseHermitian.from_array(H)), H),
+                                 (spectral_norm(R), R),
+                                 (spectral_norm(R.T), R),
+                                 (spectral_norm(T), T.to_dense().real_array())):
+                    assert got == pytest.approx(np.linalg.norm(ref, 2), rel=1e-13,
+                                                abs=1e-15)
+
+    @pytest.mark.parametrize("k", [300, -300, 600, -600, 900, -900])
+    def test_scales_bit_for_bit(self, k):
+        rng = np.random.default_rng(34)
+        for cplx in (False, True):
+            A = random_hermitian(rng, 17, complex_entries=cplx)
+            S = DenseHermitian.from_array(np.ldexp(A.entries.real, k)
+                                          + 1j * np.ldexp(A.entries.imag, k))
+            assert spectral_norm(S) == math.ldexp(spectral_norm(A), k)
+            B = rng.standard_normal((5, 11))
+            if cplx:
+                B = B + 1j * rng.standard_normal((5, 11))
+            for M in (B, B.T):
+                scaled = np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k)
+                assert spectral_norm(scaled) == math.ldexp(spectral_norm(M), k)
+
+    def test_never_takes_a_full_spectrum(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral_norm reached eig_dense")
+
+        monkeypatch.setattr(solvers, "eig_dense", refuse)
+        monkeypatch.setattr(solvers, "eig_tridiag", refuse)
+        rng = np.random.default_rng(35)
+        for cplx in (False, True):
+            spectral_norm(random_hermitian(rng, 20, complex_entries=cplx))
+            spectral_norm(_rank_deficient(rng, 6, 14, 6, cplx))
+            spectral_norm(_rank_deficient(rng, 14, 6, 6, cplx))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_householder_keeps_spectrum_and_first_row(self, complex_entries):
+        rng = np.random.default_rng(36)
+        for n in (1, 2, 3, 8, 25):
+            A = random_hermitian(rng, n, complex_entries=complex_entries)
+            B = A.entries.copy() if complex_entries else A.entries.real.copy()
+            d, sub = solvers._householder_tridiagonal(B.copy())
+            assert d[0] == B[0, 0].real
+            if n > 1:
+                assert abs(sub[0]) == pytest.approx(np.linalg.norm(B[1:, 0]), rel=1e-15)
+            vals = eig_tridiag(SymTridiagonal(d, np.abs(sub))).values
+            ref = eig_dense(A).values
+            assert np.max(np.abs(vals - ref)) <= 1e-13 * np.linalg.norm(B, 2)
 
 
 def _one_midpoint_bisection(T):
@@ -435,6 +549,51 @@ class TestSturmKernel:
         assert len(calls) == 1
         assert np.array_equal(calls[0], xs[hit])
         assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs, pivmin))
+
+
+    @pytest.mark.parametrize("T", [wilkinson_plus(5),
+                                   SymTridiagonal(np.array([-3.0, -2.0, -1.0]),
+                                                  np.ones(2))])
+    def test_counts_from_above_keep_the_extreme_ranks(self, T):
+        off_sq = T.offdiag ** 2
+        pivmin = solvers._pivmin(off_sq)
+        xs = np.arange(-12.0, 13.0, 0.25)
+        lam = np.linalg.eigvalsh(T.to_dense().real_array())
+        xs = xs[np.min(np.abs(xs[:, None] - lam), axis=1) > 1e-9]
+        assert any(_meets_small_pivot(T, x, pivmin) for x in xs.tolist())
+        below = solvers._sturm_counts(T.diag, off_sq, xs, pivmin)
+        above = solvers._sturm_counts(T.diag, off_sq, xs, pivmin,
+                                      np.ones(xs.size, dtype=bool))
+        true = np.sum(lam < xs[:, None], axis=1)
+        # rank n is decided by "count == n" from below, rank 1 by
+        # "count == 0" from above; both match the true spectrum
+        assert np.array_equal(below == T.n, true == T.n)
+        assert np.array_equal(above == 0, true == 0)
+        # from above, -T's guarded recurrence recounts at -x
+        hit = np.array([_meets_small_pivot(T, x, pivmin) for x in xs.tolist()])
+        neg = solvers._guarded_sturm_counts(-T.diag, off_sq, -xs[hit], pivmin)
+        assert np.array_equal(above[hit], T.n - neg)
+        assert np.array_equal(above[~hit], below[~hit])
+
+
+class TestDenseScaling:
+    @pytest.mark.parametrize("k", [600, -600, 900, -900])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_spectrum_scales_bit_for_bit(self, k, complex_entries):
+        rng = np.random.default_rng(930)
+        A = random_hermitian(rng, 14, complex_entries=complex_entries)
+        S = DenseHermitian.from_array(np.ldexp(A.entries.real, k)
+                                      + 1j * np.ldexp(A.entries.imag, k))
+        assert np.array_equal(eig_dense(S).values, np.ldexp(eig_dense(A).values, k))
+
+    def test_tiny_matrix_matches_library(self):
+        # unscaled, Jacobi's rotation threshold underflowed and this matrix
+        # came back with 0.70 relative error
+        rng = np.random.default_rng(940)
+        M = 1e-200 * random_hermitian(rng, 12).entries.real
+        ref = np.linalg.eigvalsh(M)
+        vals = eig_dense(DenseHermitian.from_array(M)).values
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _scaled(T, k):
