@@ -92,10 +92,6 @@ class OrderFit:
     slope: float | None             # None when every error is exactly 0
     exact: bool
 
-    @property
-    def within_gap_bound(self) -> np.ndarray:
-        return self.errors <= self.gap_bounds
-
 
 def expansion_order(ctx: MultipleEigContext, E: DenseHermitian,
                     eps_grid) -> OrderFit:

@@ -8,8 +8,10 @@ eigenvalues at once (Fernando 1997; LAPACK dlar1v).  A Sturm count runs the
 pivot recurrence in row blocks with one division and one subtraction per
 row and no pivot guard; the guard of LAPACK dstebz is applied afterwards,
 by recounting only the shifts whose pivots came below pivmin (Demmel,
-Dhillon & Ren 1995).  Entries beyond [2^-500, 2^500] are scaled by a power
-of two first, and the results scaled back exactly.  Bisection can isolate
+Dhillon & Ren 1995).  Every solver first scales its input by the power of
+two that brings the largest |entry| into [0.5, 1), so pivmin = eps^2 and
+the tolerances are relative to the matrix, and scales the results back
+exactly: 2^k A gives 2^k times the results for A.  Bisection can isolate
 chosen ranks alone: the AED deflation check takes the Sturm count c below
 each deflated value and bisects only ranks c and c + 1, the two eigenvalues
 that bracket it (Barth, Martin & Wilkinson 1967).  A spectral norm needs
@@ -51,6 +53,9 @@ _SHIFTS_PER_PASS = 1024
 _MAX_BISECT_STEPS = 120
 # rows per block of the unguarded Sturm recurrence (_sturm_counts)
 _STURM_ROWS = 64
+# pivot guard of the Sturm recurrences: every input is unit-scaled first,
+# so a guard of LAPACK dstebz's form c * max(1, max b^2) is c (|b| < 1)
+_PIVMIN = _EPS ** 2
 
 # (eigenvalue x row) arrays, here and in tridiag.aed_window_bounds, take the
 # eigenvalues in blocks of _BLOCK_ELEMENTS / n so each stays near 8 MB;
@@ -99,8 +104,7 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
     # dtype-generic (the phase ph degenerates to +-1) and run much faster
     dtype = float if A.is_real else complex
     H = A.real_array() if A.is_real else A.entries.astype(complex, copy=True)
-    # entries beyond [2^-500, 2^500]: H = 2^e S, solved as S and the values
-    # scaled back exactly, as in eig_tridiag
+    # H = 2^e S, solved as unit-scaled S and the values scaled back exactly
     e = _scale_exponent(float(np.max(np.abs(H))))
     if e:
         H = _ldexp(H, -e)
@@ -174,7 +178,7 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
 
 
 def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
-                  pivmin: float, above=None) -> np.ndarray:
+                  above=None) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in xs (vectorized);
     where the boolean mask above is set, n minus the number strictly above.
 
@@ -182,13 +186,13 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
     guard, in blocks of _STURM_ROWS rows: one subtraction d_i - xs for the
     whole block, then one division and one subtraction per row.  Once per
     block the negative pivots are counted and each shift's chain is checked
-    for a pivot with |q| < pivmin (or NaN, from 0/0).  Up to its first such
+    for a pivot with |q| < _PIVMIN (or NaN, from 0/0).  Up to its first such
     pivot a chain is the same with or without the guard, so only the shifts
     that met one are recounted, by the guarded recurrence; the counts are
     those of the guarded recurrence for every shift.
 
-    The guard continues a chain from a pivot within pivmin of zero as if it
-    were -pivmin but counts it by its own sign, so at an exactly zero pivot
+    The guard continues a chain from a pivot within _PIVMIN of zero as if it
+    were -_PIVMIN but counts it by its own sign, so at an exactly zero pivot
     the count comes out one short; it never reads n where fewer eigenvalues
     lie below x, since that needs every pivot negative.  Counting from
     above, a shift in above is recounted by the recurrence of -T at -x,
@@ -225,31 +229,31 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
             neg8 = np.less(q, 0.0, out=neg[:k]).view(np.uint8)
             count += neg8.sum(axis=0, dtype=np.uint8)
             # a NaN pivot makes the minimum NaN, which fails the test as well
-            small |= ~(np.abs(q).min(axis=0) >= pivmin)
+            small |= ~(np.abs(q).min(axis=0) >= _PIVMIN)
     flip = small & above if above is not None else np.zeros(m, dtype=bool)
     plain = small & ~flip
     if plain.any():
-        count[plain] = _guarded_sturm_counts(diag, off_sq, xs[plain], pivmin)
+        count[plain] = _guarded_sturm_counts(diag, off_sq, xs[plain])
     if flip.any():
-        count[flip] = n - _guarded_sturm_counts(-diag, off_sq, -xs[flip], pivmin)
+        count[flip] = n - _guarded_sturm_counts(-diag, off_sq, -xs[flip])
     return count
 
 
-def _guarded_sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
-                          pivmin: float) -> np.ndarray:
+def _guarded_sturm_counts(diag: np.ndarray, off_sq: np.ndarray,
+                          xs: np.ndarray) -> np.ndarray:
     """The Sturm counts with the pivot guard of LAPACK dstebz on every row."""
     q = diag[0] - xs
     count = (q < 0.0).astype(np.int64)
     # one row per iteration, in place: q <- (d_i - xs) - b_{i-1}^2 / q with
-    # |q| < pivmin replaced by -pivmin first
+    # |q| < _PIVMIN replaced by -_PIVMIN first
     t = np.empty_like(q)
     neg = np.empty(q.shape, dtype=bool)
     d = diag.tolist()
     b2 = off_sq.tolist()
     for i in range(1, len(d)):
         np.abs(q, out=t)
-        np.less(t, pivmin, out=neg)
-        np.copyto(q, -pivmin, where=neg)
+        np.less(t, _PIVMIN, out=neg)
+        np.copyto(q, -_PIVMIN, where=neg)
         np.divide(b2[i - 1], q, out=q)
         np.subtract(d[i], xs, out=t)
         np.subtract(t, q, out=q)
@@ -258,19 +262,8 @@ def _guarded_sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
     return count
 
 
-def _pivmin(off_sq: np.ndarray) -> float:
-    base = float(np.max(off_sq)) if off_sq.size else 1.0
-    return max(base, 1.0) * _EPS ** 2
-
-
 def _scale_exponent(top: float) -> int:
-    """The power of two e by which a matrix whose largest |entry| is top is
-    scaled down: 0 when top is 0 or lies in [2^-500, 2^500], so in-range
-    input is used as it is; otherwise the e that brings top * 2^-e into
-    [0.5, 1), which keeps squares of entries and Sturm pivots in range
-    (LAPACK dsterf and dstebz scale the same way)."""
-    if top == 0.0 or 2.0 ** -500 <= top <= 2.0 ** 500:
-        return 0
+    """The e that brings top * 2^-e into [0.5, 1), or 0 when top is 0."""
     return math.frexp(top)[1]
 
 
@@ -282,7 +275,8 @@ def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
 
 
 def _unit_scaled(T: SymTridiagonal) -> tuple[SymTridiagonal, int]:
-    """(S, e) with T = 2^e S exactly, e from _scale_exponent."""
+    """(S, e) with T = 2^e S exactly and the largest |entry| of S in
+    [0.5, 1); S is T itself when e = 0, which includes zero T."""
     e = _scale_exponent(max(float(np.max(np.abs(T.diag))),
                             float(np.max(np.abs(T.offdiag))) if T.n > 1 else 0.0))
     if e == 0:
@@ -293,9 +287,8 @@ def _unit_scaled(T: SymTridiagonal) -> tuple[SymTridiagonal, int]:
 def sturm_count(T: SymTridiagonal, x: float) -> int:
     """Count of eigenvalues of T strictly less than x."""
     T, e = _unit_scaled(T)
-    off_sq = T.offdiag ** 2
     xs = np.asarray([math.ldexp(float(x), -e)])
-    return int(_sturm_counts(T.diag, off_sq, xs, _pivmin(off_sq))[0])
+    return int(_sturm_counts(T.diag, T.offdiag ** 2, xs)[0])
 
 
 def gerschgorin_disks(T: SymTridiagonal) -> list[tuple[float, float]]:
@@ -334,9 +327,8 @@ def _bisect_values(T: SymTridiagonal, ranks=None, above=None) -> np.ndarray:
     """
     n = T.n
     off_sq = T.offdiag ** 2
-    pivmin = _pivmin(off_sq)
     glo, ghi = _gersch_bounds(T)
-    tol = 4.0 * _EPS * max(abs(glo), abs(ghi), 1e-30)
+    tol = 4.0 * _EPS * max(abs(glo), abs(ghi))
     ranks = np.arange(1, n + 1) if ranks is None else np.asarray(ranks)
     m = ranks.size
     if m == 0:
@@ -368,7 +360,7 @@ def _bisect_values(T: SymTridiagonal, ranks=None, above=None) -> np.ndarray:
         # bisection keeps the interval above it (endpoints are never read)
         up = np.empty((m, w + 1), dtype=bool)
         flip = None if above is None else np.repeat(above, w - 1)
-        up[:, 1:w] = _sturm_counts(T.diag, off_sq, grid[:, 1:w].ravel(), pivmin,
+        up[:, 1:w] = _sturm_counts(T.diag, off_sq, grid[:, 1:w].ravel(),
                                    flip).reshape(m, w - 1) < ranks[:, None]
         up = up.ravel()
         flat = grid.ravel()
@@ -404,8 +396,7 @@ def _distance_to_spectrum(T: SymTridiagonal, xs) -> np.ndarray:
         return np.empty(0)
     T, e = _unit_scaled(T)
     xs = np.ldexp(xs, -e)
-    off_sq = T.offdiag ** 2
-    c = _sturm_counts(T.diag, off_sq, xs, _pivmin(off_sq))
+    c = _sturm_counts(T.diag, T.offdiag ** 2, xs)
     near = np.clip(np.stack([c, c + 1]), 1, T.n)
     ranks = np.unique(near)
     vals = _bisect_values(T, ranks=ranks)[np.searchsorted(ranks, near)]
@@ -440,7 +431,7 @@ def _residual_norms(diag, off, shifts, X):
     return np.linalg.norm(R, axis=0)
 
 
-def _chunk_vectors(diag, off, lam, clusters, pivmin, norm_scale):
+def _chunk_vectors(diag, off, lam, clusters, norm_scale):
     """Eigenvectors for the ascending values lam: twisted factorisations
     T - s*I = N_r Delta_r N_r^T at r = argmin |gamma_r|, gamma = D+ + D- -
     (d - s), give z with N_r^T z = e_r as running products of -b_i / D+_i
@@ -448,13 +439,13 @@ def _chunk_vectors(diag, off, lam, clusters, pivmin, norm_scale):
     they take inverse iteration from fixed-seed random vectors, Gram-Schmidt
     inside the cluster, as does any column that misses the target."""
     # D+ of T and of T reversed (D- bottom up) in one row loop; a pivot below
-    # pivmin in magnitude becomes -pivmin, as in _guarded_sturm_counts
+    # _PIVMIN in magnitude becomes -_PIVMIN, as in _guarded_sturm_counts
     piv = np.stack([diag, diag[::-1]], 1)[..., None] - lam
     b2 = np.stack([off, off[::-1]], 1)[..., None] ** 2
     for i in range(len(diag)):
         if i:
             piv[i] -= b2[i - 1] / piv[i - 1]
-        np.copyto(piv[i], -pivmin, where=np.abs(piv[i]) < pivmin)
+        np.copyto(piv[i], -_PIVMIN, where=np.abs(piv[i]) < _PIVMIN)
     dp, dm = piv[:, 0], piv[::-1, 1]
     gamma = dp + dm - (diag[:, None] - lam)
     r = np.argmin(np.abs(gamma), axis=0)
@@ -473,7 +464,7 @@ def _chunk_vectors(diag, off, lam, clusters, pivmin, norm_scale):
         shifts[a:b] = np.maximum.accumulate(lam[a:b] - k) + k
     # aim well below TOL_RESID so the orthogonality cleanup and the
     # Gerschgorin-vs-spectral-norm slack cannot push past the contract
-    target = 0.02 * TOL_RESID * max(norm_scale, 1e-30)
+    target = 0.02 * TOL_RESID * norm_scale
     for _ in range(3):                      # rounds of inverse iteration
         if todo.any():
             X[:, todo] = _qr_solve(diag, off, shifts[todo], X[:, todo],
@@ -496,8 +487,7 @@ def _twisted_vectors(T, vals, norm_scale):
     at zero couplings: the pivots restart there, so a twisted vector stays in
     its block, and a value two blocks share falls in a cluster spanning both."""
     n = T.n
-    pivmin = _pivmin(T.offdiag ** 2)
-    cluster_tol = max(1e-12 * norm_scale, 1e3 * _EPS * norm_scale, 1e-30)
+    cluster_tol = 1e-12 * norm_scale
     bounds = np.array([0, *(np.flatnonzero(np.diff(vals) > cluster_tol) + 1), n])
     steps = np.arange(0, n, max(1, _BLOCK_ELEMENTS // n))
     cuts = np.unique([*bounds[np.searchsorted(bounds, steps)], n])
@@ -506,7 +496,7 @@ def _twisted_vectors(T, vals, norm_scale):
         clusters = [(a - c0, b - c0) for a, b in zip(bounds, bounds[1:])
                     if c0 <= a < c1 and b - a > 1]
         vecs[:, c0:c1] = _chunk_vectors(
-            T.diag, T.offdiag, vals[c0:c1], clusters, pivmin, norm_scale)
+            T.diag, T.offdiag, vals[c0:c1], clusters, norm_scale)
     # close values in different clusters leave overlaps of order resid/gap:
     # Newton-Schulz steps X <- X (I - E/2), E = X^T X - I, clear them for
     # O(resid) more residual
@@ -529,9 +519,8 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     Eigenvalues come from Sturm-sequence bisection, each to within 4 eps
     times the larger end of the Gerschgorin interval; eigenvectors, when
     requested, from one batched twisted-factorisation pass (_chunk_vectors).
-    Dense Jacobi steps in only for vectors that miss the contract.  Input
-    with entries outside [2^-500, 2^500] is solved scaled by a power of two
-    (_unit_scaled), and the values are scaled back exactly.
+    Dense Jacobi steps in only for vectors that miss the contract.  T is
+    solved unit-scaled (_unit_scaled), and the values scaled back exactly.
     """
     n = T.n
     if n == 1:
@@ -595,29 +584,19 @@ def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tridiagonal_norm(T: SymTridiagonal) -> float:
-    """max(|lambda_1|, |lambda_n|) of T, bisecting those two ranks only,
-    rank 1 counted from above so that a zero pivot cannot mislead it (see
-    _sturm_counts).  T is first scaled by the power of two that brings its
-    largest |entry| into [0.5, 1), whatever its range: 2^k T then gives
-    exactly 2^k times the norm of T, and the absolute floor of _pivmin
-    never meets in-range input far from unit scale (unscaled, the
-    tridiagonal form of a random order-17 matrix times 2^300 or 2^-300 got
-    a norm 65% or 89% off)."""
+    """max(|lambda_1|, |lambda_n|) of T: only those two ranks of unit-scaled
+    T are bisected, rank 1 counted from above so that a zero pivot cannot
+    mislead it (see _sturm_counts)."""
     if T.n == 1:
         return abs(float(T.diag[0]))
-    top = max(float(np.max(np.abs(T.diag))), float(np.max(np.abs(T.offdiag))))
-    if top == 0.0:
-        return 0.0
-    e = math.frexp(top)[1]
-    S = SymTridiagonal(np.ldexp(T.diag, -e), np.ldexp(T.offdiag, -e))
+    S, e = _unit_scaled(T)
     vals = _bisect_values(S, ranks=(1, T.n), above=(True, False))
     return math.ldexp(max(abs(float(vals[0])), abs(float(vals[-1]))), e)
 
 
 def _hermitian_norm(H: np.ndarray) -> float:
     """Spectral norm of the Hermitian array H, from the tridiagonal that
-    _householder_tridiagonal makes of it.  Input beyond [2^-500, 2^500] is
-    scaled by a power of two first, as in eig_dense, so that the column
+    _householder_tridiagonal makes of H unit-scaled, so that the column
     norms of the reduction neither overflow nor underflow."""
     e = _scale_exponent(float(np.max(np.abs(H))))
     d, sub = _householder_tridiagonal(_ldexp(H, -e))
@@ -638,12 +617,9 @@ def spectral_norm(A) -> float:
     B = np.atleast_2d(np.asarray(A))
     if not np.any(B.imag):
         B = B.real
-    top = float(np.max(np.abs(B)))
-    if top == 0.0:
-        return 0.0
-    # sigma_1 = sqrt(lambda_max) of the Gram matrix on the smaller side;
-    # scaling the largest entry into [0.5, 1) keeps the squares in range
-    e = math.frexp(top)[1]
+    # sigma_1 = sqrt(lambda_max) of the Gram matrix on the smaller side,
+    # formed unit-scaled so that the squares stay in range
+    e = _scale_exponent(float(np.max(np.abs(B))))
     Bs = _ldexp(B, -e)
     G = Bs.conj().T @ Bs if B.shape[1] <= B.shape[0] else Bs @ Bs.conj().T
     return math.ldexp(math.sqrt(_hermitian_norm(G)), e)

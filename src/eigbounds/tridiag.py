@@ -75,13 +75,6 @@ class DecayProfile:
     cumulative: tuple = ()
     truncated_at: int | None = None
 
-    @property
-    def complete(self) -> bool:
-        return self.truncated_at is None
-
-    def final_bound(self) -> LogScalar | None:
-        return self.cumulative[-1] if self.cumulative else None
-
 
 def decay_profile(T: SymTridiagonal, lam: float, row_from: int,
                   row_to: int) -> DecayProfile:

@@ -180,8 +180,6 @@ class Spectrum:
 # smaller only exists in log space.
 UNDERFLOW_LOG10 = -300.0
 
-_LOG10_E = math.log10(math.e)
-
 
 @dataclass(frozen=True)
 class LogScalar:
@@ -206,14 +204,6 @@ class LogScalar:
     def from_log10(cls, log10: float, sign: int = 1) -> "LogScalar":
         return cls(sign, log10)
 
-    @classmethod
-    def from_ln(cls, ln: float, sign: int = 1) -> "LogScalar":
-        return cls(sign, ln * _LOG10_E)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     def __mul__(self, other):
         if isinstance(other, LogScalar):
             if self.sign == 0 or other.sign == 0:
@@ -222,12 +212,6 @@ class LogScalar:
         return self * LogScalar.from_float(float(other))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "LogScalar":
-        if self.sign == 0:
-            return LogScalar(0) if exponent > 0 else LogScalar(1, 0.0)
-        sign = self.sign if exponent % 2 else 1
-        return LogScalar(sign, self.log10 * exponent)
 
     def to_float(self) -> float:
         """Plain float; refuses magnitudes below the underflow threshold."""

@@ -162,7 +162,7 @@ def test_criterion_8_expansion_order():
         fit = expansion_order(ctx, E, (1e-2, 1e-3, 1e-4, 1e-5))
         slopes.append(fit.slope)
         ok = ok and (fit.exact or 1.8 <= fit.slope <= 2.2)
-        ok = ok and bool(np.all(fit.within_gap_bound))
+        ok = ok and bool(np.all(fit.errors <= fit.gap_bounds))
     report(8, "expansion order",
            ok, "slopes=" + ",".join(f"{s:.3f}" for s in slopes),
            time.perf_counter() - t0, 5.0)

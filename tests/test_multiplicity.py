@@ -85,7 +85,7 @@ class TestExpansionOrder:
             E = symmetric(rng, 3)
             fit = expansion_order(ctx, E, (1e-2, 1e-3, 1e-4, 1e-5))
             assert fit.exact or 1.8 <= fit.slope <= 2.2
-            assert np.all(fit.within_gap_bound)
+            assert np.all(fit.errors <= fit.gap_bounds)
 
     def test_exact_when_perturbation_commutes(self):
         A = DenseHermitian.from_array(np.diag([2.0, 2.0, 8.0]))

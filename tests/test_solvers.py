@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from conftest import graded_tridiagonal, random_hermitian, random_tridiagonal
@@ -352,24 +354,24 @@ def _one_midpoint_bisection(T):
     """Bisection with one midpoint per Sturm pass: the reference that the
     subtree passes of _bisect_values must reproduce bit for bit."""
     off_sq = T.offdiag ** 2
-    pivmin = solvers._pivmin(off_sq)
     glo, ghi = solvers._gersch_bounds(T)
-    tol = 4.0 * solvers._EPS * max(abs(glo), abs(ghi), 1e-30)
+    tol = 4.0 * solvers._EPS * max(abs(glo), abs(ghi))
     lo, hi = np.full(T.n, glo), np.full(T.n, ghi)
     ranks = np.arange(1, T.n + 1)
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         if np.all((hi - lo) <= tol) or np.all((mid <= lo) | (mid >= hi)):
             break
-        above = solvers._sturm_counts(T.diag, off_sq, mid, pivmin) >= ranks
+        above = solvers._sturm_counts(T.diag, off_sq, mid) >= ranks
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return np.maximum.accumulate(0.5 * (lo + hi))
 
 
-def _one_row_sturm_counts(diag, off_sq, xs, pivmin):
+def _one_row_sturm_counts(diag, off_sq, xs):
     """The Sturm recurrence written with fresh arrays per row: the reference
     for the in-place _sturm_counts, zero-pivot behaviour included."""
+    pivmin = solvers._PIVMIN
     q = diag[0] - xs
     count = (q < 0.0).astype(np.int64)
     for i in range(1, diag.size):
@@ -434,12 +436,11 @@ class TestSubtreeBisection:
         # and at shift 0 a zero coupling under a zero pivot gives 0 / 0,
         # a NaN pivot with negative pivots after it
         off_sq = T.offdiag ** 2
-        pivmin = solvers._pivmin(off_sq)
         xs = np.concatenate([np.arange(-12.0, 13.0), np.linspace(-12, 12, 301),
                              [-1e-40, 1e-40],
                              eigvalsh_tridiagonal(T.diag, T.offdiag)])
-        got = solvers._sturm_counts(T.diag, off_sq, xs, pivmin)
-        assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs, pivmin))
+        got = solvers._sturm_counts(T.diag, off_sq, xs)
+        assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs))
 
     @pytest.mark.parametrize("n", [1, 3, 17, 342])
     def test_diagonal_bit_identical(self, n):
@@ -502,9 +503,10 @@ class TestSubtreeBisection:
         assert _bisect_values(T, ranks=()).shape == (0,)
 
 
-def _meets_small_pivot(T, x, pivmin):
+def _meets_small_pivot(T, x):
     """Whether the unguarded pivots of T - x*I, one float at a time, reach
-    one with |q| < pivmin (before any guard could change the chain)."""
+    one with |q| < _PIVMIN (before any guard could change the chain)."""
+    pivmin = solvers._PIVMIN
     q = float(T.diag[0]) - x
     for d, b in zip(T.diag[1:].tolist(), T.offdiag.tolist()):
         if abs(q) < pivmin:
@@ -519,9 +521,9 @@ class TestSturmKernel:
         calls = []
         guarded = solvers._guarded_sturm_counts
 
-        def recording(diag, off_sq, xs, pivmin):
+        def recording(diag, off_sq, xs):
             calls.append(xs.copy())
-            return guarded(diag, off_sq, xs, pivmin)
+            return guarded(diag, off_sq, xs)
 
         monkeypatch.setattr(solvers, "_guarded_sturm_counts", recording)
         return calls
@@ -540,15 +542,14 @@ class TestSturmKernel:
     def test_guard_gets_exactly_the_zero_pivot_shifts(self, monkeypatch):
         T = wilkinson_plus(5)
         off_sq = T.offdiag ** 2
-        pivmin = solvers._pivmin(off_sq)
         xs = np.arange(-12.0, 13.0)
-        hit = np.array([_meets_small_pivot(T, x, pivmin) for x in xs.tolist()])
+        hit = np.array([_meets_small_pivot(T, x) for x in xs.tolist()])
         assert 0 < hit.sum() < xs.size
         calls = self._record_guarded(monkeypatch)
-        got = solvers._sturm_counts(T.diag, off_sq, xs, pivmin)
+        got = solvers._sturm_counts(T.diag, off_sq, xs)
         assert len(calls) == 1
         assert np.array_equal(calls[0], xs[hit])
-        assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs, pivmin))
+        assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs))
 
 
     @pytest.mark.parametrize("T", [wilkinson_plus(5),
@@ -556,13 +557,12 @@ class TestSturmKernel:
                                                   np.ones(2))])
     def test_counts_from_above_keep_the_extreme_ranks(self, T):
         off_sq = T.offdiag ** 2
-        pivmin = solvers._pivmin(off_sq)
         xs = np.arange(-12.0, 13.0, 0.25)
         lam = np.linalg.eigvalsh(T.to_dense().real_array())
         xs = xs[np.min(np.abs(xs[:, None] - lam), axis=1) > 1e-9]
-        assert any(_meets_small_pivot(T, x, pivmin) for x in xs.tolist())
-        below = solvers._sturm_counts(T.diag, off_sq, xs, pivmin)
-        above = solvers._sturm_counts(T.diag, off_sq, xs, pivmin,
+        assert any(_meets_small_pivot(T, x) for x in xs.tolist())
+        below = solvers._sturm_counts(T.diag, off_sq, xs)
+        above = solvers._sturm_counts(T.diag, off_sq, xs,
                                       np.ones(xs.size, dtype=bool))
         true = np.sum(lam < xs[:, None], axis=1)
         # rank n is decided by "count == n" from below, rank 1 by
@@ -570,14 +570,14 @@ class TestSturmKernel:
         assert np.array_equal(below == T.n, true == T.n)
         assert np.array_equal(above == 0, true == 0)
         # from above, -T's guarded recurrence recounts at -x
-        hit = np.array([_meets_small_pivot(T, x, pivmin) for x in xs.tolist()])
-        neg = solvers._guarded_sturm_counts(-T.diag, off_sq, -xs[hit], pivmin)
+        hit = np.array([_meets_small_pivot(T, x) for x in xs.tolist()])
+        neg = solvers._guarded_sturm_counts(-T.diag, off_sq, -xs[hit])
         assert np.array_equal(above[hit], T.n - neg)
         assert np.array_equal(above[~hit], below[~hit])
 
 
 class TestDenseScaling:
-    @pytest.mark.parametrize("k", [600, -600, 900, -900])
+    @pytest.mark.parametrize("k", [100, -100, 300, -300, 600, -600, 900, -900])
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_spectrum_scales_bit_for_bit(self, k, complex_entries):
         rng = np.random.default_rng(930)
@@ -600,18 +600,44 @@ def _scaled(T, k):
     return SymTridiagonal(np.ldexp(T.diag, k), np.ldexp(T.offdiag, k))
 
 
+def _assert_scales_bit_for_bit(T, k):
+    """eig_tridiag values, spectral_norm and sturm_count at the midpoints
+    of 2^k T are those of T scaled by 2^k, bit for bit."""
+    S = _scaled(T, k)
+    vals = eig_tridiag(T).values
+    assert np.array_equal(eig_tridiag(S).values, np.ldexp(vals, k))
+    assert spectral_norm(S) == math.ldexp(spectral_norm(T), k)
+    xs = 0.5 * (vals[1:] + vals[:-1])
+    assert ([sturm_count(S, x) for x in np.ldexp(xs, k)]
+            == [sturm_count(T, x) for x in xs])
+
+
+# 0, or |x| in [2^-20, 1]: times any 2^k, |k| <= 990, every entry stays normal
+_unit_entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda x, neg: -x if neg else x,
+              st.floats(2.0 ** -20, 1.0), st.booleans()))
+
+
 class TestPowerOfTwoScaling:
-    @pytest.mark.parametrize("s", [1e300, 1e-300])
-    def test_out_of_range_matches_library(self, s):
-        # b_i^2 overflows at 1e300 and underflows at 1e-300
+    @pytest.mark.parametrize("s", [1e300, 1e-300, 1e28, 1e-28, 1e31, 1e-31,
+                                   1e-50, 1e-140, 1e100, 1e150])
+    def test_out_of_range_matches_library(self, s, monkeypatch):
+        # b_i^2 overflows at 1e300 and underflows at 1e-300; from 1e-28
+        # down and 1e28 up an absolute pivot guard or tolerance of unit
+        # scale would meet the pivots and interval widths
+        def refuse(*args, **kwargs):
+            raise AssertionError("eig_tridiag fell back to eig_dense")
+
+        monkeypatch.setattr(solvers, "eig_dense", refuse)
         rng = np.random.default_rng(900)
         for T in (SymTridiagonal([s, 2 * s, 3 * s], [0.5 * s, 1.5 * s]),
                   SymTridiagonal(s * rng.standard_normal(20), s * rng.standard_normal(19))):
             ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
             norm = float(np.max(np.abs(ref)))
-            for vec in (False, True):
-                vals = eig_tridiag(T, want_vectors=vec).values
-                assert np.max(np.abs(vals - ref)) <= 1e-12 * norm
+            vals = eig_tridiag(T).values
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * norm
+            assert np.array_equal(eig_tridiag(T, want_vectors=True).values, vals)
             assert spectral_norm(T) == pytest.approx(norm, rel=1e-12)
             mids = 0.5 * (ref[1:] + ref[:-1])
             assert [sturm_count(T, x) for x in mids] == list(range(1, T.n))
@@ -619,7 +645,7 @@ class TestPowerOfTwoScaling:
             assert np.allclose(_distance_to_spectrum(T, mids), near, rtol=0.0,
                                atol=1e-12 * norm)
 
-    @pytest.mark.parametrize("k", [600, -600, 900, -900])
+    @pytest.mark.parametrize("k", [100, -100, 300, -300, 600, -600, 900, -900])
     def test_spectrum_scales_bit_for_bit(self, k):
         rng = np.random.default_rng(910)
         # at 1e+-300 the order-3 matrix overflowed or collapsed unscaled; a
@@ -628,20 +654,25 @@ class TestPowerOfTwoScaling:
         # themselves
         for T in (random_tridiagonal(rng, 40), graded_tridiagonal(rng, 30),
                   aed_example(200), SymTridiagonal([1.0, 2.0, 3.0], [1.0, 1.0])):
-            S = _scaled(T, k)
-            vals = eig_tridiag(T).values
-            assert np.array_equal(eig_tridiag(S).values, np.ldexp(vals, k))
-            assert spectral_norm(S) == math.ldexp(spectral_norm(T), k)
-            xs = 0.5 * (vals[1:] + vals[:-1])
-            assert ([sturm_count(S, x) for x in np.ldexp(xs, k)]
-                    == [sturm_count(T, x) for x in xs])
+            _assert_scales_bit_for_bit(T, k)
 
-    def test_in_range_input_is_not_rescaled(self):
+    def test_every_input_is_unit_scaled_exactly(self):
         T = random_tridiagonal(np.random.default_rng(920), 10)
         for k in (-499, 0, 490):
             S = _scaled(T, k)
-            same, e = solvers._unit_scaled(S)
-            assert same is S and e == 0
+            U, e = solvers._unit_scaled(S)
+            top = max(np.max(np.abs(U.diag)), np.max(np.abs(U.offdiag)))
+            assert 0.5 <= top < 1.0
+            assert np.array_equal(np.ldexp(U.diag, e), S.diag)
+            assert np.array_equal(np.ldexp(U.offdiag, e), S.offdiag)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+               st.lists(_unit_entries, min_size=n, max_size=n),
+               st.lists(_unit_entries, min_size=n - 1, max_size=n - 1))),
+           st.integers(-990, 990))
+    def test_results_scale_by_any_power_of_two(self, entries, k):
+        _assert_scales_bit_for_bit(SymTridiagonal(*entries), k)
 
 
 def _zero_pivot_rows(T, shifts):

@@ -38,23 +38,23 @@ class TestDecayProfile:
         T = SymTridiagonal([100.0, 50.0, 0.0], [1.0, 1.0])
         lam = float(eig_tridiag(T).values[0])
         prof = decay_profile(T, lam, 1, 2)
-        assert prof.complete and prof.rows == (1, 2)
+        assert prof.truncated_at is None and prof.rows == (1, 2)
         expected = decay_step_bound(T, lam, 1) * decay_step_bound(T, lam, 2)
-        assert prof.final_bound().to_float() == pytest.approx(expected, rel=1e-13)
+        assert prof.cumulative[-1].to_float() == pytest.approx(expected, rel=1e-13)
 
     def test_bounds_oracle_component(self):
         T = SymTridiagonal([100.0, 50.0, 0.0], [1.0, 1.0])
         spec = eig_tridiag(T, want_vectors=True)
         lam = float(spec.values[0])
         x = np.abs(spec.vectors[:, 0])
-        cum = decay_profile(T, lam, 1, 2).final_bound().to_float()
+        cum = decay_profile(T, lam, 1, 2).cumulative[-1].to_float()
         assert x[0] <= cum * x[2] + 1e-14
 
     def test_truncates_at_first_invalid_row(self):
         T = SymTridiagonal([100.0, 0.05, 0.0], [1.0, 1.0])
         lam = float(eig_tridiag(T).values[0])
         prof = decay_profile(T, lam, 1, 2)
-        assert not prof.complete and prof.truncated_at == 2
+        assert prof.truncated_at == 2
         assert prof.rows == (1,)
 
     def test_soundness_on_graded_matrices(self):
@@ -210,7 +210,7 @@ class TestAedWindowBoundsReference:
         T = SymTridiagonal([5.0, 4.0, 3.0, 2.0], [1.0, 0.0, 1.0])
         for lam in (4.0, 0.5):
             _, b, jj = aed_window_bounds(T, 2, j=1, window_values=[lam])[0]
-            assert b.is_zero and jj == 1
+            assert b.sign == 0 and jj == 1
         assert_matches_reference(T, 2, j=1, window_values=[4.0, 0.5])
         got = assert_matches_reference(T, 2, window_values=[4.0, 0.5])
         assert got == [(4.0, None, None), (0.5, -math.inf, 1)]
@@ -224,7 +224,7 @@ class TestAedWindowBoundsReference:
         assert got == [(10.0, -math.inf, 2)]
         for j in (1, 2, 3):
             assert_matches_reference(T, 4, j=j, window_values=[10.0])
-        assert aed_window_bounds(T, 4, j=3, window_values=[10.0])[0][1].is_zero
+        assert aed_window_bounds(T, 4, j=3, window_values=[10.0])[0][1].sign == 0
 
     @pytest.mark.parametrize("row", [1, 6])
     def test_gap_failure_in_head_rows(self, row):
@@ -292,7 +292,7 @@ class TestAedPerturbationBound:
         T = SymTridiagonal([5.0, 4.0, 3.0, 2.0], [1.0, 0.0, 1.0])
         (_, bound, j_used), = aed_window_bounds(T, 2, j=1, alpha=0.0,
                                                  window_values=[2.0])
-        assert bound.is_zero and j_used == 1
+        assert bound.sign == 0 and j_used == 1
 
     def test_gap_condition_violation_raises(self):
         # named for the exception the fixed-depth bound once raised; the

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -74,7 +72,7 @@ class TestLogScalar:
 
     def test_zero(self):
         z = LogScalar.from_float(0.0)
-        assert z.is_zero and z.float_or_zero() == 0.0
+        assert z.sign == 0 and z.float_or_zero() == 0.0
 
     def test_products_below_underflow(self):
         tiny = LogScalar.from_float(1e-200)
@@ -84,14 +82,10 @@ class TestLogScalar:
         with pytest.raises(OverflowError):
             prod.to_float()
 
-    def test_power_matches_repeated_product(self):
-        a = LogScalar.from_float(0.37)
-        assert (a ** 3).to_float() == pytest.approx(0.37 ** 3, rel=1e-14)
-
     def test_sign_rules(self):
         a = LogScalar.from_float(-2.0)
         assert (a * a).sign == 1
-        assert (a ** 3).sign == -1
+        assert (a * a * a).sign == -1
 
     def test_ordering(self):
         xs = [LogScalar.from_float(v) for v in (3.0, -5.0, 1e-320, 0.0)]
@@ -99,9 +93,8 @@ class TestLogScalar:
         assert [x.float_or_zero() for x in ordered][-1] == 3.0
         assert ordered[0].sign == -1
 
-    def test_from_log10_and_ln(self):
+    def test_from_log10(self):
         assert LogScalar.from_log10(-2.0).to_float() == pytest.approx(0.01)
-        assert LogScalar.from_ln(math.log(5.0)).to_float() == pytest.approx(5.0)
 
     def test_format_far_below_underflow(self):
         s = LogScalar.from_log10(-271.5).format(digits=4)
