@@ -17,7 +17,7 @@ import numpy as np
 from . import generators
 from .aed import aed_transform, deflation_decide, deflation_soundness_check, run_qr_with_aed
 from .blocks import quadratic_residual_bounds, theorem1_bounds
-from .io import MatrixFormatError, load_matrix
+from .io import load_matrix
 from .multiplicity import detect_multiple, expansion_order, first_order_eigs
 from .report import RunReport
 from .solvers import eig_dense, eig_tridiag, spectral_norm
@@ -208,11 +208,8 @@ def cmd_multieig(A: DenseHermitian, E: DenseHermitian, eps_grid=None,
     return report
 
 
-def cmd_verify_all(command: str = "verify-all") -> RunReport:
-    """Reproduce the embedded case studies and check their expected values."""
-    report = RunReport(command)
-
-    # Wilkinson matrix, order 21: nearly equal top pair and its bound
+def _claim_wilkinson(report: RunReport) -> None:
+    """Wilkinson matrix, order 21: nearly equal top pair and its bound."""
     sub = cmd_wilkinson(10)
     top_gap = next(r["gap"] for r in sub.records if r.get("record") == "top-pair")
     report.add(case="wilkinson-21", top_gap=top_gap,
@@ -224,7 +221,9 @@ def cmd_verify_all(command: str = "verify-all") -> RunReport:
     if sub.sound:
         report.check("wilkinson-pair-bounds", True)
 
-    # graded 1000x1000 deflation fixture: headline bound and spike profile
+
+def _claim_deflation_window(report: RunReport) -> None:
+    """Graded 1000x1000 deflation fixture: headline bound and spike profile."""
     T = generators.aed_example(1000)
     scale = spectral_norm(T)
     outcome = deflation_decide(aed_transform(T, 100), 1e-16, scale)
@@ -245,7 +244,9 @@ def cmd_verify_all(command: str = "verify-all") -> RunReport:
     report.check("spike-tiny-entries", outcome.deflation_count > 80,
                  f"count={outcome.deflation_count}")
 
-    # cubic scaling of the trailing-block sensitivity
+
+def _claim_cubic_scaling(report: RunReport) -> None:
+    """Cubic scaling of the trailing-block sensitivity."""
     delta, eps = 1e-2, 1e-3
     a11 = np.diag([1.0, 2.0, 3.0])
     coupling = np.full((1, 3), delta)
@@ -258,7 +259,9 @@ def cmd_verify_all(command: str = "verify-all") -> RunReport:
     report.check("cubic-scaling", worst <= 10.0 * eps * delta * delta,
                  f"worst={worst:.6e} allowance={10.0 * eps * delta * delta:.6e}")
 
-    # quadratic residual closed-form example
+
+def _claim_quad_residual(report: RunReport) -> None:
+    """Quadratic residual bound of a 2x2 example in closed form."""
     A = DenseHermitian.from_array(np.diag([0.0, 2.0]))
     E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
     q = quadratic_residual_bounds(A, BlockSplit(1), E, [1])[0]
@@ -270,7 +273,9 @@ def cmd_verify_all(command: str = "verify-all") -> RunReport:
                  abs(q.bound.float_or_zero() - 0.005) < 1e-15 and shift <= 0.005,
                  f"bound={q.bound} observed={shift:.7f}")
 
-    # first-order expansion of a double eigenvalue: quadratic trailing term
+
+def _claim_expansion_slopes(report: RunReport) -> None:
+    """First-order expansion of a double eigenvalue: quadratic trailing term."""
     Amult = DenseHermitian.from_array(np.diag([1.0, 1.0, 5.0]))
     rng = np.random.default_rng(2024)
     ctx = detect_multiple(Amult)[0]
@@ -281,6 +286,26 @@ def cmd_verify_all(command: str = "verify-all") -> RunReport:
         ok = fit.exact or 1.8 <= fit.slope <= 2.2
         report.check(f"expansion-slope-{trial}", ok,
                      "exact" if fit.exact else f"slope={fit.slope:.4f}")
+
+
+# The paper's case studies, one entry each: (name, claim, budget in seconds).
+# A claim adds its case= and check= records to a RunReport; verify-all runs
+# them in this order, and the acceptance suite runs each within its budget.
+CLAIMS = (
+    ("wilkinson-21", _claim_wilkinson, 1.0),
+    ("deflation-window", _claim_deflation_window, 30.0),
+    ("cubic-scaling", _claim_cubic_scaling, 1.0),
+    ("quad-residual-2x2", _claim_quad_residual, 1.0),
+    ("expansion-slopes", _claim_expansion_slopes, 5.0),
+)
+
+
+def cmd_verify_all(command: str = "verify-all") -> RunReport:
+    """Reproduce the embedded case studies (CLAIMS) and check their expected
+    values."""
+    report = RunReport(command)
+    for _, claim, _ in CLAIMS:
+        claim(report)
     return report
 
 
@@ -359,7 +384,9 @@ def main(argv=None) -> int:
         sys.stdout.write(report.render())
         if args.csv:
             report.write_csv(args.csv)
-    except (InputError, MatrixFormatError, OSError) as exc:
+    # InputError, MatrixFormatError and HermitianError are ValueErrors, and so
+    # are the library's own argument checks (tol, eps grid, cluster tol)
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
     return 0 if report.sound else 1
 

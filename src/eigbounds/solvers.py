@@ -532,6 +532,9 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
         return Spectrum(np.ldexp(vals, e))
     glo, ghi = _gersch_bounds(T)
     norm_scale = max(abs(glo), abs(ghi))
+    if norm_scale == 0.0:
+        # T = 0: every unit vector is an eigenvector, as in eig_dense
+        return Spectrum(vals, np.eye(n))
     try:
         vecs = _twisted_vectors(T, vals, norm_scale)
     except InverseIterationError:

@@ -230,6 +230,12 @@ class TestRunQrWithAed:
         assert next(iter(report.summary)) == "norm"
         assert report.summary["norm"] == spectral_norm(T)
 
+    def test_zero_matrix_is_converged_at_once(self):
+        spec, stats = run_qr_with_aed(SymTridiagonal(np.zeros(5), np.zeros(4)),
+                                      window=2)
+        assert stats.converged and stats.sweeps == 0
+        assert np.array_equal(spec.values, np.zeros(5))
+
     @pytest.mark.parametrize("window", [0, -5])
     def test_window_below_one_raises(self, window):
         with pytest.raises(ValueError, match="window"):

@@ -210,11 +210,13 @@ class TestCliInputErrors:
     @pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "8"],
                                        ["--k", "3", "--alpha", "-1"],
                                        ["--k", "3", "--j", "1", "--alpha", "-1"],
-                                       ["--k", "3", "--simulate", "--alpha", "-1"]])
+                                       ["--k", "3", "--simulate", "--alpha", "-1"],
+                                       ["--k", "3", "--tol", "0"],
+                                       ["--k", "3", "--simulate", "--tol", "-1"]])
     def test_aed_arguments(self, matrix_files, flags, capsys):
         code, line = self._exit_code(["aed", "--matrix", matrix_files["T"]] + flags,
                                      capsys)
-        assert code == 2 and ("window size" in line or "alpha" in line)
+        assert code == 2 and any(w in line for w in ("window size", "alpha", "tol"))
 
     @pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "6"],
                                        ["--k", "2", "--indices", "0"],
@@ -224,6 +226,15 @@ class TestCliInputErrors:
                                    "--perturbation", matrix_files["E"]] + flags,
                                   capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--eps-grid", "1e-2"],
+                                       ["--eps-grid", "100,1e-3"],
+                                       ["--cluster-tol", "0"]])
+    def test_multieig_arguments(self, matrix_files, flags, capsys):
+        code, line = self._exit_code(
+            ["multieig", "--matrix", matrix_files["Adouble"],
+             "--perturbation", matrix_files["Esmall"]] + flags, capsys)
+        assert code == 2 and ("eps" in line or "cluster_tol" in line)
 
     def test_no_cluster_found(self, matrix_files, capsys):
         code, line = self._exit_code(

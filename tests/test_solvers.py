@@ -766,6 +766,17 @@ class TestTwistedVectors:
             n = int(rng.integers(2, 51))
             eig_tridiag(random_tridiagonal(rng, n), want_vectors=True)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_matrix_needs_no_dense_fallback(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eig_tridiag fell back to eig_dense")
+
+        monkeypatch.setattr(solvers, "eig_dense", refuse)
+        spec = eig_tridiag(SymTridiagonal(np.zeros(n), np.zeros(n - 1)),
+                           want_vectors=True)
+        assert np.array_equal(spec.values, np.zeros(n))
+        assert np.array_equal(spec.vectors, np.eye(n))
+
     def test_dense_fallback_is_the_last_resort(self, monkeypatch):
         # values 1e-6 off leave every residual above target after all
         # rounds: the dense solver answers, with its own values
