@@ -1,24 +1,31 @@
 """Self-contained eigensolvers and norms used as the oracle everywhere else.
 
 Full dense Hermitian spectra go through round-robin Jacobi sweeps; symmetric
-tridiagonals through Sturm-sequence bisection (each pass counts a subtree of
-midpoints of every interval and replays several steps, bit-identical to one
-midpoint per pass) and twisted factorisations for the eigenvectors of all
-eigenvalues at once (Fernando 1997; LAPACK dlar1v).  A Sturm count runs the
-pivot recurrence in row blocks with one division and one subtraction per
-row and no pivot guard; the guard of LAPACK dstebz is applied afterwards,
-by recounting only the shifts whose pivots came below pivmin (Demmel,
-Dhillon & Ren 1995).  Every solver first scales its input by the power of
-two that brings the largest |entry| into [0.5, 1), so pivmin = eps^2 and
-the tolerances are relative to the matrix, and scales the results back
-exactly: 2^k A gives 2^k times the results for A.  Bisection can isolate
-chosen ranks alone: the AED deflation check takes the Sturm count c below
-each deflated value and bisects only ranks c and c + 1, the two eigenvalues
-that bracket it (Barth, Martin & Wilkinson 1967).  A spectral norm needs
-only the two extreme eigenvalues, so a dense matrix is reduced to
-tridiagonal form by Householder reflections (Golub & Van Loan, section 8.3)
-and ranks 1 and n are bisected, rank 1 with Sturm counts taken from above;
-Jacobi is used only for full spectra.
+tridiagonals through Sturm counts and twisted factorisations for the
+eigenvectors of all eigenvalues at once (Fernando 1997; LAPACK dlar1v).
+The eigenvalues of a tridiagonal come in three stages: subtree passes of
+bisection (each counts a whole subtree of midpoints of every interval and
+replays several steps) until each eigenvalue is alone in its interval by
+the counts; Laguerre's iteration on det(T - xI) from there, for all
+isolated eigenvalues at once (Li & Zeng 1994); and a certificate, two
+Sturm counts half a tolerance either side of each iterate.  An eigenvalue
+that fails the certificate, or never isolates, is bisected to the
+tolerance, so a wrong iterate costs time but is never returned.  A Sturm
+count runs the pivot recurrence in row blocks with one division and one
+subtraction per row and no pivot guard; the guard of LAPACK dstebz is
+applied afterwards, by recounting only the shifts whose pivots came below
+pivmin (Demmel, Dhillon & Ren 1995).  Every solver first scales its input
+by the power of two that brings the largest |entry| into [0.5, 1), so
+pivmin = eps^2 and the tolerances are relative to the matrix, and scales
+the results back exactly: 2^k A gives 2^k times the results for A.
+Bisection can isolate chosen ranks alone, bit for bit as one midpoint per
+step: the AED deflation check takes the Sturm count c below each deflated
+value and bisects only ranks c and c + 1, the two eigenvalues that bracket
+it (Barth, Martin & Wilkinson 1967).  A spectral norm needs only the two
+extreme eigenvalues, so a dense matrix is reduced to tridiagonal form by
+Householder reflections (Golub & Van Loan, section 8.3) and ranks 1 and n
+are bisected, rank 1 with Sturm counts taken from above; Jacobi is used
+only for full spectra.
 These are deliberately independent of any library eigensolver so that every
 bound in the package is checked against an implementation with no shared
 code path.
@@ -51,6 +58,8 @@ TOL_ORTH = 1e-12
 # Sturm bisection: shifts counted per pass, and the cap on bisection steps
 _SHIFTS_PER_PASS = 1024
 _MAX_BISECT_STEPS = 120
+# the cap on Laguerre iterations, before the certificate (_block_eigenvalues)
+_MAX_LAGUERRE_STEPS = 10
 # rows per block of the unguarded Sturm recurrence (_sturm_counts)
 _STURM_ROWS = 64
 # pivot guard of the Sturm recurrences: every input is unit-scaled first,
@@ -178,9 +187,11 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
 
 
 def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
-                  above=None) -> np.ndarray:
+                  above=None, guarded=None) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in xs (vectorized);
     where the boolean mask above is set, n minus the number strictly above.
+    A boolean array guarded, if given, is set where a pivot above the last
+    row met the guard, so that the count may be one short (see below).
 
     The pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} run without the pivot
     guard, in blocks of _STURM_ROWS rows: one subtraction d_i - xs for the
@@ -228,6 +239,10 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
             # _STURM_ROWS < 256, so a block's counts fit in uint8
             neg8 = np.less(q, 0.0, out=neg[:k]).view(np.uint8)
             count += neg8.sum(axis=0, dtype=np.uint8)
+            if guarded is not None and r0 + k == n:
+                # the last pivot is counted by its sign, guard or not
+                guarded[:] = small | ~(np.abs(q[:-1]).min(axis=0, initial=np.inf)
+                                       >= _PIVMIN)
             # a NaN pivot makes the minimum NaN, which fails the test as well
             small |= ~(np.abs(q).min(axis=0) >= _PIVMIN)
     flip = small & above if above is not None else np.zeros(m, dtype=bool)
@@ -308,80 +323,275 @@ def _gersch_bounds(T: SymTridiagonal) -> tuple[float, float]:
     return float(np.min(T.diag - r)), float(np.max(T.diag + r))
 
 
-def _bisect_values(T: SymTridiagonal, ranks=None, above=None) -> np.ndarray:
-    """Eigenvalues of the given ascending 1-based ranks (default all) by
-    Sturm bisection, to tol = 4 eps max(|glo|, |ghi|) of the Gerschgorin
-    interval [glo, ghi].  above, one flag per rank, counts that rank's
-    shifts from above (see _sturm_counts).
+def _subtree_pass(diag, off_sq, ranks, lo, hi, above, max_depth, rows=None,
+                  mark_guarded=False):
+    """Up to L bisection steps for every rank, from one _sturm_counts call.
 
-    Each pass does the work of up to L bisection steps.  For every rank it
-    builds the depth-L subtree of midpoints of its interval, level by level,
-    each point 0.5 * (left + right) of its two neighbours one level up: the
-    midpoint a one-step loop would compute.  One _sturm_counts call counts
-    at all 2^L - 1 interior points of all ranks, and the L decisions are
-    then replayed on node indices, with the stop test before every step.
-    The values are bit-identical to one midpoint per step.  L is chosen so
-    a pass evaluates about _SHIFTS_PER_PASS shifts: 6 for 10 ranks, 9 for
-    the two ranks of spectral_norm, and 1 (one midpoint per pass) from 342
-    ranks on.
+    lo, hi and above (see _sturm_counts) describe intervals, and rows[r] is
+    the interval of ranks[r] (by default interval r), so ranks that share
+    an interval share its subtree.  For each interval the depth-L subtree
+    of midpoints is built level by level, each point 0.5 * (left + right)
+    of its two neighbours one level up: the midpoint a one-step loop would
+    compute.  All 2^L - 1 interior points of all intervals are counted at
+    once, L chosen so that is about _SHIFTS_PER_PASS shifts (10 levels for
+    one interval, 6 for 10, 1 from 342 on), and the L decisions of each
+    rank are then replayed on node indices.
+
+    Returns (grid, counts, path, spans): the flattened nodes, one row of
+    2^L + 1 per interval; the counts at the interior nodes, one row of
+    2^L - 1 per interval; each rank's left node (flat index into grid)
+    after each step, an (L, ranks) array; and the node distance to its
+    right node after each step.  With mark_guarded, a count whose shift met
+    the pivot guard above the last row, and may be one short, reads -1 in
+    counts; the steps follow it as it is.
     """
-    n = T.n
-    off_sq = T.offdiag ** 2
-    glo, ghi = _gersch_bounds(T)
-    tol = 4.0 * _EPS * max(abs(glo), abs(ghi))
-    ranks = np.arange(1, n + 1) if ranks is None else np.asarray(ranks)
-    m = ranks.size
-    if m == 0:
-        return np.empty(0)
-    lo = np.full(m, glo)
-    hi = np.full(m, ghi)
-    depth = max(1, int(math.log2(_SHIFTS_PER_PASS / m + 1)))
+    u, m = lo.size, ranks.size
+    L = min(max_depth, max(1, int(math.log2(_SHIFTS_PER_PASS / u + 1))))
+    w = 1 << L
+    grid = np.empty((u, w + 1))
+    grid[:, 0] = lo
+    grid[:, w] = hi
+    h = w
+    while h > 1:
+        grid[:, h // 2::h] = 0.5 * (grid[:, :-1:h] + grid[:, h::h])
+        h //= 2
+    met = np.empty(u * (w - 1), dtype=bool) if mark_guarded else None
+    counts = _sturm_counts(diag, off_sq, grid[:, 1:w].ravel(),
+                           None if above is None else np.repeat(above, w - 1),
+                           met).reshape(u, w - 1)
+    # up[r, j]: fewer eigenvalues than ranks[r] lie below node j of its
+    # interval, so bisection keeps the interval above it (the ends are
+    # never read); path[l] is each rank's left node (flat index) after l
+    # steps
+    up = np.empty((m, w + 1), dtype=bool)
+    np.less(counts if rows is None else counts.take(rows, axis=0),
+            ranks[:, None], out=up[:, 1:w])
+    up = up.ravel()
+    path = np.empty((L + 1, m), dtype=np.intp)
+    path[0] = np.arange(m) * (w + 1)
+    for lvl in range(1, L + 1):
+        node = path[lvl - 1] + (w >> lvl)
+        path[lvl] = np.where(up[node], node, path[lvl - 1])
+    if met is not None:
+        counts[met.reshape(u, w - 1)] = -1
+    path = path[1:]
+    if rows is not None:
+        # from each rank's row of up to its interval's row of grid
+        path += (rows - np.arange(m)) * (w + 1)
+    return grid.ravel(), counts, path, (w >> np.arange(1, L + 1))[:, None]
 
-    def stop(lo, hi, mid):
+
+def _bisect(diag, off_sq, ranks, lo, hi, tol, above=None):
+    """Bisect each rank's interval [lo, hi] in subtree passes until every
+    interval is within tol or no midpoint can move.  The stop test is
+    replayed before every step, so the returned (lo, hi) are those of one
+    midpoint per step, bit for bit."""
+    def stop(lo, hi):
         # per row: all intervals within tol, or no midpoint can move
+        mid = 0.5 * (lo + hi)
         return (((hi - lo) <= tol).all(axis=-1)
                 | ((mid <= lo) | (mid >= hi)).all(axis=-1))
 
     steps = 0
-    mid = 0.5 * (lo + hi)
-    done = stop(lo, hi, mid)
+    done = stop(lo, hi)
     while not done and steps < _MAX_BISECT_STEPS:
-        L = min(depth, _MAX_BISECT_STEPS - steps)
-        w = 1 << L
-        grid = np.empty((m, w + 1))
-        grid[:, 0] = lo
-        grid[:, w // 2] = mid
-        grid[:, w] = hi
-        h = w // 2
-        while h > 1:
-            grid[:, h // 2::h] = 0.5 * (grid[:, :-1:h] + grid[:, h::h])
-            h //= 2
-        # up[node]: fewer eigenvalues than the rank lie below the node, so
-        # bisection keeps the interval above it (endpoints are never read)
-        up = np.empty((m, w + 1), dtype=bool)
-        flip = None if above is None else np.repeat(above, w - 1)
-        up[:, 1:w] = _sturm_counts(T.diag, off_sq, grid[:, 1:w].ravel(),
-                                   flip).reshape(m, w - 1) < ranks[:, None]
-        up = up.ravel()
-        flat = grid.ravel()
-        # path[l] is each rank's left node (flat index) after l steps
-        path = np.empty((L + 1, m), dtype=np.intp)
-        path[0] = np.arange(m) * (w + 1)
-        for lvl in range(1, L + 1):
-            node = path[lvl - 1] + (w >> lvl)
-            path[lvl] = np.where(up[node], node, path[lvl - 1])
-        # the stop test after each of the L steps, all at once; each
-        # midpoint is computed as the next pass (or grid level) would
-        left = flat[path[1:]]
-        right = flat[path[1:] + (w >> np.arange(1, L + 1))[:, None]]
-        centre = 0.5 * (left + right)
-        stopped = stop(left, right, centre)
-        taken = 1 + int(stopped.argmax()) if stopped.any() else L
+        grid, _, path, spans = _subtree_pass(
+            diag, off_sq, ranks, lo, hi, above, _MAX_BISECT_STEPS - steps)
+        left, right = grid[path], grid[path + spans]
+        stopped = stop(left, right)
+        taken = 1 + int(stopped.argmax()) if stopped.any() else path.shape[0]
         steps += taken
-        lo, hi, mid = left[taken - 1], right[taken - 1], centre[taken - 1]
-        done = stopped[taken - 1]
+        lo, hi, done = left[taken - 1], right[taken - 1], stopped[taken - 1]
+    return lo, hi
+
+
+def _bisection_start(T: SymTridiagonal):
+    """(off_sq, glo, ghi, tol): the squared couplings, the Gerschgorin
+    interval [glo, ghi] and the bisection tol = 4 eps max(|glo|, |ghi|)."""
+    glo, ghi = _gersch_bounds(T)
+    return T.offdiag ** 2, glo, ghi, 4.0 * _EPS * max(abs(glo), abs(ghi))
+
+
+def _bisect_values(T: SymTridiagonal, ranks, above=None) -> np.ndarray:
+    """Eigenvalues of the given ascending 1-based ranks by Sturm bisection
+    of the Gerschgorin interval to tol (_bisection_start), bit for bit
+    those of one midpoint per step.  above, one flag per rank, counts that
+    rank's shifts from above (see _sturm_counts)."""
+    ranks = np.asarray(ranks)
+    m = ranks.size
+    if m == 0:
+        return np.empty(0)
+    off_sq, glo, ghi, tol = _bisection_start(T)
+    lo, hi = _bisect(T.diag, off_sq, ranks, np.full(m, glo), np.full(m, ghi),
+                     tol, None if above is None else np.asarray(above))
+    return np.maximum.accumulate(0.5 * (lo + hi))  # monotone at roundoff scale
+
+
+def _log_derivatives(diag, off_sq, x):
+    """f'/f, -(f'/f)' and the number of negative pivots of f = det(T - xI)
+    at each x (call under np.errstate).
+
+    f is the product of the pivots q_i = d_i - x - t_i, t_i = b_{i-1}^2 /
+    q_{i-1}.  With u_i = q_i'/q_i and v_i = q_i''/q_i, f'/f = sum u_i and
+    -(f'/f)' = sum u_i^2 - v_i.  From q_i' = t_i u_{i-1} - 1 and q_i'' =
+    t_i (v_{i-1} - 2 u_{i-1}^2), with r_i = t_i / q_i,
+        u_i = r_i u_{i-1} - 1 / q_i,   v_i = r_i v_{i-1} - 2 r_i u_{i-1}^2,
+    so after the pivots each of u and v is one multiply and one subtract
+    per row.  Rows run in blocks of _STURM_ROWS, as in _sturm_counts.  There
+    is no pivot guard: a zero pivot makes the results non-finite.
+    """
+    n, m = diag.size, x.size
+    h = min(n, _STURM_ROWS)
+    # rows 1.. of each buffer hold a block and row 0 the row above it;
+    # above row 0 that is q = 1, u = v = 0 under the zero coupling b2[0]
+    Q, U, V, R = np.empty((4, h + 1, m))
+    Q[-1], U[-1], V[-1] = 1.0, 0.0, 0.0
+    s1, s2 = np.zeros(m), np.zeros(m)
+    below = np.zeros(m, dtype=np.int64)
+    b2 = [0.0, *off_sq.tolist()]
+    for r0 in range(0, n, h):
+        k = min(h, n - r0)
+        # every block but the last is full
+        Q[0], U[0], V[0] = Q[-1], U[-1], V[-1]
+        q, r, u, v = Q[1:k + 1], R[1:k + 1], U[1:k + 1], V[1:k + 1]
+        np.subtract(diag[r0:r0 + k, None], x, out=q)
+        for j, b in enumerate(b2[r0:r0 + k], 1):
+            np.divide(b, Q[j - 1], out=R[j])
+            Q[j] -= R[j]
+        r /= q
+        np.divide(-1.0, q, out=u)           # u_i = r_i u_{i-1} - 1 / q_i
+        for j in range(1, k + 1):
+            U[j] += R[j] * U[j - 1]
+        np.multiply(U[:k], U[:k], out=v)    # v_i = r_i (v_{i-1} - 2 u_{i-1}^2)
+        v *= -2.0 * r
+        for j in range(1, k + 1):
+            V[j] += R[j] * V[j - 1]
+        s1 += u.sum(axis=0)
+        s2 += (u * u - v).sum(axis=0)
+        below += (q < 0.0).sum(axis=0)
+    return s1, s2, below
+
+
+def _laguerre(diag, off_sq, ranks, x, hi, tol):
+    """Laguerre's iteration on f = det(T - xI), upward from each x, capped at
+    hi, for the eigenvalue of each rank k.
+
+    From x in (lambda_{k-1}, lambda_k) the step n / (sqrt((n - 1) (n S2 -
+    S1^2)) - S1), S1 = f'/f, S2 = -(f'/f)', lands in (x, lambda_k] and
+    converges cubically to lambda_k (Li & Zeng 1994, "The Laguerre
+    iteration in solving the symmetric tridiagonal eigenproblem,
+    revisited", SIAM J. Sci. Comput. 15).  A rank stops once the distance
+    its last two steps predict is left falls to tol / 4, when its step is
+    not a finite step up, or where the pivots already count k eigenvalues
+    below x; the certificate in _block_eigenvalues judges where it ends.
+    """
+    n = diag.size
+    live = np.ones(x.size, dtype=bool)
+    prev = np.zeros(x.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_LAGUERRE_STEPS):
+            s1, s2, below = _log_derivatives(diag, off_sq, x)
+            step = n / (np.sqrt((n - 1) * (n * s2 - s1 * s1)) - s1)
+            new = np.minimum(x + step, hi)
+            move = live & (below < ranks) & (new > x)   # False where NaN
+            # cubic convergence: after a step s that followed a step p, about
+            # s (s / p)^3 of the distance is left
+            step = new - x
+            live = move & (step * (step / prev) ** 3 > 0.25 * tol)
+            prev = step
+            x = np.where(move, new, x)
+            if not live.any():
+                break
+    return x
+
+
+def _eigenvalues(T: SymTridiagonal) -> np.ndarray:
+    """All eigenvalues of T (n >= 2), ascending, each within tol / 2 of the
+    eigenvalue of its rank as Sturm counts see it (_bisection_start).
+
+    Zero couplings split T into blocks whose spectra make up T's: each block
+    is solved alone, so an eigenvalue two blocks share needs no telling
+    apart, but from T's Gerschgorin interval and tol, so that its shifts
+    are those a bisection of T would take.  A block of one row is its
+    diagonal entry; the others go through _block_eigenvalues.
+    """
+    off_sq, glo, ghi, tol = _bisection_start(T)
+    edges = [0, *(np.flatnonzero(off_sq == 0.0) + 1).tolist(), T.n]
+    vals = [T.diag[a:b] if b - a == 1 else
+            _block_eigenvalues(T.diag[a:b], off_sq[a:b - 1], glo, ghi, tol)
+            for a, b in zip(edges, edges[1:])]
+    return vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
+
+
+def _block_eigenvalues(diag, off_sq, glo, ghi, tol) -> np.ndarray:
+    """The eigenvalues of the tridiagonal with diagonal diag and squared
+    couplings off_sq, none zero, ascending, from the interval [glo, ghi].
+
+    1. Isolate: whole subtree passes (_subtree_pass) over the ranks still
+       to do, until every rank's interval [lo, hi] is within tol or has
+       counts k - 1 at lo and k at hi, so holds its eigenvalue alone, lies
+       at least its width from its neighbours' intervals, so Laguerre's
+       iteration need not crawl past a close neighbour, and has neither
+       count from a shift that met the pivot guard above the last row.
+    2. Refine: Laguerre's iteration (_laguerre) from lo, all isolated ranks
+       at once, in place of the remaining ~40 bisection steps.
+    3. Certify: an iterate x is kept only when the Sturm counts at x - tol/2
+       and x + tol/2 are below and at least its rank.  A rank that fails
+       finishes by bisection in its interval, as does every rank that never
+       isolates (a cluster or a double eigenvalue) in step 1.
+    A wrong iterate thus costs time but never yields a wrong value.
+    """
+    n = diag.size
+    ranks = np.arange(1, n + 1)
+    # lo[1:-1] and hi[1:-1] are the intervals of ranks 1..n; the outer
+    # entries let each rank see its neighbours' intervals
+    lo = np.full(n + 2, glo)
+    hi = np.full(n + 2, ghi)
+    lo[-1], hi[0] = np.inf, -np.inf
+    clo, chi = np.zeros(n, dtype=np.int64), np.full(n, n)
+    isolated = np.zeros(n, dtype=bool)
+    todo = np.flatnonzero(~((hi - lo)[1:-1] <= tol))
+    steps = 0
+    while todo.size and steps < _MAX_BISECT_STEPS:
+        k = todo + 1
+        # ranks ascend, so ranks that share an interval are adjacent
+        fresh = np.empty(todo.size, dtype=bool)
+        fresh[0] = True
+        fresh[1:] = (lo[k[1:]] != lo[k[:-1]]) | (hi[k[1:]] != hi[k[:-1]])
+        heads = todo[fresh]
+        grid, counts, path, spans = _subtree_pass(
+            diag, off_sq, ranks[todo], lo[heads + 1], hi[heads + 1], None,
+            _MAX_BISECT_STEPS - steps, np.cumsum(fresh) - 1, mark_guarded=True)
+        steps += path.shape[0]
+        w = 2 * spans[0, 0]
+        # counts at every node, the carried ones at the interval ends
+        cgrid = np.empty((heads.size, w + 1), dtype=np.int64)
+        cgrid[:, 0], cgrid[:, w], cgrid[:, 1:w] = clo[heads], chi[heads], counts
+        left, right = path[-1], path[-1] + spans[-1]
+        lo[k], hi[k] = grid.take(left), grid.take(right)
+        clo[todo], chi[todo] = cgrid.take(left), cgrid.take(right)
+        # alone in [lo, hi) by counts that did not meet the pivot guard,
+        # and its neighbours' intervals at least its width away
+        width = hi[k] - lo[k]
+        isolated[todo] = ((clo[todo] == k - 1) & (chi[todo] == k)
+                          & (lo[k] - hi[todo] >= width) & (lo[k + 1] - hi[k] >= width))
+        todo = todo[~(isolated[todo] | (width <= tol))]
+    lo, hi = lo[1:-1], hi[1:-1]
     vals = 0.5 * (lo + hi)
-    return np.maximum.accumulate(vals)  # enforce monotonicity at roundoff scale
+    i = np.flatnonzero(isolated & ((hi - lo) > tol))
+    if i.size:
+        x = _laguerre(diag, off_sq, ranks[i], lo[i], hi[i], tol)
+        shifts = np.concatenate([x - 0.5 * tol, x + 0.5 * tol])
+        c = np.concatenate([
+            _sturm_counts(diag, off_sq, shifts[s:s + _SHIFTS_PER_PASS])
+            for s in range(0, shifts.size, _SHIFTS_PER_PASS)])
+        ok = (c[:i.size] < ranks[i]) & (c[i.size:] >= ranks[i])
+        vals[i[ok]] = x[ok]
+        j = i[~ok]
+        if j.size:
+            blo, bhi = _bisect(diag, off_sq, ranks[j], lo[j], hi[j], tol)
+            vals[j] = 0.5 * (blo + bhi)
+    return np.maximum.accumulate(vals)  # monotone at roundoff scale
 
 
 def _distance_to_spectrum(T: SymTridiagonal, xs) -> np.ndarray:
@@ -516,18 +726,21 @@ def _twisted_vectors(T, vals, norm_scale):
 def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     """Spectrum of a symmetric tridiagonal matrix.
 
-    Eigenvalues come from Sturm-sequence bisection, each to within 4 eps
-    times the larger end of the Gerschgorin interval; eigenvectors, when
-    requested, from one batched twisted-factorisation pass (_chunk_vectors).
-    Dense Jacobi steps in only for vectors that miss the contract.  T is
-    solved unit-scaled (_unit_scaled), and the values scaled back exactly.
+    Eigenvalues are isolated by Sturm bisection, refined by Laguerre's
+    iteration and certified by two Sturm counts (_eigenvalues); each is
+    within 2 eps times the larger end of the Gerschgorin interval of the
+    eigenvalue its rank has by the counts, as a bisection to 4 eps would
+    be.  Eigenvectors, when requested, come from one batched
+    twisted-factorisation pass (_chunk_vectors).  Dense Jacobi steps in
+    only for vectors that miss the contract.  T is solved unit-scaled
+    (_unit_scaled), and the values scaled back exactly.
     """
     n = T.n
     if n == 1:
         vals = T.diag.copy()
         return Spectrum(vals, np.ones((1, 1)) if want_vectors else None)
     T, e = _unit_scaled(T)
-    vals = _bisect_values(T)
+    vals = _eigenvalues(T)
     if not want_vectors:
         return Spectrum(np.ldexp(vals, e))
     glo, ghi = _gersch_bounds(T)

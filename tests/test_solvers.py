@@ -350,14 +350,20 @@ class TestSpectralNorm:
             assert np.max(np.abs(vals - ref)) <= 1e-13 * np.linalg.norm(B, 2)
 
 
-def _one_midpoint_bisection(T):
-    """Bisection with one midpoint per Sturm pass: the reference that the
-    subtree passes of _bisect_values must reproduce bit for bit."""
+def _bisection_tol(T):
+    glo, ghi = solvers._gersch_bounds(T)
+    return 4.0 * solvers._EPS * max(abs(glo), abs(ghi))
+
+
+def _one_midpoint_bisection(T, ranks=None):
+    """Bisection of the given ascending ranks (default all) with one midpoint
+    per Sturm pass: the reference that the subtree passes of _bisect_values
+    must reproduce bit for bit, and that eig_tridiag must meet within tol."""
     off_sq = T.offdiag ** 2
     glo, ghi = solvers._gersch_bounds(T)
-    tol = 4.0 * solvers._EPS * max(abs(glo), abs(ghi))
-    lo, hi = np.full(T.n, glo), np.full(T.n, ghi)
-    ranks = np.arange(1, T.n + 1)
+    tol = _bisection_tol(T)
+    ranks = np.arange(1, T.n + 1) if ranks is None else np.asarray(ranks)
+    lo, hi = np.full(ranks.size, glo), np.full(ranks.size, ghi)
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         if np.all((hi - lo) <= tol) or np.all((mid <= lo) | (mid >= hi)):
@@ -366,6 +372,34 @@ def _one_midpoint_bisection(T):
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return np.maximum.accumulate(0.5 * (lo + hi))
+
+
+def _refined_eigenvalues(T, monkeypatch):
+    """eig_tridiag(T).values, and the ranks whose value came from Laguerre's
+    iteration and passed the certificate (the rest came from bisection)."""
+    found = []
+    laguerre = solvers._laguerre
+
+    def recording(diag, off_sq, ranks, x, hi, tol):
+        out = laguerre(diag, off_sq, ranks, x, hi, tol)
+        found.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(solvers, "_laguerre", recording)
+    vals = eig_tridiag(T).values
+    monkeypatch.undo()
+    e = solvers._unit_scaled(T)[1]
+    return vals, np.flatnonzero(np.isin(vals, np.ldexp(found, e))) + 1
+
+
+def _assert_certified(T, vals, ranks):
+    """The Sturm counts at v - tol/2 and v + tol/2 are below and at least
+    the rank of each value v of the given ranks."""
+    half = 0.5 * _bisection_tol(T)
+    v = vals[ranks - 1]
+    off_sq = T.offdiag ** 2
+    assert np.all(solvers._sturm_counts(T.diag, off_sq, v - half) < ranks)
+    assert np.all(solvers._sturm_counts(T.diag, off_sq, v + half) >= ranks)
 
 
 def _one_row_sturm_counts(diag, off_sq, xs):
@@ -389,10 +423,18 @@ def _depth(n):
 _DEPTH_ORDERS = [1, 2, 3, 5, 9, 17, 34, 69, 147, 342, 1100]
 
 
-def _assert_bit_identical(T):
-    got = _bisect_values(T)
-    ref = _one_midpoint_bisection(T)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+def _assert_bit_identical(T, monkeypatch):
+    """_bisect_values of all ranks and of every other rank is the one-midpoint
+    reference bit for bit; eig_tridiag, which refines isolated eigenvalues
+    by Laguerre's iteration, meets it within tol, and each of its refined
+    values passes the certificate."""
+    for ranks in (np.arange(1, T.n + 1), np.arange(1, T.n + 1, 2)):
+        got = _bisect_values(T, ranks)
+        ref = _one_midpoint_bisection(T, ranks)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    vals, refined = _refined_eigenvalues(T, monkeypatch)
+    assert np.max(np.abs(vals - _one_midpoint_bisection(T))) <= _bisection_tol(T)
+    _assert_certified(T, vals, refined)
 
 
 class TestSubtreeBisection:
@@ -400,22 +442,23 @@ class TestSubtreeBisection:
         assert sorted({_depth(n) for n in _DEPTH_ORDERS}) == list(range(1, 11))
 
     @pytest.mark.parametrize("n", _DEPTH_ORDERS)
-    def test_random_bit_identical(self, n):
+    def test_random_bit_identical(self, n, monkeypatch):
         rng = np.random.default_rng(300 + n)
         _assert_bit_identical(SymTridiagonal(10.0 * rng.standard_normal(n),
-                                             rng.standard_normal(n - 1)))
+                                             rng.standard_normal(n - 1)), monkeypatch)
 
     @pytest.mark.parametrize("n", [2, 5, 9, 17, 34, 69, 147])
-    def test_graded_bit_identical(self, n):
-        _assert_bit_identical(graded_tridiagonal(np.random.default_rng(400 + n), n))
+    def test_graded_bit_identical(self, n, monkeypatch):
+        _assert_bit_identical(graded_tridiagonal(np.random.default_rng(400 + n), n),
+                              monkeypatch)
 
     @pytest.mark.parametrize("n", range(5, 41))
-    def test_wilkinson_bit_identical(self, n):
+    def test_wilkinson_bit_identical(self, n, monkeypatch):
         # exactly zero pivots occur here (n = 5, 9, ...): the counts are not
         # monotone in the shift, and the replay must follow them as they are
-        _assert_bit_identical(wilkinson_plus(n))
+        _assert_bit_identical(wilkinson_plus(n), monkeypatch)
         # the split matrix has two zero couplings and double eigenvalues
-        _assert_bit_identical(wilkinson_split(n)[0])
+        _assert_bit_identical(wilkinson_split(n)[0], monkeypatch)
 
     @pytest.mark.parametrize("T", [wilkinson_plus(5), wilkinson_plus(9),
                                    wilkinson_split(6)[0],
@@ -443,9 +486,10 @@ class TestSubtreeBisection:
         assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs))
 
     @pytest.mark.parametrize("n", [1, 3, 17, 342])
-    def test_diagonal_bit_identical(self, n):
+    def test_diagonal_bit_identical(self, n, monkeypatch):
         rng = np.random.default_rng(500 + n)
-        _assert_bit_identical(SymTridiagonal(rng.standard_normal(n), np.zeros(n - 1)))
+        _assert_bit_identical(SymTridiagonal(rng.standard_normal(n), np.zeros(n - 1)),
+                              monkeypatch)
 
     @staticmethod
     def _count_passes(monkeypatch):
@@ -464,21 +508,24 @@ class TestSubtreeBisection:
         T = random_tridiagonal(rng, 10)
         calls = self._count_passes(monkeypatch)
         eig_tridiag(T, want_vectors=True)
-        assert len(calls) <= 10
+        assert len(calls) <= 5
         assert max(calls) <= solvers._SHIFTS_PER_PASS
         calls.clear()
         _one_midpoint_bisection(T)
         assert len(calls) >= 40  # one pass per bisection step
 
     @pytest.mark.parametrize("n", [1024, 1100])
-    def test_large_order_keeps_one_step_per_pass(self, monkeypatch, n):
+    def test_large_order_needs_no_more_passes(self, monkeypatch, n):
         T = aed_example(n)
         calls = self._count_passes(monkeypatch)
-        _bisect_values(T)
-        passes = len(calls)
-        calls.clear()
         _one_midpoint_bisection(T)
-        assert passes == len(calls)
+        reference = len(calls)
+        for solve in (eig_tridiag, lambda T: _bisect_values(T, np.arange(1, n + 1))):
+            calls.clear()
+            solve(T)
+            assert len(calls) <= reference
+            if solve is eig_tridiag:
+                assert max(calls) <= solvers._SHIFTS_PER_PASS
 
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 300, 1000])
     def test_extreme_ranks_match_full_bisection(self, n):
@@ -491,7 +538,7 @@ class TestSubtreeBisection:
         glo, ghi = solvers._gersch_bounds(T)
         tol = 4.0 * solvers._EPS * max(abs(glo), abs(ghi))
         ends = _bisect_values(T, ranks=(1, n))
-        full = _bisect_values(T)
+        full = _bisect_values(T, ranks=np.arange(1, n + 1))
         ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
         assert np.max(np.abs(ends - full[[0, -1]])) <= tol
         norm = float(np.max(np.abs(ref)))
@@ -501,6 +548,106 @@ class TestSubtreeBisection:
     def test_empty_rank_list(self):
         T = random_tridiagonal(np.random.default_rng(710), 6)
         assert _bisect_values(T, ranks=()).shape == (0,)
+
+
+class TestLaguerreRefinement:
+    """Edge cases of the refinement in eig_tridiag: a non-finite Laguerre
+    step, the smallest order, zero couplings and eigenvalues that never
+    isolate.  Tier-1 runs with RuntimeWarning as an error, so a division
+    outside np.errstate would fail here."""
+
+    def test_start_on_an_eigenvalue(self, monkeypatch):
+        # the Gerschgorin interval of T starts at 0.25, the lower eigenvalue
+        # of the leading block, so that rank's Laguerre iteration starts on
+        # it, where the last pivot is zero
+        T = SymTridiagonal([0.5, 0.5, 0.9], [0.25, 0.0])
+        starts = []
+        laguerre = solvers._laguerre
+
+        def recording(diag, off_sq, ranks, x, hi, tol):
+            starts.extend(x.tolist())
+            return laguerre(diag, off_sq, ranks, x, hi, tol)
+
+        monkeypatch.setattr(solvers, "_laguerre", recording)
+        vals = eig_tridiag(T).values
+        assert 0.25 in starts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s1, _, _ = solvers._log_derivatives(T.diag[:2], T.offdiag[:1] ** 2,
+                                                np.array([0.25]))
+        assert not np.isfinite(s1[0])
+        # the start itself passes the certificate, and the last row, a
+        # block of its own, is its diagonal entry
+        assert vals[0] == 0.25 and vals[2] == 0.9
+        assert abs(vals[1] - 0.75) <= _bisection_tol(T)
+
+    def test_diagonal_is_exact(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a diagonal matrix reached the refinement")
+
+        monkeypatch.setattr(solvers, "_laguerre", refuse)
+        d = np.array([0.5, -0.25, 0.75, 0.0, 0.5])
+        assert np.array_equal(eig_tridiag(SymTridiagonal(d, np.zeros(4))).values,
+                              np.sort(d))
+
+    @pytest.mark.parametrize("diag, off", [([1.0, 3.0], [0.5]), ([0.3, 0.3], [0.7]),
+                                           ([-2.0, 5.0], [-3.0])])
+    def test_order_two(self, diag, off, monkeypatch):
+        T = SymTridiagonal(diag, off)
+        mean, half = 0.5 * (diag[0] + diag[1]), 0.5 * (diag[1] - diag[0])
+        r = math.hypot(half, off[0])
+        vals, refined = _refined_eigenvalues(T, monkeypatch)
+        assert refined.tolist() == [1, 2]
+        assert np.max(np.abs(vals - [mean - r, mean + r])) <= _bisection_tol(T)
+        _assert_certified(T, vals, refined)
+
+    def test_zero_couplings(self, monkeypatch):
+        # blocks [2], [3, -1], [2.5, -0.5, 0.25] and [2]: each is solved
+        # alone, so the two 2s need no telling apart
+        T = SymTridiagonal([2.0, 3.0, -1.0, 2.5, -0.5, 0.25, 2.0],
+                           [0.0, 0.3, 0.0, 0.2, 0.7, 0.0])
+        ref = np.sort(np.concatenate([
+            np.linalg.eigvalsh(T.to_dense().real_array()[a:b, a:b])
+            for a, b in ((0, 1), (1, 3), (3, 6), (6, 7))]))
+        vals, refined = _refined_eigenvalues(T, monkeypatch)
+        double = np.flatnonzero(ref == 2.0) + 1
+        assert np.array_equal(vals[double - 1], [2.0, 2.0])
+        assert refined.tolist() == [k for k in range(1, T.n + 1) if k not in double]
+        assert np.max(np.abs(vals - ref)) <= _bisection_tol(T)
+        _assert_certified(T, vals, refined)
+
+    def test_equal_blocks_agree_bit_for_bit(self, monkeypatch):
+        # two copies of one block: every eigenvalue is double in T, and the
+        # copies, solved alone from one interval, give the same bits
+        B = random_tridiagonal(np.random.default_rng(620), 6)
+        T = SymTridiagonal(np.tile(B.diag, 2), np.concatenate([B.offdiag, [0.0], B.offdiag]))
+        vals, refined = _refined_eigenvalues(T, monkeypatch)
+        assert refined.size == T.n
+        assert np.array_equal(vals[0::2], vals[1::2])
+        ref = np.linalg.eigvalsh(B.to_dense().real_array())
+        assert np.max(np.abs(vals[0::2] - ref)) <= _bisection_tol(T)
+        _assert_certified(T, vals, refined)
+
+    def test_double_eigenvalues_finish_by_bisection(self, monkeypatch):
+        # the top pair of W+(101) is about 1e-30 apart, far below tol: the
+        # counts never isolate it, and both ranks bisect to the same value
+        T = wilkinson_plus(50)
+        vals, refined = _refined_eigenvalues(T, monkeypatch)
+        assert not np.isin([T.n - 1, T.n], refined).any()
+        assert vals[-1] == vals[-2]
+        assert np.max(np.abs(vals - _one_midpoint_bisection(T))) <= _bisection_tol(T)
+        _assert_certified(T, vals, refined)
+
+    @pytest.mark.parametrize("n", [4, 10, 25])
+    def test_wilkinson_split(self, n, monkeypatch):
+        # two zero couplings split off the middle row: the mirror-image
+        # halves share every eigenvalue but are solved alone
+        T = wilkinson_split(n)[0]
+        tol = _bisection_tol(T)
+        vals, refined = _refined_eigenvalues(T, monkeypatch)
+        assert refined.size == T.n - 1
+        assert np.max(np.abs(vals - _one_midpoint_bisection(T))) <= tol
+        assert np.max(np.abs(vals - eigvalsh_tridiagonal(T.diag, T.offdiag))) <= tol
+        _assert_certified(T, vals, refined)
 
 
 def _meets_small_pivot(T, x):
@@ -675,6 +822,37 @@ class TestPowerOfTwoScaling:
         _assert_scales_bit_for_bit(SymTridiagonal(*entries), k)
 
 
+def _seeded_tridiagonal(seed, n, graded):
+    """Entries from a seeded numpy generator: continuous, so that no shift
+    the solvers count at meets an exactly zero pivot (almost surely)."""
+    rng = np.random.default_rng(seed)
+    return rng, (graded_tridiagonal(rng, n) if graded else random_tridiagonal(rng, n))
+
+
+class TestMetamorphicRelations:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.booleans())
+    def test_shift_moves_the_spectrum(self, seed, n, graded):
+        rng, T = _seeded_tridiagonal(seed, n, graded)
+        s = rng.uniform(-20.0, 20.0)
+        S = SymTridiagonal(T.diag + s, T.offdiag)
+        moved = eig_tridiag(S).values - s
+        assert np.max(np.abs(moved - eig_tridiag(T).values)) <= (
+            _bisection_tol(T) + _bisection_tol(S))
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.booleans())
+    def test_reversal_and_sign_flips_keep_the_spectrum(self, seed, n, graded):
+        rng, T = _seeded_tridiagonal(seed, n, graded)
+        vals = eig_tridiag(T).values
+        signs = rng.choice([-1.0, 1.0], n - 1)
+        # only b^2 and |b| reach the values, so a sign flip changes no bit
+        assert np.array_equal(eig_tridiag(SymTridiagonal(T.diag, signs * T.offdiag)).values,
+                              vals)
+        R = SymTridiagonal(T.diag[::-1].copy(), T.offdiag[::-1].copy())
+        assert np.max(np.abs(eig_tridiag(R).values - vals)) <= _bisection_tol(T)
+
+
 def _zero_pivot_rows(T, shifts):
     """Rows where an unguarded L D L^T pivot of T - s*I is exactly zero for
     some shift s, counted top down and bottom up."""
@@ -782,15 +960,15 @@ class TestTwistedVectors:
         # rounds: the dense solver answers, with its own values
         calls = []
         dense = solvers.eig_dense
-        bisect = solvers._bisect_values
+        values = solvers._eigenvalues
 
         def counting(*args, **kwargs):
             calls.append(args[0].n)
             return dense(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "eig_dense", counting)
-        monkeypatch.setattr(solvers, "_bisect_values",
-                            lambda *args, **kwargs: bisect(*args, **kwargs) + 1e-6)
+        monkeypatch.setattr(solvers, "_eigenvalues",
+                            lambda *args, **kwargs: values(*args, **kwargs) + 1e-6)
         T = random_tridiagonal(np.random.default_rng(800), 12)
         spec = eig_tridiag(T, want_vectors=True)
         assert calls == [12]
