@@ -1,8 +1,10 @@
 """Self-contained eigensolvers and norms used as the oracle everywhere else.
 
-Full dense Hermitian spectra go through round-robin Jacobi sweeps; symmetric
-tridiagonals through Sturm counts and twisted factorisations for the
-eigenvectors of all eigenvalues at once (Fernando 1997; LAPACK dlar1v).
+Symmetric tridiagonals go through Sturm counts, and twisted factorisations
+for the eigenvectors of all eigenvalues at once (Fernando 1997; LAPACK
+dlar1v).  A dense Hermitian matrix is reduced to a tridiagonal with the
+same spectrum by Householder reflections (Golub & Van Loan, section 8.3),
+so its values and its spectral norm come from the same tridiagonal engine.
 The eigenvalues of a tridiagonal come in three stages: subtree passes of
 bisection (each counts a whole subtree of midpoints of every interval and
 replays several steps) until each eigenvalue is alone in its interval by
@@ -18,14 +20,15 @@ pivmin (Demmel, Dhillon & Ren 1995).  Every solver first scales its input
 by the power of two that brings the largest |entry| into [0.5, 1), so
 pivmin = eps^2 and the tolerances are relative to the matrix, and scales
 the results back exactly: 2^k A gives 2^k times the results for A.
-Bisection can isolate chosen ranks alone, bit for bit as one midpoint per
-step: the AED deflation check takes the Sturm count c below each deflated
-value and bisects only ranks c and c + 1, the two eigenvalues that bracket
-it (Barth, Martin & Wilkinson 1967).  A spectral norm needs only the two
-extreme eigenvalues, so a dense matrix is reduced to tridiagonal form by
-Householder reflections (Golub & Van Loan, section 8.3) and ranks 1 and n
-are bisected, rank 1 with Sturm counts taken from above; Jacobi is used
-only for full spectra.
+The engine can take chosen ranks alone: the AED deflation check takes the
+Sturm count c below each deflated value and computes only ranks c and
+c + 1, the two eigenvalues that bracket it (Barth, Martin & Wilkinson
+1967), and a spectral norm only ranks 1 and n, rank 1 with Sturm counts
+taken from above, which a zero pivot cannot mislead.  Counted from below,
+as for a whole spectrum, a count on an exactly zero pivot may read one
+short, so a dense values-only solve in which a count met the pivot guard
+above the last row is redone by round-robin Jacobi sweeps, which also give
+every dense spectrum with vectors.
 These are deliberately independent of any library eigensolver so that every
 bound in the package is checked against an implementation with no shared
 code path.
@@ -100,9 +103,28 @@ def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def eig_dense(A: DenseHermitian, want_vectors: bool = False,
-              max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
-    """Full spectrum of a Hermitian matrix by round-robin Jacobi sweeps.
+def eig_dense(A: DenseHermitian, want_vectors: bool = False) -> Spectrum:
+    """Full spectrum of a Hermitian matrix, ascending.
+
+    The values alone come from the Householder tridiagonal of A
+    (_dense_tridiagonal) through the engine of eig_tridiag (_eigenvalues):
+    isolate, refine, certify.  A Sturm count whose shift met the pivot
+    guard above the last row may be one short (see _sturm_counts), so a
+    solve in which any count met it is redone by Jacobi (_jacobi), which
+    also computes every spectrum with vectors.
+    """
+    if not want_vectors:
+        T, e = _dense_tridiagonal(A.entries.real if A.is_real else A.entries)
+        guarded = np.zeros(1, dtype=bool)
+        vals = _eigenvalues(T, guarded)
+        if not guarded[0]:
+            return Spectrum(np.ldexp(vals, e))
+    return _jacobi(A, want_vectors)
+
+
+def _jacobi(A: DenseHermitian, want_vectors: bool) -> Spectrum:
+    """Full spectrum of a Hermitian matrix by round-robin Jacobi sweeps, at
+    most JACOBI_MAX_SWEEPS of them.
 
     Each sweep is the rounds of a round-robin ordering (Brent & Luk 1985);
     the rotations of a round act on disjoint (p, q) planes, so they commute
@@ -136,7 +158,7 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
 
     rounds = _round_robin_pairs(n)
     converged = off_norm() <= off_target
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if converged:
             break
         rotated = False
@@ -180,7 +202,8 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False,
             converged = True
     if not converged and off_norm() > 10 * off_target:
         raise JacobiConvergenceError(
-            f"off-diagonal norm {off_norm():.3e} above target after {max_sweeps} sweeps")
+            f"off-diagonal norm {off_norm():.3e} above target after "
+            f"{JACOBI_MAX_SWEEPS} sweeps")
     vals = np.ldexp(H.diagonal().real, e)
     order = np.argsort(vals, kind="stable")
     return Spectrum(vals[order], V[:, order] if want_vectors else None)
@@ -385,7 +408,8 @@ def _bisect(diag, off_sq, ranks, lo, hi, tol, above=None):
     """Bisect each rank's interval [lo, hi] in subtree passes until every
     interval is within tol or no midpoint can move.  The stop test is
     replayed before every step, so the returned (lo, hi) are those of one
-    midpoint per step, bit for bit."""
+    midpoint per step, bit for bit; the third result tells whether a count
+    of the passes met the pivot guard above the last row."""
     def stop(lo, hi):
         # per row: all intervals within tol, or no midpoint can move
         mid = 0.5 * (lo + hi)
@@ -393,16 +417,19 @@ def _bisect(diag, off_sq, ranks, lo, hi, tol, above=None):
                 | ((mid <= lo) | (mid >= hi)).all(axis=-1))
 
     steps = 0
+    met = False
     done = stop(lo, hi)
     while not done and steps < _MAX_BISECT_STEPS:
-        grid, _, path, spans = _subtree_pass(
-            diag, off_sq, ranks, lo, hi, above, _MAX_BISECT_STEPS - steps)
+        grid, counts, path, spans = _subtree_pass(
+            diag, off_sq, ranks, lo, hi, above, _MAX_BISECT_STEPS - steps,
+            mark_guarded=True)
+        met = met or bool((counts < 0).any())
         left, right = grid[path], grid[path + spans]
         stopped = stop(left, right)
         taken = 1 + int(stopped.argmax()) if stopped.any() else path.shape[0]
         steps += taken
         lo, hi, done = left[taken - 1], right[taken - 1], stopped[taken - 1]
-    return lo, hi
+    return lo, hi, met
 
 
 def _bisection_start(T: SymTridiagonal):
@@ -410,21 +437,6 @@ def _bisection_start(T: SymTridiagonal):
     interval [glo, ghi] and the bisection tol = 4 eps max(|glo|, |ghi|)."""
     glo, ghi = _gersch_bounds(T)
     return T.offdiag ** 2, glo, ghi, 4.0 * _EPS * max(abs(glo), abs(ghi))
-
-
-def _bisect_values(T: SymTridiagonal, ranks, above=None) -> np.ndarray:
-    """Eigenvalues of the given ascending 1-based ranks by Sturm bisection
-    of the Gerschgorin interval to tol (_bisection_start), bit for bit
-    those of one midpoint per step.  above, one flag per rank, counts that
-    rank's shifts from above (see _sturm_counts)."""
-    ranks = np.asarray(ranks)
-    m = ranks.size
-    if m == 0:
-        return np.empty(0)
-    off_sq, glo, ghi, tol = _bisection_start(T)
-    lo, hi = _bisect(T.diag, off_sq, ranks, np.full(m, glo), np.full(m, ghi),
-                     tol, None if above is None else np.asarray(above))
-    return np.maximum.accumulate(0.5 * (lo + hi))  # monotone at roundoff scale
 
 
 def _log_derivatives(diag, off_sq, x):
@@ -446,6 +458,9 @@ def _log_derivatives(diag, off_sq, x):
     # above row 0 that is q = 1, u = v = 0 under the zero coupling b2[0]
     Q, U, V, R = np.empty((4, h + 1, m))
     Q[-1], U[-1], V[-1] = 1.0, 0.0, 0.0
+    # the rows as views made once, updated in place through out=
+    qs, us, vs, rs = list(Q), list(U), list(V), list(R)
+    t = np.empty(m)
     s1, s2 = np.zeros(m), np.zeros(m)
     below = np.zeros(m, dtype=np.int64)
     b2 = [0.0, *off_sq.tolist()]
@@ -455,17 +470,19 @@ def _log_derivatives(diag, off_sq, x):
         Q[0], U[0], V[0] = Q[-1], U[-1], V[-1]
         q, r, u, v = Q[1:k + 1], R[1:k + 1], U[1:k + 1], V[1:k + 1]
         np.subtract(diag[r0:r0 + k, None], x, out=q)
-        for j, b in enumerate(b2[r0:r0 + k], 1):
-            np.divide(b, Q[j - 1], out=R[j])
-            Q[j] -= R[j]
+        for b, prev, row, ri in zip(b2[r0:r0 + k], qs, qs[1:], rs[1:]):
+            np.divide(b, prev, out=ri)
+            np.subtract(row, ri, out=row)
         r /= q
         np.divide(-1.0, q, out=u)           # u_i = r_i u_{i-1} - 1 / q_i
-        for j in range(1, k + 1):
-            U[j] += R[j] * U[j - 1]
+        for ri, prev, row in zip(rs[1:k + 1], us, us[1:]):
+            np.multiply(ri, prev, out=t)
+            np.add(row, t, out=row)
         np.multiply(U[:k], U[:k], out=v)    # v_i = r_i (v_{i-1} - 2 u_{i-1}^2)
         v *= -2.0 * r
-        for j in range(1, k + 1):
-            V[j] += R[j] * V[j - 1]
+        for ri, prev, row in zip(rs[1:k + 1], vs, vs[1:]):
+            np.multiply(ri, prev, out=t)
+            np.add(row, t, out=row)
         s1 += u.sum(axis=0)
         s2 += (u * u - v).sum(axis=0)
         below += (q < 0.0).sum(axis=0)
@@ -505,9 +522,11 @@ def _laguerre(diag, off_sq, ranks, x, hi, tol):
     return x
 
 
-def _eigenvalues(T: SymTridiagonal) -> np.ndarray:
-    """All eigenvalues of T (n >= 2), ascending, each within tol / 2 of the
-    eigenvalue of its rank as Sturm counts see it (_bisection_start).
+def _eigenvalues(T: SymTridiagonal, guarded=None) -> np.ndarray:
+    """All eigenvalues of T, ascending, each within tol / 2 of the
+    eigenvalue of its rank as Sturm counts see it (_bisection_start).  A
+    one-element boolean array guarded, if given, is set when a count met
+    the pivot guard above the last row, so that a value may be wrong.
 
     Zero couplings split T into blocks whose spectra make up T's: each block
     is solved alone, so an eigenvalue two blocks share needs no telling
@@ -517,64 +536,82 @@ def _eigenvalues(T: SymTridiagonal) -> np.ndarray:
     """
     off_sq, glo, ghi, tol = _bisection_start(T)
     edges = [0, *(np.flatnonzero(off_sq == 0.0) + 1).tolist(), T.n]
-    vals = [T.diag[a:b] if b - a == 1 else
-            _block_eigenvalues(T.diag[a:b], off_sq[a:b - 1], glo, ghi, tol)
-            for a, b in zip(edges, edges[1:])]
+    vals = []
+    for a, b in zip(edges, edges[1:]):
+        if b - a == 1:
+            vals.append(T.diag[a:b])
+            continue
+        v, met = _block_eigenvalues(T.diag[a:b], off_sq[a:b - 1], glo, ghi, tol)
+        vals.append(v)
+        if guarded is not None:
+            guarded |= met
     return vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
 
 
-def _block_eigenvalues(diag, off_sq, glo, ghi, tol) -> np.ndarray:
-    """The eigenvalues of the tridiagonal with diagonal diag and squared
-    couplings off_sq, none zero, ascending, from the interval [glo, ghi].
+def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
+    """The eigenvalues of the given ascending 1-based ranks (default all) of
+    the tridiagonal with diagonal diag and squared couplings off_sq, from
+    the interval [glo, ghi], and whether a Sturm count met the pivot guard
+    above the last row.  above, one flag per rank, counts that rank's shifts
+    from above (see _sturm_counts) in all three stages.
 
     1. Isolate: whole subtree passes (_subtree_pass) over the ranks still
        to do, until every rank's interval [lo, hi] is within tol or has
        counts k - 1 at lo and k at hi, so holds its eigenvalue alone, lies
-       at least its width from its neighbours' intervals, so Laguerre's
-       iteration need not crawl past a close neighbour, and has neither
-       count from a shift that met the pivot guard above the last row.
+       at least its width from the intervals of the ranks next to it in
+       the list, so Laguerre's iteration need not crawl past a close
+       neighbour, and has neither count from a shift that met the pivot
+       guard above the last row.
     2. Refine: Laguerre's iteration (_laguerre) from lo, all isolated ranks
        at once, in place of the remaining ~40 bisection steps.
     3. Certify: an iterate x is kept only when the Sturm counts at x - tol/2
        and x + tol/2 are below and at least its rank.  A rank that fails
-       finishes by bisection in its interval, as does every rank that never
-       isolates (a cluster or a double eigenvalue) in step 1.
-    A wrong iterate thus costs time but never yields a wrong value.
+       finishes by bisection (_bisect) in its interval, as does every rank
+       that never isolates (a cluster or a double eigenvalue) in step 1.
+    A wrong iterate thus costs time but never yields a wrong value.  The
+    couplings may be zero: a value two blocks share then never isolates.
     """
     n = diag.size
-    ranks = np.arange(1, n + 1)
-    # lo[1:-1] and hi[1:-1] are the intervals of ranks 1..n; the outer
+    ranks = np.arange(1, n + 1) if ranks is None else np.asarray(ranks)
+    m = ranks.size
+    above = np.zeros(m, dtype=bool) if above is None else np.asarray(above, dtype=bool)
+    # lo[1:-1] and hi[1:-1] are the intervals of the ranks; the outer
     # entries let each rank see its neighbours' intervals
-    lo = np.full(n + 2, glo)
-    hi = np.full(n + 2, ghi)
+    lo = np.full(m + 2, glo)
+    hi = np.full(m + 2, ghi)
     lo[-1], hi[0] = np.inf, -np.inf
-    clo, chi = np.zeros(n, dtype=np.int64), np.full(n, n)
-    isolated = np.zeros(n, dtype=bool)
+    clo, chi = np.zeros(m, dtype=np.int64), np.full(m, n)
+    isolated = np.zeros(m, dtype=bool)
+    met = False
     todo = np.flatnonzero(~((hi - lo)[1:-1] <= tol))
     steps = 0
     while todo.size and steps < _MAX_BISECT_STEPS:
-        k = todo + 1
-        # ranks ascend, so ranks that share an interval are adjacent
+        p = todo + 1
+        # ranks ascend, so ranks that share an interval (and its direction
+        # of counting) are adjacent
         fresh = np.empty(todo.size, dtype=bool)
         fresh[0] = True
-        fresh[1:] = (lo[k[1:]] != lo[k[:-1]]) | (hi[k[1:]] != hi[k[:-1]])
+        fresh[1:] = ((lo[p[1:]] != lo[p[:-1]]) | (hi[p[1:]] != hi[p[:-1]])
+                     | (above[todo[1:]] != above[todo[:-1]]))
         heads = todo[fresh]
         grid, counts, path, spans = _subtree_pass(
-            diag, off_sq, ranks[todo], lo[heads + 1], hi[heads + 1], None,
+            diag, off_sq, ranks[todo], lo[heads + 1], hi[heads + 1], above[heads],
             _MAX_BISECT_STEPS - steps, np.cumsum(fresh) - 1, mark_guarded=True)
+        met = met or bool((counts < 0).any())
         steps += path.shape[0]
         w = 2 * spans[0, 0]
         # counts at every node, the carried ones at the interval ends
         cgrid = np.empty((heads.size, w + 1), dtype=np.int64)
         cgrid[:, 0], cgrid[:, w], cgrid[:, 1:w] = clo[heads], chi[heads], counts
         left, right = path[-1], path[-1] + spans[-1]
-        lo[k], hi[k] = grid.take(left), grid.take(right)
+        lo[p], hi[p] = grid.take(left), grid.take(right)
         clo[todo], chi[todo] = cgrid.take(left), cgrid.take(right)
         # alone in [lo, hi) by counts that did not meet the pivot guard,
         # and its neighbours' intervals at least its width away
-        width = hi[k] - lo[k]
+        k = ranks[todo]
+        width = hi[p] - lo[p]
         isolated[todo] = ((clo[todo] == k - 1) & (chi[todo] == k)
-                          & (lo[k] - hi[todo] >= width) & (lo[k + 1] - hi[k] >= width))
+                          & (lo[p] - hi[todo] >= width) & (lo[p + 1] - hi[p] >= width))
         todo = todo[~(isolated[todo] | (width <= tol))]
     lo, hi = lo[1:-1], hi[1:-1]
     vals = 0.5 * (lo + hi)
@@ -582,16 +619,22 @@ def _block_eigenvalues(diag, off_sq, glo, ghi, tol) -> np.ndarray:
     if i.size:
         x = _laguerre(diag, off_sq, ranks[i], lo[i], hi[i], tol)
         shifts = np.concatenate([x - 0.5 * tol, x + 0.5 * tol])
-        c = np.concatenate([
-            _sturm_counts(diag, off_sq, shifts[s:s + _SHIFTS_PER_PASS])
-            for s in range(0, shifts.size, _SHIFTS_PER_PASS)])
+        up = np.tile(above[i], 2)
+        c = np.empty(shifts.size, dtype=np.int64)
+        g = np.empty(shifts.size, dtype=bool)
+        for s in range(0, shifts.size, _SHIFTS_PER_PASS):
+            part = slice(s, s + _SHIFTS_PER_PASS)
+            c[part] = _sturm_counts(diag, off_sq, shifts[part], up[part], g[part])
+        met = met or bool(g.any())
         ok = (c[:i.size] < ranks[i]) & (c[i.size:] >= ranks[i])
         vals[i[ok]] = x[ok]
         j = i[~ok]
         if j.size:
-            blo, bhi = _bisect(diag, off_sq, ranks[j], lo[j], hi[j], tol)
+            blo, bhi, bmet = _bisect(diag, off_sq, ranks[j], lo[j], hi[j], tol,
+                                     above[j])
             vals[j] = 0.5 * (blo + bhi)
-    return np.maximum.accumulate(vals)  # monotone at roundoff scale
+            met = met or bmet
+    return np.maximum.accumulate(vals), met  # monotone at roundoff scale
 
 
 def _distance_to_spectrum(T: SymTridiagonal, xs) -> np.ndarray:
@@ -599,17 +642,19 @@ def _distance_to_spectrum(T: SymTridiagonal, xs) -> np.ndarray:
 
     With c the Sturm count of eigenvalues strictly below x, the nearest
     eigenvalue has rank c or c + 1 (clipped to 1..n), so only those ranks
-    are bisected, in one _bisect_values call for all of xs.
+    are computed, in one _block_eigenvalues call for all of xs.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.empty(0)
     T, e = _unit_scaled(T)
     xs = np.ldexp(xs, -e)
-    c = _sturm_counts(T.diag, T.offdiag ** 2, xs)
+    off_sq, glo, ghi, tol = _bisection_start(T)
+    c = _sturm_counts(T.diag, off_sq, xs)
     near = np.clip(np.stack([c, c + 1]), 1, T.n)
     ranks = np.unique(near)
-    vals = _bisect_values(T, ranks=ranks)[np.searchsorted(ranks, near)]
+    vals = _block_eigenvalues(T.diag, off_sq, glo, ghi, tol, ranks)[0]
+    vals = vals[np.searchsorted(ranks, near)]
     return np.ldexp(np.min(np.abs(vals - xs), axis=0), e)
 
 
@@ -801,30 +846,41 @@ def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _tridiagonal_norm(T: SymTridiagonal) -> float:
     """max(|lambda_1|, |lambda_n|) of T: only those two ranks of unit-scaled
-    T are bisected, rank 1 counted from above so that a zero pivot cannot
-    mislead it (see _sturm_counts)."""
+    T are computed (_block_eigenvalues), rank 1 counted from above so that
+    a zero pivot cannot mislead it (see _sturm_counts)."""
     if T.n == 1:
         return abs(float(T.diag[0]))
     S, e = _unit_scaled(T)
-    vals = _bisect_values(S, ranks=(1, T.n), above=(True, False))
+    off_sq, glo, ghi, tol = _bisection_start(S)
+    vals = _block_eigenvalues(S.diag, off_sq, glo, ghi, tol, (1, T.n),
+                              (True, False))[0]
     return math.ldexp(max(abs(float(vals[0])), abs(float(vals[-1]))), e)
 
 
-def _hermitian_norm(H: np.ndarray) -> float:
-    """Spectral norm of the Hermitian array H, from the tridiagonal that
-    _householder_tridiagonal makes of H unit-scaled, so that the column
-    norms of the reduction neither overflow nor underflow."""
+def _dense_tridiagonal(H: np.ndarray) -> tuple[SymTridiagonal, int]:
+    """(T, e): a unit-scaled real tridiagonal T whose spectrum times 2^e is
+    that of the Hermitian array H, which is left as it is.  H is reduced
+    unit-scaled (_householder_tridiagonal), so that the column norms of the
+    reduction neither overflow nor underflow."""
     e = _scale_exponent(float(np.max(np.abs(H))))
     d, sub = _householder_tridiagonal(_ldexp(H, -e))
-    return math.ldexp(_tridiagonal_norm(SymTridiagonal(d, np.abs(sub))), e)
+    T, f = _unit_scaled(SymTridiagonal(d, np.abs(sub)))
+    return T, e + f
+
+
+def _hermitian_norm(H: np.ndarray) -> float:
+    """Spectral norm of the Hermitian array H, from its tridiagonal."""
+    T, e = _dense_tridiagonal(H)
+    return math.ldexp(_tridiagonal_norm(T), e)
 
 
 def spectral_norm(A) -> float:
     """Largest singular value: spectral norm for the Hermitian types,
     and sigma_1 via the Gram matrix for a general rectangular block.
 
-    Only the extreme eigenvalues are computed: ranks 1 and n by bisection,
-    after a Householder reduction for dense input; never a full spectrum.
+    Only the extreme eigenvalues are computed: ranks 1 and n by the
+    isolate-refine-certify engine of eig_tridiag (_block_eigenvalues), after
+    a Householder reduction for dense input; never a full spectrum.
     """
     if isinstance(A, SymTridiagonal):
         return _tridiagonal_norm(A)

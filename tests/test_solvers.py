@@ -11,9 +11,9 @@ from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
                        eig_tridiag, spectral_norm, wilkinson_plus,
                        wilkinson_split)
 from eigbounds import solvers
-from eigbounds.solvers import (JacobiConvergenceError, _bisect_values,
-                               _distance_to_spectrum, _round_robin_pairs,
-                               gerschgorin_disks, sturm_count)
+from eigbounds.solvers import (JacobiConvergenceError, _distance_to_spectrum,
+                               _round_robin_pairs, gerschgorin_disks,
+                               sturm_count)
 
 
 def _assert_eigenpairs(T, spec):
@@ -117,17 +117,20 @@ class TestRoundRobinJacobi:
         M = np.diag(d) + np.sqrt(np.outer(d, d)) * (G + G.T) / 2.0 * (1 - np.eye(12))
         _check_against_library(M)
 
-    def test_diagonal_input_needs_no_sweep(self):
+    def test_diagonal_input_needs_no_sweep(self, monkeypatch):
         # with no sweep allowed any off-diagonal mass would raise
+        monkeypatch.setattr(solvers, "JACOBI_MAX_SWEEPS", 0)
         A = DenseHermitian.from_array(np.diag([3.0, -1.0, 2.0, 0.5]))
-        spec = eig_dense(A, want_vectors=True, max_sweeps=0)
+        spec = eig_dense(A, want_vectors=True)
         assert np.array_equal(spec.values, [-1.0, 0.5, 2.0, 3.0])
         assert np.array_equal(np.abs(spec.vectors), np.eye(4)[:, [1, 3, 2, 0]])
 
-    def test_sweep_budget_exhausted_raises(self):
+    def test_sweep_budget_exhausted_raises(self, monkeypatch):
+        # values alone come from the tridiagonal, so only vectors sweep
+        monkeypatch.setattr(solvers, "JACOBI_MAX_SWEEPS", 0)
         rng = np.random.default_rng(103)
         with pytest.raises(JacobiConvergenceError):
-            eig_dense(random_hermitian(rng, 6), max_sweeps=0)
+            eig_dense(random_hermitian(rng, 6), want_vectors=True)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_values_only_returns_no_vectors(self, complex_entries):
@@ -135,6 +138,66 @@ class TestRoundRobinJacobi:
         A = random_hermitian(rng, 9, complex_entries=complex_entries)
         spec = _check_against_library(A.entries, values_only=True)
         assert spec.vectors is None
+
+
+def _dense_input(seed, n, kind, complex_entries):
+    """A seeded dense Hermitian array: random of order n; graded, diagonal
+    2^-3i with couplings of the geometric mean of their diagonal entries'
+    size; or W+(2m+1), m = n // 2, as it is (its integer entries meet exactly
+    zero pivots) or rotated by a random orthogonal or unitary matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_hermitian(rng, n, complex_entries=complex_entries).entries
+    if kind == "graded":
+        d = 2.0 ** -(3.0 * np.arange(n))
+        G = random_hermitian(rng, n, 0.1, complex_entries).entries
+        return np.diag(d) + np.sqrt(np.outer(d, d)) * G * (1 - np.eye(n))
+    W = wilkinson_plus(n // 2).to_dense().real_array()
+    if kind == "wilkinson":
+        return W
+    Q, _ = np.linalg.qr(random_hermitian(rng, W.shape[0],
+                                         complex_entries=complex_entries).entries)
+    M = Q @ W @ Q.conj().T
+    return (M + M.conj().T) / 2.0
+
+
+class TestDenseValues:
+    """eig_dense values come from the Householder tridiagonal through the
+    isolate-refine-certify engine; Jacobi answers only for vectors and for
+    solves in which a Sturm count met the pivot guard."""
+
+    @pytest.mark.parametrize("M", [
+        wilkinson_plus(5).to_dense().real_array(),
+        wilkinson_plus(9).to_dense().real_array(),
+        SymTridiagonal([1.0, 2.0, 3.0], [1.0, 1.0]).to_dense().real_array(),
+        np.array([[-3.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])],
+        ids=["wilkinson5", "wilkinson9", "123", "zero-pivot3"])
+    def test_guarded_counts_fall_back_to_jacobi(self, M):
+        # the tridiagonal route alone is off by 0.92, 0.996, 0.73 and 0.73
+        # here: a count on a zero pivot reads one short
+        _check_against_library(M, values_only=True)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_values_never_reach_jacobi(self, complex_entries, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eig_dense values reached Jacobi")
+
+        monkeypatch.setattr(solvers, "_jacobi", refuse)
+        rng = np.random.default_rng(120)
+        for n in range(2, 41):
+            A = random_hermitian(rng, n, complex_entries=complex_entries)
+            _check_against_library(A.entries, values_only=True)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30),
+           st.sampled_from(["random", "graded", "wilkinson", "rotated-wilkinson"]),
+           st.booleans())
+    def test_jacobi_and_bisection_agree_on_graded_and_wilkinson_input(
+            self, seed, n, kind, complex_entries):
+        A = DenseHermitian.from_array(_dense_input(seed, n, kind, complex_entries))
+        vals = eig_dense(A).values
+        full = eig_dense(A, want_vectors=True).values
+        assert np.max(np.abs(vals - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 class TestSturmAndGerschgorin:
@@ -355,10 +418,20 @@ def _bisection_tol(T):
     return 4.0 * solvers._EPS * max(abs(glo), abs(ghi))
 
 
+def _bisected(T, ranks):
+    """The given ascending ranks of T bisected by _bisect from the
+    Gerschgorin interval to tol: the midpoints of the final intervals."""
+    off_sq, glo, ghi, tol = solvers._bisection_start(T)
+    m = len(ranks)
+    lo, hi, _ = solvers._bisect(T.diag, off_sq, np.asarray(ranks), np.full(m, glo),
+                                np.full(m, ghi), tol)
+    return np.maximum.accumulate(0.5 * (lo + hi))
+
+
 def _one_midpoint_bisection(T, ranks=None):
     """Bisection of the given ascending ranks (default all) with one midpoint
-    per Sturm pass: the reference that the subtree passes of _bisect_values
-    must reproduce bit for bit, and that eig_tridiag must meet within tol."""
+    per Sturm pass: the reference that the subtree passes of _bisect must
+    reproduce bit for bit, and that eig_tridiag must meet within tol."""
     off_sq = T.offdiag ** 2
     glo, ghi = solvers._gersch_bounds(T)
     tol = _bisection_tol(T)
@@ -424,12 +497,12 @@ _DEPTH_ORDERS = [1, 2, 3, 5, 9, 17, 34, 69, 147, 342, 1100]
 
 
 def _assert_bit_identical(T, monkeypatch):
-    """_bisect_values of all ranks and of every other rank is the one-midpoint
+    """_bisect of all ranks and of every other rank is the one-midpoint
     reference bit for bit; eig_tridiag, which refines isolated eigenvalues
     by Laguerre's iteration, meets it within tol, and each of its refined
     values passes the certificate."""
     for ranks in (np.arange(1, T.n + 1), np.arange(1, T.n + 1, 2)):
-        got = _bisect_values(T, ranks)
+        got = _bisected(T, ranks)
         ref = _one_midpoint_bisection(T, ranks)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     vals, refined = _refined_eigenvalues(T, monkeypatch)
@@ -520,7 +593,7 @@ class TestSubtreeBisection:
         calls = self._count_passes(monkeypatch)
         _one_midpoint_bisection(T)
         reference = len(calls)
-        for solve in (eig_tridiag, lambda T: _bisect_values(T, np.arange(1, n + 1))):
+        for solve in (eig_tridiag, lambda T: _bisected(T, np.arange(1, n + 1))):
             calls.clear()
             solve(T)
             assert len(calls) <= reference
@@ -529,16 +602,17 @@ class TestSubtreeBisection:
 
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 300, 1000])
     def test_extreme_ranks_match_full_bisection(self, n):
-        # the two-rank run stops on its own intervals, so it may end up to
-        # one bisection tolerance away from the full run; against scipy
+        # the two-rank run (rank 1 counted from above, as spectral_norm
+        # does) is refined by Laguerre's iteration, so it may end up to one
+        # bisection tolerance away from the full bisection; against scipy
         # both carry the counts' roundoff too (several tol at n = 200), so
         # that comparison uses the oracle's 1e-12 relative gate
         rng = np.random.default_rng(700 + n)
         T = aed_example(n) if n == 1000 else random_tridiagonal(rng, n)
-        glo, ghi = solvers._gersch_bounds(T)
-        tol = 4.0 * solvers._EPS * max(abs(glo), abs(ghi))
-        ends = _bisect_values(T, ranks=(1, n))
-        full = _bisect_values(T, ranks=np.arange(1, n + 1))
+        off_sq, glo, ghi, tol = solvers._bisection_start(T)
+        ends, _ = solvers._block_eigenvalues(T.diag, off_sq, glo, ghi, tol, (1, n),
+                                             (True, False))
+        full = _bisected(T, np.arange(1, n + 1))
         ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
         assert np.max(np.abs(ends - full[[0, -1]])) <= tol
         norm = float(np.max(np.abs(ref)))
@@ -547,7 +621,9 @@ class TestSubtreeBisection:
 
     def test_empty_rank_list(self):
         T = random_tridiagonal(np.random.default_rng(710), 6)
-        assert _bisect_values(T, ranks=()).shape == (0,)
+        off_sq, glo, ghi, tol = solvers._bisection_start(T)
+        vals, met = solvers._block_eigenvalues(T.diag, off_sq, glo, ghi, tol, ranks=())
+        assert vals.shape == (0,) and not met
 
 
 class TestLaguerreRefinement:
