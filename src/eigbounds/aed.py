@@ -8,8 +8,7 @@ dropped.  A Wilkinson-shift QR sweep plus an end-to-end driver make the
 deflation behavior observable on whole matrices; the driver returns the
 undeflated part of each window to tridiagonal form with the solvers'
 Householder reduction, and takes the norm that scales its deflation test
-once, from the extreme ranks by bisection (Jacobi is used only for full
-spectra).
+once, from the two extreme eigenvalues alone (spectral_norm).
 """
 
 from __future__ import annotations
@@ -82,7 +81,8 @@ def deflation_soundness_check(T: SymTridiagonal,
     its |spike| entry.
 
     The full spectrum is never formed: with c the Sturm count of eigenvalues
-    of T below a deflated value, only ranks c and c + 1 are bisected.
+    of T below a deflated value, only ranks c and c + 1 are computed, by
+    the solvers' isolate-refine-certify engine.
     """
     return _distance_to_spectrum(T, outcome.values[outcome.deflatable])
 

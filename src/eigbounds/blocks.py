@@ -36,9 +36,6 @@ class BoundReport:
     tau: float | None = None
     components: dict = field(default_factory=dict)
 
-    def bound_float(self) -> float:
-        return self.bound.float_or_zero()
-
 
 def weyl_bound(E: DenseHermitian) -> float:
     """||E||_2: the structure-free bound, sound for every index."""

@@ -45,9 +45,7 @@ from .types import DenseHermitian, Spectrum, SymTridiagonal
 __all__ = [
     "eig_dense",
     "eig_tridiag",
-    "sturm_count",
     "spectral_norm",
-    "gerschgorin_disks",
     "JacobiConvergenceError",
     "InverseIterationError",
 ]
@@ -115,9 +113,8 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False) -> Spectrum:
     """
     if not want_vectors:
         T, e = _dense_tridiagonal(A.entries.real if A.is_real else A.entries)
-        guarded = np.zeros(1, dtype=bool)
-        vals = _eigenvalues(T, guarded)
-        if not guarded[0]:
+        vals, guarded = _eigenvalues(T)
+        if not guarded:
             return Spectrum(np.ldexp(vals, e))
     return _jacobi(A, want_vectors)
 
@@ -322,51 +319,34 @@ def _unit_scaled(T: SymTridiagonal) -> tuple[SymTridiagonal, int]:
     return SymTridiagonal(np.ldexp(T.diag, -e), np.ldexp(T.offdiag, -e)), e
 
 
-def sturm_count(T: SymTridiagonal, x: float) -> int:
-    """Count of eigenvalues of T strictly less than x."""
-    T, e = _unit_scaled(T)
-    xs = np.asarray([math.ldexp(float(x), -e)])
-    return int(_sturm_counts(T.diag, T.offdiag ** 2, xs)[0])
-
-
-def gerschgorin_disks(T: SymTridiagonal) -> list[tuple[float, float]]:
-    """Per-row (center, radius); boundary rows use their single neighbor."""
-    return list(zip(T.diag.tolist(), _gersch_radii(T).tolist()))
-
-
-def _gersch_radii(T: SymTridiagonal) -> np.ndarray:
+def _gersch_bounds(T: SymTridiagonal) -> tuple[float, float]:
+    """The ends of the union of the Gerschgorin intervals of T."""
     r = np.zeros(T.n)
     r[1:] += np.abs(T.offdiag)
     r[:-1] += np.abs(T.offdiag)
-    return r
-
-
-def _gersch_bounds(T: SymTridiagonal) -> tuple[float, float]:
-    r = _gersch_radii(T)
     return float(np.min(T.diag - r)), float(np.max(T.diag + r))
 
 
-def _subtree_pass(diag, off_sq, ranks, lo, hi, above, max_depth, rows=None,
-                  mark_guarded=False):
+def _subtree_pass(diag, off_sq, ranks, lo, hi, above, max_depth, rows):
     """Up to L bisection steps for every rank, from one _sturm_counts call.
 
     lo, hi and above (see _sturm_counts) describe intervals, and rows[r] is
-    the interval of ranks[r] (by default interval r), so ranks that share
-    an interval share its subtree.  For each interval the depth-L subtree
-    of midpoints is built level by level, each point 0.5 * (left + right)
-    of its two neighbours one level up: the midpoint a one-step loop would
-    compute.  All 2^L - 1 interior points of all intervals are counted at
-    once, L chosen so that is about _SHIFTS_PER_PASS shifts (10 levels for
-    one interval, 6 for 10, 1 from 342 on), and the L decisions of each
-    rank are then replayed on node indices.
+    the interval of ranks[r], so ranks that share an interval share its
+    subtree.  For each interval the depth-L subtree of midpoints is built
+    level by level, each point 0.5 * (left + right) of its two neighbours
+    one level up: the midpoint a one-step loop would compute.  All 2^L - 1
+    interior points of all intervals are counted at once, L chosen so that
+    is about _SHIFTS_PER_PASS shifts (10 levels for one interval, 6 for 10,
+    1 from 342 on), and the L decisions of each rank are then replayed on
+    node indices.
 
     Returns (grid, counts, path, spans): the flattened nodes, one row of
     2^L + 1 per interval; the counts at the interior nodes, one row of
     2^L - 1 per interval; each rank's left node (flat index into grid)
     after each step, an (L, ranks) array; and the node distance to its
-    right node after each step.  With mark_guarded, a count whose shift met
-    the pivot guard above the last row, and may be one short, reads -1 in
-    counts; the steps follow it as it is.
+    right node after each step.  A count whose shift met the pivot guard
+    above the last row, and may be one short, reads -1 in counts; the
+    steps follow it as it is.
     """
     u, m = lo.size, ranks.size
     L = min(max_depth, max(1, int(math.log2(_SHIFTS_PER_PASS / u + 1))))
@@ -378,58 +358,25 @@ def _subtree_pass(diag, off_sq, ranks, lo, hi, above, max_depth, rows=None,
     while h > 1:
         grid[:, h // 2::h] = 0.5 * (grid[:, :-1:h] + grid[:, h::h])
         h //= 2
-    met = np.empty(u * (w - 1), dtype=bool) if mark_guarded else None
+    met = np.empty(u * (w - 1), dtype=bool)
     counts = _sturm_counts(diag, off_sq, grid[:, 1:w].ravel(),
-                           None if above is None else np.repeat(above, w - 1),
-                           met).reshape(u, w - 1)
+                           np.repeat(above, w - 1), met).reshape(u, w - 1)
     # up[r, j]: fewer eigenvalues than ranks[r] lie below node j of its
     # interval, so bisection keeps the interval above it (the ends are
     # never read); path[l] is each rank's left node (flat index) after l
     # steps
     up = np.empty((m, w + 1), dtype=bool)
-    np.less(counts if rows is None else counts.take(rows, axis=0),
-            ranks[:, None], out=up[:, 1:w])
+    np.less(counts.take(rows, axis=0), ranks[:, None], out=up[:, 1:w])
     up = up.ravel()
     path = np.empty((L + 1, m), dtype=np.intp)
     path[0] = np.arange(m) * (w + 1)
     for lvl in range(1, L + 1):
         node = path[lvl - 1] + (w >> lvl)
         path[lvl] = np.where(up[node], node, path[lvl - 1])
-    if met is not None:
-        counts[met.reshape(u, w - 1)] = -1
-    path = path[1:]
-    if rows is not None:
-        # from each rank's row of up to its interval's row of grid
-        path += (rows - np.arange(m)) * (w + 1)
+    counts[met.reshape(u, w - 1)] = -1
+    # from each rank's row of up to its interval's row of grid
+    path = path[1:] + (rows - np.arange(m)) * (w + 1)
     return grid.ravel(), counts, path, (w >> np.arange(1, L + 1))[:, None]
-
-
-def _bisect(diag, off_sq, ranks, lo, hi, tol, above=None):
-    """Bisect each rank's interval [lo, hi] in subtree passes until every
-    interval is within tol or no midpoint can move.  The stop test is
-    replayed before every step, so the returned (lo, hi) are those of one
-    midpoint per step, bit for bit; the third result tells whether a count
-    of the passes met the pivot guard above the last row."""
-    def stop(lo, hi):
-        # per row: all intervals within tol, or no midpoint can move
-        mid = 0.5 * (lo + hi)
-        return (((hi - lo) <= tol).all(axis=-1)
-                | ((mid <= lo) | (mid >= hi)).all(axis=-1))
-
-    steps = 0
-    met = False
-    done = stop(lo, hi)
-    while not done and steps < _MAX_BISECT_STEPS:
-        grid, counts, path, spans = _subtree_pass(
-            diag, off_sq, ranks, lo, hi, above, _MAX_BISECT_STEPS - steps,
-            mark_guarded=True)
-        met = met or bool((counts < 0).any())
-        left, right = grid[path], grid[path + spans]
-        stopped = stop(left, right)
-        taken = 1 + int(stopped.argmax()) if stopped.any() else path.shape[0]
-        steps += taken
-        lo, hi, done = left[taken - 1], right[taken - 1], stopped[taken - 1]
-    return lo, hi, met
 
 
 def _bisection_start(T: SymTridiagonal):
@@ -522,11 +469,11 @@ def _laguerre(diag, off_sq, ranks, x, hi, tol):
     return x
 
 
-def _eigenvalues(T: SymTridiagonal, guarded=None) -> np.ndarray:
+def _eigenvalues(T: SymTridiagonal) -> tuple[np.ndarray, bool]:
     """All eigenvalues of T, ascending, each within tol / 2 of the
-    eigenvalue of its rank as Sturm counts see it (_bisection_start).  A
-    one-element boolean array guarded, if given, is set when a count met
-    the pivot guard above the last row, so that a value may be wrong.
+    eigenvalue of its rank as Sturm counts see it (_bisection_start), and
+    whether a count met the pivot guard above the last row, so that a value
+    may be wrong.
 
     Zero couplings split T into blocks whose spectra make up T's: each block
     is solved alone, so an eigenvalue two blocks share needs no telling
@@ -537,15 +484,15 @@ def _eigenvalues(T: SymTridiagonal, guarded=None) -> np.ndarray:
     off_sq, glo, ghi, tol = _bisection_start(T)
     edges = [0, *(np.flatnonzero(off_sq == 0.0) + 1).tolist(), T.n]
     vals = []
+    guarded = False
     for a, b in zip(edges, edges[1:]):
         if b - a == 1:
             vals.append(T.diag[a:b])
             continue
         v, met = _block_eigenvalues(T.diag[a:b], off_sq[a:b - 1], glo, ghi, tol)
         vals.append(v)
-        if guarded is not None:
-            guarded |= met
-    return vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
+        guarded = guarded or met
+    return (vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))), guarded
 
 
 def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
@@ -566,8 +513,10 @@ def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
        at once, in place of the remaining ~40 bisection steps.
     3. Certify: an iterate x is kept only when the Sturm counts at x - tol/2
        and x + tol/2 are below and at least its rank.  A rank that fails
-       finishes by bisection (_bisect) in its interval, as does every rank
-       that never isolates (a cluster or a double eigenvalue) in step 1.
+       goes back to step 1 with its interval and the counts at its ends,
+       never to be refined again, and bisects to tol there with a step cap
+       of its own, as every rank that never isolates (a cluster or a
+       double eigenvalue) does from the start.
     A wrong iterate thus costs time but never yields a wrong value.  The
     couplings may be zero: a value two blocks share then never isolates.
     """
@@ -582,6 +531,7 @@ def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
     lo[-1], hi[0] = np.inf, -np.inf
     clo, chi = np.zeros(m, dtype=np.int64), np.full(m, n)
     isolated = np.zeros(m, dtype=bool)
+    refine = True                   # steps 2 and 3 are still to come
     met = False
     todo = np.flatnonzero(~((hi - lo)[1:-1] <= tol))
     steps = 0
@@ -596,7 +546,7 @@ def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
         heads = todo[fresh]
         grid, counts, path, spans = _subtree_pass(
             diag, off_sq, ranks[todo], lo[heads + 1], hi[heads + 1], above[heads],
-            _MAX_BISECT_STEPS - steps, np.cumsum(fresh) - 1, mark_guarded=True)
+            _MAX_BISECT_STEPS - steps, np.cumsum(fresh) - 1)
         met = met or bool((counts < 0).any())
         steps += path.shape[0]
         w = 2 * spans[0, 0]
@@ -612,12 +562,16 @@ def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
         width = hi[p] - lo[p]
         isolated[todo] = ((clo[todo] == k - 1) & (chi[todo] == k)
                           & (lo[p] - hi[todo] >= width) & (lo[p + 1] - hi[p] >= width))
-        todo = todo[~(isolated[todo] | (width <= tol))]
-    lo, hi = lo[1:-1], hi[1:-1]
-    vals = 0.5 * (lo + hi)
-    i = np.flatnonzero(isolated & ((hi - lo) > tol))
-    if i.size:
-        x = _laguerre(diag, off_sq, ranks[i], lo[i], hi[i], tol)
+        todo = todo[~((isolated[todo] & refine) | (width <= tol))]
+        if not refine or (todo.size and steps < _MAX_BISECT_STEPS):
+            continue
+        # isolation is over: steps 2 and 3, once; the ranks that fail the
+        # certificate bisect on in this loop, with a step count of their own
+        refine = False
+        i = np.flatnonzero(isolated & ((hi - lo)[1:-1] > tol))
+        if not i.size:
+            break
+        x = _laguerre(diag, off_sq, ranks[i], lo[i + 1], hi[i + 1], tol)
         shifts = np.concatenate([x - 0.5 * tol, x + 0.5 * tol])
         up = np.tile(above[i], 2)
         c = np.empty(shifts.size, dtype=np.int64)
@@ -627,13 +581,10 @@ def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
             c[part] = _sturm_counts(diag, off_sq, shifts[part], up[part], g[part])
         met = met or bool(g.any())
         ok = (c[:i.size] < ranks[i]) & (c[i.size:] >= ranks[i])
-        vals[i[ok]] = x[ok]
-        j = i[~ok]
-        if j.size:
-            blo, bhi, bmet = _bisect(diag, off_sq, ranks[j], lo[j], hi[j], tol,
-                                     above[j])
-            vals[j] = 0.5 * (blo + bhi)
-            met = met or bmet
+        # a kept iterate is its rank's interval, so its midpoint is x
+        lo[i[ok] + 1] = hi[i[ok] + 1] = x[ok]
+        todo, steps = i[~ok], 0
+    vals = 0.5 * (lo[1:-1] + hi[1:-1])
     return np.maximum.accumulate(vals), met  # monotone at roundoff scale
 
 
@@ -785,7 +736,7 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
         vals = T.diag.copy()
         return Spectrum(vals, np.ones((1, 1)) if want_vectors else None)
     T, e = _unit_scaled(T)
-    vals = _eigenvalues(T)
+    vals = _eigenvalues(T)[0]
     if not want_vectors:
         return Spectrum(np.ldexp(vals, e))
     glo, ghi = _gersch_bounds(T)

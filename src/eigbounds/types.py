@@ -74,10 +74,6 @@ class DenseHermitian:
         full[m:, m:] = a22
         return cls.from_array(full)
 
-    @classmethod
-    def zeros(cls, n: int) -> "DenseHermitian":
-        return cls.from_array(np.zeros((n, n)))
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]

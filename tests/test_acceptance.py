@@ -53,9 +53,9 @@ def test_criterion_5_structured_bound_soundness():
         after = eig_dense(DenseHermitian.from_array(A.entries + E.entries)).values
         shifts = np.abs(before - after)
         for rep in theorem1_bounds(A, E, BlockSplit(k), values=before):
-            if shifts[rep.index - 1] > rep.bound_float() + 1e-12:
+            if shifts[rep.index - 1] > rep.bound.float_or_zero() + 1e-12:
                 violations += 1
-            if rep.bound_float() > rep.components["weyl"] * (1 + 1e-14):
+            if rep.bound.float_or_zero() > rep.components["weyl"] * (1 + 1e-14):
                 violations += 1
         instances += 1
     report("criterion 5 (structured bound soundness)", violations == 0,
@@ -85,7 +85,7 @@ def test_criterion_6_quadratic_residual_soundness():
             if not rep.valid or rep.gap < 10.0 * norm_e:
                 continue
             checked += 1
-            if shifts[rep.index - 1] > rep.bound_float() + 1e-12:
+            if shifts[rep.index - 1] > rep.bound.float_or_zero() + 1e-12:
                 violations += 1
     report("criterion 6 (quadratic residual soundness)",
            violations == 0 and checked > 100,

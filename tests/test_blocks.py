@@ -36,8 +36,8 @@ class TestQuadraticResidual:
         E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
         rep = quadratic_residual_bounds(A, BlockSplit(1), E, [1])[0]
         assert rep.valid and rep.formula == "quad_residual"
-        assert rep.bound_float() == pytest.approx(0.005, rel=1e-13)
-        assert np.max(dense_shift(A, E)) <= rep.bound_float()
+        assert rep.bound.float_or_zero() == pytest.approx(0.005, rel=1e-13)
+        assert np.max(dense_shift(A, E)) <= rep.bound.float_or_zero()
 
     def test_soundness_when_gap_dominates(self):
         rng = np.random.default_rng(22)
@@ -53,7 +53,7 @@ class TestQuadraticResidual:
             for i, rep in enumerate(quadratic_residual_bounds(A, BlockSplit(k), E),
                                     start=1):
                 if rep.valid and rep.gap >= 10.0 * spectral_norm(E):
-                    assert shifts[i - 1] <= rep.bound_float() + 1e-12
+                    assert shifts[i - 1] <= rep.bound.float_or_zero() + 1e-12
 
     def test_trailing_block_eigenvalue_gap_is_to_leading_block(self):
         # the three smallest eigenvalues of A belong to A22; measured against
@@ -71,8 +71,8 @@ class TestQuadraticResidual:
             rep = reps[i - 1]
             assert rep.valid and rep.formula == "quad_residual"
             assert rep.gap == pytest.approx(a11_low - a22_vals[i - 1], rel=1e-13)
-            assert rep.bound_float() < spectral_norm(E)
-            assert shifts[i - 1] <= rep.bound_float()
+            assert rep.bound.float_or_zero() < spectral_norm(E)
+            assert shifts[i - 1] <= rep.bound.float_or_zero()
 
     def test_rejects_coupled_a(self):
         A = DenseHermitian.from_array([[1.0, 0.5], [0.5, 2.0]])
@@ -91,7 +91,7 @@ class TestQuadraticResidual:
         E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
         rep = quadratic_residual_bounds(A, BlockSplit(1), E, [1])[0]
         assert not rep.valid and rep.formula == "weyl"
-        assert rep.bound_float() == pytest.approx(0.1, rel=1e-12)
+        assert rep.bound.float_or_zero() == pytest.approx(0.1, rel=1e-12)
 
 
 class TestEigvecTailBound:
@@ -166,7 +166,7 @@ class TestTheorem1:
             E = random_hermitian(rng, n, scale=0.1)
             k = int(rng.integers(1, n))
             rep = theorem1_bounds(A, E, BlockSplit(k), [1])[0]
-            assert rep.bound_float() <= weyl_bound(E) * (1 + 1e-14)
+            assert rep.bound.float_or_zero() <= weyl_bound(E) * (1 + 1e-14)
 
     def test_soundness_randomized(self):
         rng = np.random.default_rng(28)
@@ -179,7 +179,7 @@ class TestTheorem1:
             E = random_hermitian(rng, n, scale=0.02, complex_entries=True)
             shifts = dense_shift(A, E)
             for i, rep in enumerate(theorem1_bounds(A, E, BlockSplit(k)), start=1):
-                assert shifts[i - 1] <= rep.bound_float() + 1e-12
+                assert shifts[i - 1] <= rep.bound.float_or_zero() + 1e-12
                 if rep.valid:
                     valid_seen += 1
                     assert shifts[i - 1] <= rep.components["theorem1"] + 1e-12
@@ -193,14 +193,14 @@ class TestTheorem1:
                                        np.full((1, 3), 1e-3), [[1e-3]])
         rep = theorem1_bounds(A, E, BlockSplit(1), [1])[0]
         assert rep.valid
-        assert rep.bound_float() < 1e-6 < weyl_bound(E)
+        assert rep.bound.float_or_zero() < 1e-6 < weyl_bound(E)
 
     def test_invalid_tau_reports_weyl_fallback(self):
         A = DenseHermitian.from_array(np.diag([1.0, 1.01]))
         E = DenseHermitian.from_array([[0.0, 0.3], [0.3, 0.0]])
         rep = theorem1_bounds(A, E, BlockSplit(1), [1])[0]
         assert not rep.valid
-        assert rep.bound_float() == pytest.approx(weyl_bound(E), rel=1e-12)
+        assert rep.bound.float_or_zero() == pytest.approx(weyl_bound(E), rel=1e-12)
 
     def test_cubic_scaling_of_far_block_sensitivity(self):
         # leading eigenvalues react to a trailing-entry change of size eps

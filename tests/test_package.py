@@ -1,5 +1,6 @@
 """Package-level contracts: the README example runs and documents the
-public API, and the oracle shares no code path with a library eigensolver."""
+public API, the oracle shares no code path with a library eigensolver, and
+every top-level name under src/ is used or exported."""
 
 import ast
 import re
@@ -90,3 +91,61 @@ def test_guard_catches_library_eigensolvers():
                      "from mpmath import eigsy\nimport sympy.matrices as sm\n"
                      "from sympy import Matrix\nimport math, sys\n")
     assert sorted(line for line, _ in _linalg_uses(tree)) == [2, 3, 4, 6, 7, 8, 9]
+
+
+def _references(trees) -> set[str]:
+    """Every name the trees read: Name loads, attribute names and imported
+    names.  Strings, such as docstrings and __all__ entries, do not count."""
+    refs = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.split(".")[-1])
+    return refs
+
+
+def _unreferenced(tree, refs, exported) -> list[str]:
+    """The functions, classes and constants defined at the top level of tree
+    that are neither in refs nor in exported (dunder names aside)."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.append(node.target.id)
+    return [name for name in defined
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in refs and name not in exported]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_name_under_src(path):
+    refs = _references(ast.parse(p.read_text()) for p in SRC.glob("*.py"))
+    assert _unreferenced(ast.parse(path.read_text()), refs,
+                         set(eigbounds.__all__)) == []
+
+
+def test_guard_catches_unused_name():
+    module = ast.parse(
+        "import math\n"
+        "LIMIT = 3\n"
+        "_ORDER: int = 2\n"
+        "__all__ = ['planted']\n"
+        "def helper():\n"
+        "    return math.pi * LIMIT\n"
+        "def planted():\n"
+        "    'Not helper: a docstring names it.'\n"
+        "class Exported:\n"
+        "    pass\n")
+    user = ast.parse("from .module import helper as h\nimport module\n"
+                     "x = module._ORDER + h()\n")
+    assert _unreferenced(module, _references([module, user]),
+                         {"Exported"}) == ["planted"]
+    assert _unreferenced(module, _references([module]), set()) == [
+        "_ORDER", "helper", "planted", "Exported"]

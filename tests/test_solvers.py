@@ -12,8 +12,7 @@ from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
                        wilkinson_split)
 from eigbounds import solvers
 from eigbounds.solvers import (JacobiConvergenceError, _distance_to_spectrum,
-                               _round_robin_pairs, gerschgorin_disks,
-                               sturm_count)
+                               _round_robin_pairs)
 
 
 def _assert_eigenpairs(T, spec):
@@ -200,22 +199,27 @@ class TestDenseValues:
         assert np.max(np.abs(vals - full)) <= 1e-13 * np.max(np.abs(full))
 
 
+def _counts_below(T, xs):
+    """Counts of eigenvalues of T strictly below each x in xs, as the solvers
+    take them: on unit-scaled T (_unit_scaled), at the shifts scaled alike."""
+    S, e = solvers._unit_scaled(T)
+    xs = np.ldexp(np.asarray(xs, dtype=float), -e)
+    return solvers._sturm_counts(S.diag, S.offdiag ** 2, xs).tolist()
+
+
 class TestSturmAndGerschgorin:
     def test_counts_are_monotone(self):
         rng = np.random.default_rng(8)
         T = random_tridiagonal(rng, 20)
         xs = np.linspace(-50.0, 50.0, 40)
-        counts = [sturm_count(T, x) for x in xs]
+        counts = _counts_below(T, xs)
         assert counts == sorted(counts)
 
     def test_counts_bracket_spectrum(self):
         rng = np.random.default_rng(9)
         T = random_tridiagonal(rng, 15)
-        disks = gerschgorin_disks(T)
-        lo = min(c - r for c, r in disks)
-        hi = max(c + r for c, r in disks)
-        assert sturm_count(T, lo - 1e-9) == 0
-        assert sturm_count(T, hi + 1e-9) == 15
+        lo, hi = solvers._gersch_bounds(T)
+        assert _counts_below(T, [lo - 1e-9, hi + 1e-9]) == [0, 15]
 
     def test_disks_contain_spectrum(self):
         rng = np.random.default_rng(10)
@@ -223,16 +227,18 @@ class TestSturmAndGerschgorin:
             n = int(rng.integers(2, 25))
             T = random_tridiagonal(rng, n)
             vals = eig_tridiag(T).values
-            disks = gerschgorin_disks(T)
+            # row i's Gerschgorin disk: centre d_i, radius |b_{i-1}| + |b_i|
+            radii = np.zeros(n)
+            radii[1:] += np.abs(T.offdiag)
+            radii[:-1] += np.abs(T.offdiag)
             for lam in vals:
-                assert any(abs(lam - c) <= r + 1e-12 for c, r in disks)
+                assert np.any(np.abs(lam - T.diag) <= radii + 1e-12)
 
     def test_count_equals_rank_at_eigenvalue_midpoints(self):
         T = SymTridiagonal([2.0, 1.0, 0.0], [0.1, 0.1])
         vals = eig_tridiag(T).values
         mids = (vals[:-1] + vals[1:]) / 2.0
-        for rank, m in enumerate(mids, start=1):
-            assert sturm_count(T, m) == rank
+        assert _counts_below(T, mids) == [1, 2]
 
 
 class TestEigTridiag:
@@ -303,7 +309,7 @@ class TestSpectralNorm:
         assert spectral_norm(B) == pytest.approx(sigma, rel=1e-11)
 
     def test_zero_matrix(self):
-        assert spectral_norm(DenseHermitian.zeros(4)) == 0.0
+        assert spectral_norm(DenseHermitian.from_array(np.zeros((4, 4)))) == 0.0
 
     # dense and rectangular input: a Householder reduction and bisection of
     # the extreme ranks, checked against numpy (tests only)
@@ -418,20 +424,28 @@ def _bisection_tol(T):
     return 4.0 * solvers._EPS * max(abs(glo), abs(ghi))
 
 
-def _bisected(T, ranks):
-    """The given ascending ranks of T bisected by _bisect from the
-    Gerschgorin interval to tol: the midpoints of the final intervals."""
-    off_sq, glo, ghi, tol = solvers._bisection_start(T)
-    m = len(ranks)
-    lo, hi, _ = solvers._bisect(T.diag, off_sq, np.asarray(ranks), np.full(m, glo),
-                                np.full(m, ghi), tol)
-    return np.maximum.accumulate(0.5 * (lo + hi))
+def _one_midpoint_steps(T, ranks, steps):
+    """(lo, hi) of the given ascending ranks after each of the given number
+    of bisection steps from the Gerschgorin interval, one midpoint per
+    Sturm pass and no stop test: the steps that a subtree pass
+    (_subtree_pass) must replay bit for bit."""
+    off_sq = T.offdiag ** 2
+    glo, ghi = solvers._gersch_bounds(T)
+    lo, hi = np.full(ranks.size, glo), np.full(ranks.size, ghi)
+    out = []
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        above = solvers._sturm_counts(T.diag, off_sq, mid) >= ranks
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        out.append((lo, hi))
+    return np.array(out).transpose(1, 0, 2)
 
 
 def _one_midpoint_bisection(T, ranks=None):
     """Bisection of the given ascending ranks (default all) with one midpoint
-    per Sturm pass: the reference that the subtree passes of _bisect must
-    reproduce bit for bit, and that eig_tridiag must meet within tol."""
+    per Sturm pass, to tol: the reference that eig_tridiag must meet within
+    tol."""
     off_sq = T.offdiag ** 2
     glo, ghi = solvers._gersch_bounds(T)
     tol = _bisection_tol(T)
@@ -497,14 +511,23 @@ _DEPTH_ORDERS = [1, 2, 3, 5, 9, 17, 34, 69, 147, 342, 1100]
 
 
 def _assert_bit_identical(T, monkeypatch):
-    """_bisect of all ranks and of every other rank is the one-midpoint
-    reference bit for bit; eig_tridiag, which refines isolated eigenvalues
-    by Laguerre's iteration, meets it within tol, and each of its refined
-    values passes the certificate."""
+    """One subtree pass of all ranks and of every other rank, from the
+    Gerschgorin interval, replays its L steps as the one-midpoint reference
+    takes them, bit for bit, whether each rank has an interval of its own
+    or all share one; eig_tridiag, which refines isolated eigenvalues by
+    Laguerre's iteration, meets the reference within tol, and each of its
+    refined values passes the certificate."""
+    off_sq, glo, ghi, _ = solvers._bisection_start(T)
     for ranks in (np.arange(1, T.n + 1), np.arange(1, T.n + 1, 2)):
-        got = _bisected(T, ranks)
-        ref = _one_midpoint_bisection(T, ranks)
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        m = ranks.size
+        for rows in (np.arange(m), np.zeros(m, dtype=np.intp)):
+            u = int(rows[-1]) + 1
+            grid, _, path, spans = solvers._subtree_pass(
+                T.diag, off_sq, ranks, np.full(u, glo), np.full(u, ghi),
+                np.zeros(u, dtype=bool), solvers._MAX_BISECT_STEPS, rows)
+            lo, hi = _one_midpoint_steps(T, ranks, path.shape[0])
+            assert np.array_equal(grid[path].view(np.int64), lo.view(np.int64))
+            assert np.array_equal(grid[path + spans].view(np.int64), hi.view(np.int64))
     vals, refined = _refined_eigenvalues(T, monkeypatch)
     assert np.max(np.abs(vals - _one_midpoint_bisection(T))) <= _bisection_tol(T)
     _assert_certified(T, vals, refined)
@@ -593,12 +616,10 @@ class TestSubtreeBisection:
         calls = self._count_passes(monkeypatch)
         _one_midpoint_bisection(T)
         reference = len(calls)
-        for solve in (eig_tridiag, lambda T: _bisected(T, np.arange(1, n + 1))):
-            calls.clear()
-            solve(T)
-            assert len(calls) <= reference
-            if solve is eig_tridiag:
-                assert max(calls) <= solvers._SHIFTS_PER_PASS
+        calls.clear()
+        eig_tridiag(T)
+        assert len(calls) <= reference
+        assert max(calls) <= solvers._SHIFTS_PER_PASS
 
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 300, 1000])
     def test_extreme_ranks_match_full_bisection(self, n):
@@ -612,7 +633,7 @@ class TestSubtreeBisection:
         off_sq, glo, ghi, tol = solvers._bisection_start(T)
         ends, _ = solvers._block_eigenvalues(T.diag, off_sq, glo, ghi, tol, (1, n),
                                              (True, False))
-        full = _bisected(T, np.arange(1, n + 1))
+        full = _one_midpoint_bisection(T)
         ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
         assert np.max(np.abs(ends - full[[0, -1]])) <= tol
         norm = float(np.max(np.abs(ref)))
@@ -726,6 +747,62 @@ class TestLaguerreRefinement:
         _assert_certified(T, vals, refined)
 
 
+class TestCertificateFailure:
+    """A Laguerre iterate that fails the certificate goes back to isolation
+    with its interval and the counts at its ends, and bisects to tol there;
+    it is never refined again.  A stand-in for Laguerre's iteration that
+    returns the upper end hi of each isolated interval fails the certificate
+    for almost every rank, since the eigenvalue would have to lie within
+    tol / 2 below hi."""
+
+    @staticmethod
+    def _failing_laguerre(monkeypatch):
+        """Replace _laguerre by one that returns hi; records, per
+        _block_eigenvalues call, how many times it was called."""
+        per_call = []
+        block = solvers._block_eigenvalues
+
+        def to_hi(diag, off_sq, ranks, x, hi, tol):
+            per_call[-1] += 1
+            return hi.copy()
+
+        def counting(*args, **kwargs):
+            per_call.append(0)
+            return block(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_laguerre", to_hi)
+        monkeypatch.setattr(solvers, "_block_eigenvalues", counting)
+        return per_call
+
+    @pytest.mark.parametrize("T", [random_tridiagonal(np.random.default_rng(640), 30),
+                                   graded_tridiagonal(np.random.default_rng(641), 30),
+                                   wilkinson_split(10)[0]],
+                             ids=["random", "graded", "split10"])
+    def test_failed_ranks_bisect_to_tol(self, T, monkeypatch):
+        per_call = self._failing_laguerre(monkeypatch)
+        vals = eig_tridiag(T).values
+        assert per_call and max(per_call) == 1
+        assert np.max(np.abs(vals - _one_midpoint_bisection(T))) <= _bisection_tol(T)
+        _assert_certified(T, vals, np.arange(1, T.n + 1))
+
+    def test_guard_still_reaches_jacobi(self, monkeypatch):
+        # W+(5)'s tridiagonal meets exactly zero pivots: the flag from the
+        # passes and the certificate counts must still send the dense solve
+        # to Jacobi
+        per_call = self._failing_laguerre(monkeypatch)
+        redo = []
+        jacobi = solvers._jacobi
+
+        def recording(*args, **kwargs):
+            redo.append(args[0].n)
+            return jacobi(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_jacobi", recording)
+        M = wilkinson_plus(5).to_dense().real_array()
+        _check_against_library(M, values_only=True)
+        assert per_call and max(per_call) == 1 and redo == [11]
+
+
 def _meets_small_pivot(T, x):
     """Whether the unguarded pivots of T - x*I, one float at a time, reach
     one with |q| < _PIVMIN (before any guard could change the chain)."""
@@ -759,7 +836,7 @@ class TestSturmKernel:
         calls = self._record_guarded(monkeypatch)
         eig_tridiag(T, want_vectors=True)
         spectral_norm(T)
-        sturm_count(T, 0.5)
+        _counts_below(T, [0.5])
         assert calls == []
 
     def test_guard_gets_exactly_the_zero_pivot_shifts(self, monkeypatch):
@@ -824,15 +901,14 @@ def _scaled(T, k):
 
 
 def _assert_scales_bit_for_bit(T, k):
-    """eig_tridiag values, spectral_norm and sturm_count at the midpoints
+    """eig_tridiag values, spectral_norm and the Sturm counts at the midpoints
     of 2^k T are those of T scaled by 2^k, bit for bit."""
     S = _scaled(T, k)
     vals = eig_tridiag(T).values
     assert np.array_equal(eig_tridiag(S).values, np.ldexp(vals, k))
     assert spectral_norm(S) == math.ldexp(spectral_norm(T), k)
     xs = 0.5 * (vals[1:] + vals[:-1])
-    assert ([sturm_count(S, x) for x in np.ldexp(xs, k)]
-            == [sturm_count(T, x) for x in xs])
+    assert _counts_below(S, np.ldexp(xs, k)) == _counts_below(T, xs)
 
 
 # 0, or |x| in [2^-20, 1]: times any 2^k, |k| <= 990, every entry stays normal
@@ -863,7 +939,7 @@ class TestPowerOfTwoScaling:
             assert np.array_equal(eig_tridiag(T, want_vectors=True).values, vals)
             assert spectral_norm(T) == pytest.approx(norm, rel=1e-12)
             mids = 0.5 * (ref[1:] + ref[:-1])
-            assert [sturm_count(T, x) for x in mids] == list(range(1, T.n))
+            assert _counts_below(T, mids) == list(range(1, T.n))
             near = np.min(np.abs(ref[:, None] - mids), axis=0)
             assert np.allclose(_distance_to_spectrum(T, mids), near, rtol=0.0,
                                atol=1e-12 * norm)
@@ -1044,7 +1120,7 @@ class TestTwistedVectors:
 
         monkeypatch.setattr(solvers, "eig_dense", counting)
         monkeypatch.setattr(solvers, "_eigenvalues",
-                            lambda *args, **kwargs: values(*args, **kwargs) + 1e-6)
+                            lambda T: (values(T)[0] + 1e-6, False))
         T = random_tridiagonal(np.random.default_rng(800), 12)
         spec = eig_tridiag(T, want_vectors=True)
         assert calls == [12]
