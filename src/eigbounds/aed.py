@@ -2,13 +2,15 @@
 
 The transform eigendecomposes a trailing window, exposing the spike vector
 t = b_{n-k} V(1,:) whose small entries mark window eigenvalues that can be
-locked.  The outcome keeps only the window values, the spike and the
-coupling; the window eigenvectors are used once, for the spike, and
-dropped.  A Wilkinson-shift QR sweep plus an end-to-end driver make the
-deflation behavior observable on whole matrices; the driver returns the
-undeflated part of each window to tridiagonal form with the solvers'
-Householder reduction, and takes the norm that scales its deflation test
-once, from the two extreme eigenvalues alone (spectral_norm).
+locked: each lies within its |t_i| of an eigenvalue of the whole matrix,
+which the soundness check confirms by Sturm counts alone.  The outcome
+keeps only the window values, the spike and the coupling; the window
+eigenvectors are used once, for the spike, and dropped.  A Wilkinson-shift
+QR sweep plus an end-to-end driver make the deflation behavior observable
+on whole matrices; the driver returns the undeflated part of each window to
+tridiagonal form with the solvers' Householder reduction, and takes the
+norm that scales its deflation test once, from the two extreme eigenvalues
+alone (spectral_norm).
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .solvers import (_distance_to_spectrum, _householder_tridiagonal, eig_tridiag,
-                      spectral_norm)
+from .solvers import _counts_within, _householder_tridiagonal, eig_tridiag, spectral_norm
 from .types import Spectrum, SymTridiagonal
 
 __all__ = [
@@ -73,18 +74,18 @@ def deflation_decide(outcome: AedOutcome, tol: float, scale: float) -> AedOutcom
     return replace(outcome, deflatable=flags)
 
 
-def deflation_soundness_check(T: SymTridiagonal,
-                              outcome: AedOutcome) -> np.ndarray:
-    """Distance, via the oracle, from each deflated window eigenvalue to the
-    spectrum of the full matrix, aligned with
-    outcome.values[outcome.deflatable]; sound deflation keeps each within
-    its |spike| entry.
-
-    The full spectrum is never formed: with c the Sturm count of eigenvalues
-    of T below a deflated value, only ranks c and c + 1 are computed, by
-    the solvers' isolate-refine-certify engine.
+def deflation_soundness_check(T: SymTridiagonal, outcome: AedOutcome,
+                              slack: float) -> np.ndarray:
+    """Eigenvalues of T strictly inside (mu - r, mu + r), r = |t| + slack,
+    for each deflated window eigenvalue mu with spike entry t, aligned with
+    outcome.values[outcome.deflatable].  The residual of mu's Ritz pair is
+    |t|, so sound deflation finds at least 1 each.  No eigenvalue is
+    computed, only Sturm counts, which err toward fewer (see
+    solvers._counts_within): they can refuse falsely, never pass falsely.
     """
-    return _distance_to_spectrum(T, outcome.values[outcome.deflatable])
+    mask = outcome.deflatable
+    return _counts_within(T, outcome.values[mask],
+                          np.abs(outcome.spike[mask]) + slack)
 
 
 def _wilkinson_shift(d1: float, d2: float, b: float) -> float:

@@ -20,11 +20,11 @@ pivmin (Demmel, Dhillon & Ren 1995).  Every solver first scales its input
 by the power of two that brings the largest |entry| into [0.5, 1), so
 pivmin = eps^2 and the tolerances are relative to the matrix, and scales
 the results back exactly: 2^k A gives 2^k times the results for A.
-The engine can take chosen ranks alone: the AED deflation check takes the
-Sturm count c below each deflated value and computes only ranks c and
-c + 1, the two eigenvalues that bracket it (Barth, Martin & Wilkinson
-1967), and a spectral norm only ranks 1 and n, rank 1 with Sturm counts
-taken from above, which a zero pivot cannot mislead.  Counted from below,
+The engine can take chosen ranks alone: a spectral norm computes only
+ranks 1 and n, rank 1 with Sturm counts taken from above, which a zero
+pivot cannot mislead.  The AED deflation check needs no eigenvalue: two
+Sturm counts per deflated value (Barth, Martin & Wilkinson 1967) give the
+eigenvalues in an interval around it (_counts_within).  Counted from below,
 as for a whole spectrum, a count on an exactly zero pivot may read one
 short, so a dense values-only solve in which a count met the pivot guard
 above the last row is redone by round-robin Jacobi sweeps, which also give
@@ -588,25 +588,19 @@ def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
     return np.maximum.accumulate(vals), met  # monotone at roundoff scale
 
 
-def _distance_to_spectrum(T: SymTridiagonal, xs) -> np.ndarray:
-    """Distance from each x in xs to the nearest eigenvalue of T.
-
-    With c the Sturm count of eigenvalues strictly below x, the nearest
-    eigenvalue has rank c or c + 1 (clipped to 1..n), so only those ranks
-    are computed, in one _block_eigenvalues call for all of xs.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.empty(0)
-    T, e = _unit_scaled(T)
-    xs = np.ldexp(xs, -e)
-    off_sq, glo, ghi, tol = _bisection_start(T)
-    c = _sturm_counts(T.diag, off_sq, xs)
-    near = np.clip(np.stack([c, c + 1]), 1, T.n)
-    ranks = np.unique(near)
-    vals = _block_eigenvalues(T.diag, off_sq, glo, ghi, tol, ranks)[0]
-    vals = vals[np.searchsorted(ranks, near)]
-    return np.ldexp(np.min(np.abs(vals - xs), axis=0), e)
+def _counts_within(T: SymTridiagonal, centres, radii) -> np.ndarray:
+    """Number of eigenvalues of T strictly inside each (c - r, c + r), from
+    one _sturm_counts call over the 2m unit-scaled ends: the lower ends
+    counted from above, the upper ends from below, so that a zero pivot
+    (see _sturm_counts) can only make a number short, even negative."""
+    if centres.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    S, e = _unit_scaled(T)
+    c, r = np.ldexp(centres, -e), np.ldexp(radii, -e)
+    ends = np.concatenate([c - r, c + r])
+    counts = _sturm_counts(S.diag, S.offdiag ** 2, ends,
+                           above=np.arange(ends.size) < c.size)
+    return counts[c.size:] - counts[:c.size]
 
 
 def _qr_solve(diag, off, shifts, Y, floor):

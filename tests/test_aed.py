@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 import eigbounds.aed
 import eigbounds.cli
 import eigbounds.solvers
 from conftest import random_tridiagonal
-from eigbounds import (SymTridiagonal, aed_example, aed_transform,
+from eigbounds import (AedOutcome, SymTridiagonal, aed_example, aed_transform,
                        deflation_decide, deflation_soundness_check,
                        eig_tridiag, qr_sweep, run_qr_with_aed, spectral_norm,
                        wilkinson_plus)
-from eigbounds.solvers import _distance_to_spectrum, _gersch_bounds
+from eigbounds.solvers import _gersch_bounds
 
 
 def graded_example(rng, n, b_scale=0.05):
@@ -97,64 +97,122 @@ class TestDeflationDecide:
             out = deflation_decide(aed_transform(T, 10), 1e-8, scale)
             if out.deflation_count == 0:
                 continue
-            observed = deflation_soundness_check(T, out)
-            predicted = np.abs(out.spike[out.deflatable])
-            assert np.all(observed <= predicted + 1e-12 * scale)
+            slack = 1e-12 * scale
+            counts = deflation_soundness_check(T, out, slack)
+            assert np.all(counts >= 1)
+            # the library's spectrum has an eigenvalue within each radius too
+            full = eigvalsh_tridiagonal(T.diag, T.offdiag)
+            mus = out.values[out.deflatable]
+            radii = np.abs(out.spike[out.deflatable]) + slack
+            assert np.all(np.min(np.abs(full[:, None] - mus), axis=0) <= radii)
 
 
-def bisection_tol(T):
-    glo, ghi = _gersch_bounds(T)
-    return 4.0 * np.finfo(float).eps * max(abs(glo), abs(ghi))
+def library_counts(T, mus, radii):
+    """(counts, clear): eigenvalues of T by scipy strictly inside each
+    (mu - r, mu + r), and whether both ends lie more than 1e-12 ||T|| from
+    every eigenvalue, so that roundoff cannot move the count."""
+    full = eigvalsh_tridiagonal(T.diag, T.offdiag)
+    lo, hi = mus - radii, mus + radii
+    counts = (np.searchsorted(full, hi, side="left")
+              - np.searchsorted(full, lo, side="right"))
+    margin = 1e-12 * np.max(np.abs(full))
+    clear = ((np.min(np.abs(full[:, None] - lo), axis=0) > margin)
+             & (np.min(np.abs(full[:, None] - hi), axis=0) > margin))
+    return counts, clear
 
 
-def full_spectrum_distance(T, xs):
-    full = eig_tridiag(T).values
-    return np.array([float(np.min(np.abs(full - x))) for x in xs])
+def outcome_with_radii(mus, radii):
+    """An AedOutcome that deflates every value in mus, with |spike| = radii."""
+    mus = np.asarray(mus, dtype=float)
+    return AedOutcome(values=mus, spike=np.asarray(radii, dtype=float),
+                      coupling=1.0, deflatable=np.ones(mus.size, dtype=bool))
 
 
 class TestDeflationSoundnessCheck:
-    """The check bisects only the ranks c and c + 1 next to each value."""
+    """The check counts the eigenvalues in (mu - r, mu + r) by two Sturm
+    counts per value and computes no eigenvalue."""
 
-    def test_matches_full_spectrum_distance(self):
+    def test_matches_library_counts(self):
         rng = np.random.default_rng(43)
+        seen, compared, total = set(), 0, 0
         for trial in range(20):
             n = int(rng.integers(100, 601))
             k = int(rng.choice([10, 40, 90]))
             T = (graded_example(rng, n, b_scale=float(rng.choice([1e-3, 0.3])))
                  if trial % 2 else random_tridiagonal(rng, n))
-            xs = aed_transform(T, k).values
-            observed = _distance_to_spectrum(T, xs)
-            ref = full_spectrum_distance(T, xs)
-            assert np.max(np.abs(observed - ref)) <= bisection_tol(T)
+            mus = aed_transform(T, k).values
+            norm = spectral_norm(T)
+            # radii from 1e-10 ||T|| up to ||T||, three per value
+            radii = norm * 10.0 ** rng.uniform(-10.0, 0.0, (3, mus.size))
+            for r in radii:
+                counts = deflation_soundness_check(T, outcome_with_radii(mus, r), 0.0)
+                ref, clear = library_counts(T, mus, r)
+                assert np.array_equal(counts[clear], ref[clear])
+                seen.update(np.minimum(ref[clear], 2).tolist())
+                compared += int(np.sum(clear))
+                total += mus.size
+        assert compared >= 0.9 * total
+        assert seen == {0, 1, 2}
 
     def test_values_outside_and_between_eigenvalues(self):
-        # ranks c = 0 and c = n (clipped to 1 and n), and a point on each
-        # side of the middle of a pair 4e-8 apart
+        # a point below and above the spectrum and two on each side of the
+        # middle of the top pair, 4e-8 apart; radii 10% short of and beyond
+        # the true distance (from above the spectrum the longer one takes in
+        # the whole pair), and one that reaches the far member of the pair
         T = wilkinson_plus(7)
-        full = eig_tridiag(T).values
+        full = eigvalsh_tridiagonal(T.diag, T.offdiag)
         glo, ghi = _gersch_bounds(T)
         gap = full[-1] - full[-2]
-        xs = np.array([glo - 1.0, ghi + 1.0, full[-2] + 0.3 * gap,
-                       full[-2] + 0.7 * gap])
-        observed = _distance_to_spectrum(T, xs)
-        expected = [full[0] - xs[0], xs[1] - full[-1], 0.3 * gap, 0.3 * gap]
-        assert np.allclose(observed, expected, rtol=0.0,
-                           atol=2 * bisection_tol(T))
+        mus = np.array([glo - 1.0, ghi + 1.0, full[-2] + 0.3 * gap,
+                        full[-2] + 0.7 * gap])
+        dist = np.array([full[0] - mus[0], mus[1] - full[-1], 0.3 * gap,
+                         0.3 * gap])
+        for factor, expected in ((0.9, [0, 0, 0, 0]), (1.1, [1, 2, 1, 1])):
+            counts = deflation_soundness_check(
+                T, outcome_with_radii(mus, factor * dist), 0.0)
+            assert counts.tolist() == expected
+        both = deflation_soundness_check(
+            T, outcome_with_radii(mus[2:], [0.77 * gap, 0.77 * gap]), 0.0)
+        assert both.tolist() == [2, 2]
+
+    def test_zero_pivot_can_only_refuse(self):
+        # the spectrum is 2 - sqrt(3), 2 and 2 + sqrt(3), so (1.0, 1.5) holds
+        # no eigenvalue; a count from below at d_0 = 1.0 meets an exactly
+        # zero pivot and reads 0 where one eigenvalue lies below, so counting
+        # both ends from below would find 1 inside and pass
+        T = SymTridiagonal([1.0, 2.0, 3.0], [1.0, 1.0])
+        counts = deflation_soundness_check(T, outcome_with_radii([1.25], [0.25]), 0.0)
+        assert counts[0] < 1
 
     def test_never_asks_for_the_full_spectrum(self, monkeypatch):
         rng = np.random.default_rng(44)
         T = graded_example(rng, 200, b_scale=1e-3)
-        out = deflation_decide(aed_transform(T, 40), 1e-8, spectral_norm(T))
+        scale = spectral_norm(T)
+        out = deflation_decide(aed_transform(T, 40), 1e-8, scale)
         assert out.deflation_count > 0
-        ref = full_spectrum_distance(T, out.values[out.deflatable])
+        mus = out.values[out.deflatable]
+        radii = np.abs(out.spike[out.deflatable]) + 1e-12 * scale
+        ref, clear = library_counts(T, mus, radii)
+        assert clear.any()
 
-        def no_full_spectrum(*args, **kwargs):
-            raise AssertionError("full spectrum requested")
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue was computed")
 
-        monkeypatch.setattr(eigbounds.aed, "eig_tridiag", no_full_spectrum)
-        observed = deflation_soundness_check(T, out)
-        assert observed.shape == (out.deflation_count,)
-        assert np.max(np.abs(observed - ref)) <= bisection_tol(T)
+        shifts = []
+        sturm_counts = eigbounds.solvers._sturm_counts
+
+        def counted(diag, off_sq, xs, *args, **kwargs):
+            shifts.append(xs.size)
+            return sturm_counts(diag, off_sq, xs, *args, **kwargs)
+
+        monkeypatch.setattr(eigbounds.aed, "eig_tridiag", refuse)
+        monkeypatch.setattr(eigbounds.solvers, "eig_tridiag", refuse)
+        monkeypatch.setattr(eigbounds.solvers, "_block_eigenvalues", refuse)
+        monkeypatch.setattr(eigbounds.solvers, "_sturm_counts", counted)
+        counts = deflation_soundness_check(T, out, 1e-12 * scale)
+        assert shifts == [2 * out.deflation_count]
+        assert np.all(counts >= 1)
+        assert np.array_equal(counts[clear], ref[clear])
 
     def test_nothing_deflated_makes_no_sturm_call(self, monkeypatch):
         rng = np.random.default_rng(45)
@@ -166,7 +224,7 @@ class TestDeflationSoundnessCheck:
             raise AssertionError("Sturm count requested")
 
         monkeypatch.setattr(eigbounds.solvers, "_sturm_counts", no_sturm)
-        assert deflation_soundness_check(T, out).shape == (0,)
+        assert deflation_soundness_check(T, out, 1e-12).shape == (0,)
 
 
 class TestQrSweep:

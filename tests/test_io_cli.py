@@ -4,6 +4,7 @@ import pytest
 from conftest import random_hermitian, random_tridiagonal
 from eigbounds import (DenseHermitian, SymTridiagonal, load_matrix,
                        parse_matrix, serialize_matrix, wilkinson_plus)
+from eigbounds import cli
 from eigbounds.cli import main
 from eigbounds.io import MatrixFormatError
 
@@ -149,6 +150,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc in (0, 1)
         assert "index=1 " in out and "bound=invalid" in out and "status=" in out
+
+    def test_calls_in_a_row_match_fresh_calls(self, capsys):
+        # main builds its parser once per process; later calls reuse it
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        cases = (["wilkinson", "--n", "7"], ["wilkinson", "--n", "3"],
+                 ["wilkinson", "--n", "seven"], ["verify-all"])
+        fresh = []
+        for argv in cases:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _, _ in fresh] == [0, 2, 2, 0]
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            assert [run(argv) for argv in cases] == fresh
 
 
 class TestCliInputErrors:

@@ -11,7 +11,7 @@ from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
                        eig_tridiag, spectral_norm, wilkinson_plus,
                        wilkinson_split)
 from eigbounds import solvers
-from eigbounds.solvers import (JacobiConvergenceError, _distance_to_spectrum,
+from eigbounds.solvers import (JacobiConvergenceError, _counts_within,
                                _round_robin_pairs)
 
 
@@ -940,9 +940,20 @@ class TestPowerOfTwoScaling:
             assert spectral_norm(T) == pytest.approx(norm, rel=1e-12)
             mids = 0.5 * (ref[1:] + ref[:-1])
             assert _counts_below(T, mids) == list(range(1, T.n))
+            # around each midpoint, an interval short of both neighbours and
+            # one that reaches past them; the counts equal the library's and
+            # do not change, bit for bit, when everything is scaled to unit
+            # size by a power of two
             near = np.min(np.abs(ref[:, None] - mids), axis=0)
-            assert np.allclose(_distance_to_spectrum(T, mids), near, rtol=0.0,
-                               atol=1e-12 * norm)
+            k = -math.frexp(s)[1]
+            for radii in (0.5 * near, 1.5 * near):
+                counts = _counts_within(T, mids, radii)
+                lo, hi = mids - radii, mids + radii
+                expected = (np.searchsorted(ref, hi, side="left")
+                            - np.searchsorted(ref, lo, side="right"))
+                assert np.array_equal(counts, expected)
+                assert np.array_equal(_counts_within(_scaled(T, k), np.ldexp(mids, k),
+                                                     np.ldexp(radii, k)), counts)
 
     @pytest.mark.parametrize("k", [100, -100, 300, -300, 600, -600, 900, -900])
     def test_spectrum_scales_bit_for_bit(self, k):
