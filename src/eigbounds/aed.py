@@ -8,9 +8,10 @@ keeps only the window values, the spike and the coupling; the window
 eigenvectors are used once, for the spike, and dropped.  A Wilkinson-shift
 QR sweep plus an end-to-end driver make the deflation behavior observable
 on whole matrices; the driver returns the undeflated part of each window to
-tridiagonal form with the solvers' Householder reduction, and takes the
-norm that scales its deflation test once, from the two extreme eigenvalues
-alone (spectral_norm).
+tridiagonal form with the solvers' Householder reduction (a pass that
+deflates nothing keeps its window as it is), and takes the norm that
+scales its deflation test once, from the two extreme eigenvalues alone
+(spectral_norm).
 """
 
 from __future__ import annotations
@@ -221,9 +222,12 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
         locked.extend(float(v) for v in outcome.values[outcome.deflatable])
         m = int(np.sum(kept))
         head_rows = n_a - k_eff
+        # a pass that deflates nothing keeps its rows: by the implicit-Q
+        # theorem the rebuild would give them back, up to roundoff and the
+        # signs of the couplings
         if m == 0:
             d, e = d[:head_rows], e[:head_rows - 1]
-        else:
+        elif m < k_eff:
             block = _tridiagonalize_bordered(float(d[head_rows - 1]),
                                              outcome.spike[kept],
                                              outcome.values[kept])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import _BLOCK_ELEMENTS, eig_tridiag
+from .solvers import _BLOCK_ELEMENTS, _decay_ratio, _gersch_radii, eig_tridiag
 from .types import LogScalar, SymTridiagonal
 
 __all__ = [
@@ -53,10 +53,8 @@ def decay_step_bound(T: SymTridiagonal, lam: float, k: int) -> float | None:
         raise IndexError(f"row {k} out of range 1..{n}")
     radius = (abs(float(T.offdiag[k - 2])) if k > 1 else 0.0) + \
              (abs(float(T.offdiag[k - 1])) if k < n else 0.0)
-    gap = abs(lam - float(T.diag[k - 1]))
-    if gap <= radius:
-        return None
-    return radius / gap
+    ratio = float(_decay_ratio(radius, abs(lam - float(T.diag[k - 1]))))
+    return None if ratio == math.inf else ratio
 
 
 @dataclass(frozen=True)
@@ -82,22 +80,27 @@ def decay_profile(T: SymTridiagonal, lam: float, row_from: int,
     if row_from == row_to:
         raise ValueError("profile needs at least two distinct rows")
     direction = 1 if row_to > row_from else -1
-    rows = []
-    ratios = []
+    ks = np.arange(row_from, row_to + direction, direction)
+    inside = (ks >= 1) & (ks <= T.n)
+    m = ks.size if inside.all() else int(np.argmin(inside))
+    rows = ks[:m]
+    ratios = _decay_ratio(_gersch_radii(T.offdiag)[rows - 1],
+                          np.abs(lam - T.diag[rows - 1]))
+    reach = np.flatnonzero(ratios == np.inf)
+    truncated_at = None
+    if reach.size:
+        m = int(reach[0])
+        truncated_at = int(rows[m])
+    elif m < ks.size:
+        raise IndexError(f"row {int(ks[m])} out of range 1..{T.n}")
     cumulative = []
     acc = LogScalar.from_float(1.0)
-    truncated_at = None
-    for k in range(row_from, row_to + direction, direction):
-        r = decay_step_bound(T, lam, k)
-        if r is None:
-            truncated_at = k
-            break
-        acc = acc * LogScalar.from_float(r)
-        rows.append(k)
-        ratios.append(r)
+    for r in ratios[:m]:
+        acc = acc * LogScalar.from_float(float(r))
         cumulative.append(acc)
     return DecayProfile(start=row_from, direction=direction,
-                        rows=tuple(rows), ratios=tuple(ratios),
+                        rows=tuple(int(k) for k in rows[:m]),
+                        ratios=tuple(float(r) for r in ratios[:m]),
                         cumulative=tuple(cumulative),
                         truncated_at=truncated_at)
 

@@ -288,6 +288,33 @@ class TestRunQrWithAed:
         assert next(iter(report.summary)) == "norm"
         assert report.summary["norm"] == spectral_norm(T)
 
+    def test_pass_that_deflates_nothing_keeps_its_rows(self, monkeypatch):
+        # the window is rebuilt only when a pass deflates some of it but not
+        # all; a pass that deflates nothing keeps d and e as they are
+        decided, rebuilt = [], []
+        decide = eigbounds.aed.deflation_decide
+        rebuild = eigbounds.aed._tridiagonalize_bordered
+
+        def deciding(outcome, tol, scale):
+            out = decide(outcome, tol, scale)
+            decided.append((out.deflation_count, out.values.size))
+            return out
+
+        def rebuilding(*args):
+            rebuilt.append(args[1].size)
+            return rebuild(*args)
+
+        monkeypatch.setattr(eigbounds.aed, "deflation_decide", deciding)
+        monkeypatch.setattr(eigbounds.aed, "_tridiagonalize_bordered", rebuilding)
+        rng = np.random.default_rng(42)
+        T = SymTridiagonal(rng.standard_normal(50), rng.standard_normal(49))
+        spec, stats = run_qr_with_aed(T, window=10)
+        assert stats.converged
+        assert sum(1 for c, k in decided if c == 0) > 0
+        assert rebuilt == [k - c for c, k in decided if 0 < c < k]
+        ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
+        assert np.max(np.abs(spec.values - ref)) <= 1e-12 * spectral_norm(T)
+
     def test_zero_matrix_is_converged_at_once(self):
         spec, stats = run_qr_with_aed(SymTridiagonal(np.zeros(5), np.zeros(4)),
                                       window=2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,134 @@ class TestSpectralNorm:
             vals = eig_tridiag(SymTridiagonal(d, np.abs(sub))).values
             ref = eig_dense(A).values
             assert np.max(np.abs(vals - ref)) <= 1e-13 * np.linalg.norm(B, 2)
+
+
+def _jittered_graded(rng, n):
+    """Diagonal n, ..., 1 with jitter in [-0.25, 0.25] and couplings of size
+    in [0.5, 1] and random sign: the eigenvectors of the extreme eigenvalues
+    decay super-exponentially away from the two ends."""
+    d = np.arange(n, 0, -1.0) + rng.uniform(-0.25, 0.25, n)
+    return SymTridiagonal(d, rng.uniform(0.5, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1))
+
+
+def _library_norm(T):
+    return float(np.max(np.abs(eigvalsh_tridiagonal(T.diag, T.offdiag))))
+
+
+class TestNormBlock:
+    """A tridiagonal's spectral norm from the principal blocks that hold its
+    extreme eigenvectors (_top_block), certified on the whole matrix."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The arguments of each _block_eigenvalues call, and the number of
+        shifts of each _sturm_counts call, from here on."""
+        engine_calls, sturm_calls = [], []
+        engine, counts = solvers._block_eigenvalues, solvers._sturm_counts
+
+        def engine_spy(*args):
+            engine_calls.append(args)
+            return engine(*args)
+
+        def counts_spy(*args):
+            sturm_calls.append(args[2].size)
+            return counts(*args)
+
+        monkeypatch.setattr(solvers, "_block_eigenvalues", engine_spy)
+        monkeypatch.setattr(solvers, "_sturm_counts", counts_spy)
+        return engine_calls, sturm_calls
+
+    @pytest.mark.parametrize("n", [60, 120, 200, 500, 1000, "aed1000"])
+    def test_matches_library(self, n, monkeypatch):
+        T = (aed_example(1000) if n == "aed1000"
+             else _jittered_graded(np.random.default_rng(1800 + n), n))
+        engine_calls, _ = self._spy(monkeypatch)
+        d, b = T.diag, T.offdiag
+        for M in (T, SymTridiagonal(d[::-1].copy(), b[::-1].copy()),
+                  SymTridiagonal(-d, b)):
+            engine_calls.clear()
+            norm = spectral_norm(M)
+            # no engine call sees more than 64 rows, and none is refused:
+            # from order 64 or so both ranks are solved on blocks
+            assert len(engine_calls) == (1 if M.n < 64 else 2)
+            assert max(len(c[0]) for c in engine_calls) <= 64
+            assert norm == pytest.approx(_library_norm(M), rel=1e-13, abs=0.0)
+            for k in (-600, -40, 40, 600):
+                S = SymTridiagonal(np.ldexp(M.diag, k), np.ldexp(M.offdiag, k))
+                assert spectral_norm(S) == math.ldexp(norm, k)
+
+    @pytest.mark.parametrize("case", ["random", "wilkinson", "householder"])
+    def test_spread_eigenvectors_decline(self, case, monkeypatch):
+        # one engine call on every row, ranks 1 and n, and no Sturm count
+        # besides the ones that call makes
+        rng = np.random.default_rng(1850)
+        # below 64 rows the order alone declines; above, the blocks do
+        if case == "random":
+            mats = [SymTridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+                    for n in (2, 3, 5, 10, 20, 50, 100, 200) for _ in range(3)]
+        elif case == "wilkinson":
+            mats = [wilkinson_plus(21), wilkinson_plus(101)]
+        else:
+            mats = [random_hermitian(rng, n, complex_entries=c)
+                    for n in (3, 12, 40, 80) for c in (False, True)]
+        engine_calls, sturm_calls = self._spy(monkeypatch)
+        for A in mats:
+            engine_calls.clear()
+            sturm_calls.clear()
+            norm = spectral_norm(A)
+            assert len(engine_calls) == 1
+            diag, *_, ranks, above = engine_calls[0]
+            assert diag.size == A.n and ranks == (1, A.n) and above == (True, False)
+            made = len(sturm_calls)
+            sturm_calls.clear()
+            solvers._block_eigenvalues(*engine_calls[0])
+            assert made == len(sturm_calls)
+            dense = A.entries if case == "householder" else A.to_dense().entries
+            assert norm == pytest.approx(np.linalg.norm(dense, 2), rel=1e-13, abs=0.0)
+
+    def test_refused_block_solves_whole(self, monkeypatch):
+        # a 2-row block for lambda_n, lambda_1 or both: its value fails the
+        # certificate on T, and the norm is the whole solve's, bit for bit
+        T = aed_example(200)
+        S, e = solvers._unit_scaled(T)
+        off_sq, glo, ghi, tol = solvers._bisection_start(S)
+        ends = solvers._block_eigenvalues(S.diag, off_sq, glo, ghi, tol, (1, T.n),
+                                          (True, False))[0]
+        whole = math.ldexp(max(abs(float(ends[0])), abs(float(ends[1]))), e)
+        choose = solvers._top_block
+        engine_calls, _ = self._spy(monkeypatch)
+        for wrong in ({0, 1}, {0}, {1}):
+            order = iter(range(2))      # T first, then -T
+            monkeypatch.setattr(
+                solvers, "_top_block",
+                lambda diag, off: (0, 2) if next(order) in wrong else choose(diag, off))
+            engine_calls.clear()
+            assert spectral_norm(T) == whole
+            assert [len(c[0]) for c in engine_calls][-1:] == [T.n]
+            assert len(engine_calls) == 3
+            assert min(len(c[0]) for c in engine_calls) == 2
+
+    def test_small_orders_and_zero_couplings(self, monkeypatch):
+        rng = np.random.default_rng(1870)
+        mats = [SymTridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+                for n in (2, 3) for _ in range(10)]
+        mats += [_jittered_graded(rng, n) for n in (2, 3)]
+        mats += [wilkinson_split(n)[0] for n in (3, 10, 30)]
+        # one coupling zeroed inside, at the edge of and just past each block
+        G = _jittered_graded(rng, 200)
+        for i in (*range(0, 26), *range(172, 199)):
+            off = G.offdiag.copy()
+            off[i] = 0.0
+            mats.append(SymTridiagonal(G.diag, off))
+        engine_calls, _ = self._spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for T in mats:
+                engine_calls.clear()
+                assert spectral_norm(T) == pytest.approx(_library_norm(T), rel=1e-13,
+                                                         abs=0.0)
+                # no block was refused
+                assert len(engine_calls) in (1, 2)
 
 
 def _bisection_tol(T):

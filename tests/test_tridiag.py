@@ -32,6 +32,14 @@ class TestDecayStep:
         with pytest.raises(IndexError):
             decay_step_bound(T, 0.0, 3)
 
+    def test_nan_shift_gives_nan(self):
+        # no disk is known to contain a NaN shift, so the ratio is NaN, not None
+        T = SymTridiagonal([10.0, 0.0, -10.0], [0.5, 0.25])
+        assert all(math.isnan(decay_step_bound(T, math.nan, k)) for k in (1, 2, 3))
+        prof = decay_profile(T, math.nan, 3, 1)
+        assert prof.rows == (3, 2, 1) and prof.truncated_at is None
+        assert all(math.isnan(r) for r in prof.ratios)
+
 
 class TestDecayProfile:
     def test_chains_step_bounds(self):
@@ -49,6 +57,35 @@ class TestDecayProfile:
         x = np.abs(spec.vectors[:, 0])
         cum = decay_profile(T, lam, 1, 2).cumulative[-1].to_float()
         assert x[0] <= cum * x[2] + 1e-14
+
+    def test_ratios_are_the_step_bounds(self):
+        # row for row, in both directions, up to the first disk that holds lam
+        rng = np.random.default_rng(18)
+        for n in (2, 5, 40):
+            T = SymTridiagonal(rng.standard_normal(n) * 10.0, rng.standard_normal(n - 1))
+            for lam in (float(T.diag[0]), float(rng.standard_normal() * 10.0), 50.0):
+                for a, b in ((1, n), (n, 1)):
+                    prof = decay_profile(T, lam, a, b)
+                    steps = []
+                    for k in range(a, b + prof.direction, prof.direction):
+                        r = decay_step_bound(T, lam, k)
+                        if r is None:
+                            assert prof.truncated_at == k
+                            break
+                        steps.append(r)
+                    else:
+                        assert prof.truncated_at is None
+                    assert prof.ratios == tuple(steps)
+                    assert len(prof.rows) == len(steps)
+
+    def test_rows_out_of_range_raise_where_reached(self):
+        T = SymTridiagonal([100.0, 50.0, 0.0], [1.0, 1.0])
+        with pytest.raises(IndexError):
+            decay_profile(T, 200.0, 2, 4)
+        with pytest.raises(IndexError):
+            decay_profile(T, 200.0, 0, 2)
+        # a disk that holds lam ends the chain before the missing row
+        assert decay_profile(T, 50.0, 1, 4).truncated_at == 2
 
     def test_truncates_at_first_invalid_row(self):
         T = SymTridiagonal([100.0, 0.05, 0.0], [1.0, 1.0])
