@@ -105,8 +105,6 @@ def qr_sweep(T: SymTridiagonal) -> SymTridiagonal:
         return T
     d = [float(v) for v in T.diag]
     e = [float(v) for v in T.offdiag]
-    if all(v == 0.0 for v in e):
-        return T
     mu = _wilkinson_shift(d[n - 2], d[n - 1], e[n - 2])
     x = d[0] - mu
     z = e[0]
@@ -224,10 +222,8 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
         head_rows = n_a - k_eff
         # a pass that deflates nothing keeps its rows: by the implicit-Q
         # theorem the rebuild would give them back, up to roundoff and the
-        # signs of the couplings
-        if m == 0:
-            d, e = d[:head_rows], e[:head_rows - 1]
-        elif m < k_eff:
+        # signs of the couplings; with all of them deflated it is [head]
+        if m < k_eff:
             block = _tridiagonalize_bordered(float(d[head_rows - 1]),
                                              outcome.spike[kept],
                                              outcome.values[kept])

@@ -45,8 +45,8 @@ def _as_tridiagonal(m) -> SymTridiagonal:
 
 def cmd_bound_block(A: DenseHermitian, E: DenseHermitian, k: int,
                     indices=None, refined: bool = False,
-                    verify: bool = False, command: str = "bound-block") -> RunReport:
-    report = RunReport(command)
+                    verify: bool = False) -> RunReport:
+    report = RunReport("bound-block")
     if A.n != E.n:
         raise InputError(f"shape mismatch: A is {A.n}x{A.n}, E is {E.n}x{E.n}")
     if not 1 <= k <= A.n - 1:
@@ -98,10 +98,10 @@ def cmd_bound_block(A: DenseHermitian, E: DenseHermitian, k: int,
     return report
 
 
-def cmd_wilkinson(n: int, ell_range=None, command: str = "wilkinson") -> RunReport:
+def cmd_wilkinson(n: int, ell_range=None) -> RunReport:
     if n <= 4:
         raise InputError("wilkinson requires n > 4")
-    report = RunReport(command)
+    report = RunReport("wilkinson")
     w = generators.wilkinson_plus(n)
     vals = eig_tridiag(w).values
     a_part, _ = generators.wilkinson_split(n)
@@ -130,13 +130,12 @@ def cmd_wilkinson(n: int, ell_range=None, command: str = "wilkinson") -> RunRepo
 
 def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
             j: int | None = None, alpha: float | None = None,
-            simulate: bool = False, verify: bool = False,
-            command: str = "aed") -> RunReport:
+            simulate: bool = False, verify: bool = False) -> RunReport:
     if not 1 <= k <= T.n - 1:
         raise InputError(f"window size k={k} out of range 1..{T.n - 1}")
     if alpha is not None and alpha < 0:
         raise InputError(f"alpha={alpha} must be nonnegative")
-    report = RunReport(command)
+    report = RunReport("aed")
     if simulate:
         spec, stats = run_qr_with_aed(T, window=k, tol=tol)
         scale = stats.scale
@@ -182,9 +181,8 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
 
 
 def cmd_multieig(A: DenseHermitian, E: DenseHermitian, eps_grid=None,
-                 cluster_tol: float = 1e-8,
-                 command: str = "multieig") -> RunReport:
-    report = RunReport(command)
+                 cluster_tol: float = 1e-8) -> RunReport:
+    report = RunReport("multieig")
     if A.n != E.n:
         raise InputError(f"shape mismatch: A is {A.n}x{A.n}, E is {E.n}x{E.n}")
     if eps_grid is None:
@@ -302,10 +300,10 @@ CLAIMS = (
 )
 
 
-def cmd_verify_all(command: str = "verify-all") -> RunReport:
+def cmd_verify_all() -> RunReport:
     """Reproduce the embedded case studies (CLAIMS) and check their expected
     values."""
-    report = RunReport(command)
+    report = RunReport("verify-all")
     for _, claim, _ in CLAIMS:
         claim(report)
     return report
@@ -382,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    echo = " ".join(argv if argv is not None else sys.argv[1:])
     try:
-        report = _run(args, echo)
+        report = _run(args)
+        report.command = " ".join(argv if argv is not None else sys.argv[1:])
         sys.stdout.write(report.render())
         if args.csv:
             report.write_csv(args.csv)
@@ -395,26 +393,24 @@ def main(argv=None) -> int:
     return 0 if report.sound else 1
 
 
-def _run(args, echo: str) -> RunReport:
+def _run(args) -> RunReport:
     if args.command == "bound-block":
         A = _as_dense(load_matrix(args.matrix))
         E = _as_dense(load_matrix(args.perturbation))
         return cmd_bound_block(A, E, args.k, indices=args.indices,
-                               refined=args.refined, verify=args.verify,
-                               command=echo)
+                               refined=args.refined, verify=args.verify)
     if args.command == "wilkinson":
-        return cmd_wilkinson(args.n, ell_range=args.ell_range, command=echo)
+        return cmd_wilkinson(args.n, ell_range=args.ell_range)
     if args.command == "aed":
         T = _as_tridiagonal(load_matrix(args.matrix))
         return cmd_aed(T, args.k, tol=args.tol, j=args.j, alpha=args.alpha,
-                       simulate=args.simulate, verify=args.verify,
-                       command=echo)
+                       simulate=args.simulate, verify=args.verify)
     if args.command == "multieig":
         A = _as_dense(load_matrix(args.matrix))
         E = _as_dense(load_matrix(args.perturbation))
         return cmd_multieig(A, E, eps_grid=args.eps_grid,
-                            cluster_tol=args.cluster_tol, command=echo)
-    return cmd_verify_all(command=echo)
+                            cluster_tol=args.cluster_tol)
+    return cmd_verify_all()
 
 
 if __name__ == "__main__":

@@ -117,7 +117,7 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False) -> Spectrum:
     also computes every spectrum with vectors.
     """
     if not want_vectors:
-        T, e = _dense_tridiagonal(A.entries.real if A.is_real else A.entries)
+        T, e = _dense_tridiagonal(A.entries)
         vals, guarded = _eigenvalues(T)
         if not guarded:
             return Spectrum(np.ldexp(vals, e))
@@ -133,21 +133,16 @@ def _jacobi(A: DenseHermitian, want_vectors: bool) -> Spectrum:
     and are applied together as one array update.
     """
     n = A.n
-    # real input stays in real arithmetic: the rotation formulas below are
-    # dtype-generic (the phase ph degenerates to +-1) and run much faster
-    dtype = float if A.is_real else complex
-    H = A.real_array() if A.is_real else A.entries.astype(complex, copy=True)
+    # a real matrix is held as a real array (DenseHermitian), so it stays in
+    # real arithmetic: the rotation formulas below are dtype-generic (the
+    # phase ph degenerates to +-1) and run much faster
+    H = A.entries.copy()
     # H = 2^e S, solved as unit-scaled S and the values scaled back exactly
     e = _scale_exponent(float(np.max(np.abs(H))))
     if e:
         H = _ldexp(H, -e)
-    V = np.eye(n, dtype=dtype) if want_vectors else None
+    V = np.eye(n, dtype=H.dtype) if want_vectors else None
     scale = math.sqrt(float(np.sum(np.abs(H) ** 2)))
-    if n == 1 or scale == 0.0:
-        vals = np.ldexp(H.diagonal().real, e)
-        order = np.argsort(vals, kind="stable")
-        return Spectrum(vals[order], V[:, order] if want_vectors else None)
-
     off_target = 0.5 * n * _EPS * scale
     skip = _EPS * scale * 1e-3
 
@@ -799,9 +794,6 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     (_unit_scaled), and the values scaled back exactly.
     """
     n = T.n
-    if n == 1:
-        vals = T.diag.copy()
-        return Spectrum(vals, np.ones((1, 1)) if want_vectors else None)
     T, e = _unit_scaled(T)
     vals = _eigenvalues(T)[0]
     if not want_vectors:
@@ -815,7 +807,7 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
         vecs = _twisted_vectors(T, vals, norm_scale)
     except InverseIterationError:
         dense = eig_dense(T.to_dense(), want_vectors=True)
-        return Spectrum(np.ldexp(dense.values, e), dense.vectors.real)
+        return Spectrum(np.ldexp(dense.values, e), dense.vectors)
     return Spectrum(np.ldexp(vals, e), vecs)
 
 
@@ -826,9 +818,10 @@ def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Step k applies the reflection I - 2 v v^H to rows and columns k+1..,
     mapping B[k+1:, k] to alpha e_1 (Golub & Van Loan, section 8.3).  alpha
     has the modulus of that column and the phase opposite its first entry,
-    so v[0] = x[0] - alpha does not cancel; for complex B the subdiagonal is
-    complex, and its moduli are the couplings of a real tridiagonal with the
-    same spectrum.  Row and column 0 are never reflected, so B[0, 0] stays.
+    so v[0] = x[0] - alpha does not cancel: |v[0]| >= ||x|| > 0, so v
+    normalises.  For complex B the subdiagonal is complex, and its moduli
+    are the couplings of a real tridiagonal with the same spectrum.  Row and
+    column 0 are never reflected, so B[0, 0] stays.
     """
     cplx = np.iscomplexobj(B)
     for kk in range(B.shape[0] - 2):
@@ -844,10 +837,7 @@ def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             alpha = -math.copysign(nx, x[0])
         v = x
         v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
+        v /= np.linalg.norm(v)
         # B <- H B H with w = B v - (v^H B v) v: B - 2 v w^H - 2 w v^H
         sub = B[kk + 1:, kk + 1:]
         w = sub @ v
@@ -927,7 +917,7 @@ def spectral_norm(A) -> float:
     if isinstance(A, SymTridiagonal):
         return _tridiagonal_norm(A)
     if isinstance(A, DenseHermitian):
-        return _hermitian_norm(A.entries.real if A.is_real else A.entries)
+        return _hermitian_norm(A.entries)
     B = np.atleast_2d(np.asarray(A))
     if not np.any(B.imag):
         B = B.real

@@ -2,10 +2,13 @@
 
 The two matrix types store their data canonically: DenseHermitian keeps the
 lower triangle authoritative and mirrors the conjugate into the upper
-triangle, so hermiticity is exact by construction.  SymTridiagonal places no
-sign constraint on the couplings; all bound formulas take absolute values.
-Both reject NaN and infinite entries, which the oracle would otherwise turn
-into plausible wrong spectra.
+triangle, so hermiticity is exact by construction.  It holds a matrix whose
+imaginary parts are all zero once canonical (real, integer or complex input)
+as a float64 array, and any other as complex128, so the dtype of its entries
+is the real/complex decision and no solver branches on it.  SymTridiagonal
+places no sign constraint on the couplings; all bound formulas take absolute
+values.  Both reject NaN and infinite entries, which the oracle would
+otherwise turn into plausible wrong spectra.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ class HermitianError(ValueError):
 
 
 def _canonical_hermitian(entries: np.ndarray, atol: float) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
+    a = np.asarray(entries)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise HermitianError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -37,6 +41,10 @@ def _canonical_hermitian(entries: np.ndarray, atol: float) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     if float(np.max(np.abs(a - a.conj().T))) > atol * scale:
         raise HermitianError("matrix deviates from Hermitian beyond tolerance")
+    # stored real unless the strictly lower triangle, the only imaginary
+    # parts kept, has a nonzero one
+    if np.iscomplexobj(a) and not np.tril(a.imag, -1).any():
+        a = a.real
     lower = np.tril(a)
     out = lower + np.tril(a, -1).conj().T
     out[np.diag_indices_from(out)] = out.diagonal().real
@@ -63,16 +71,9 @@ class DenseHermitian:
     @classmethod
     def from_blocks(cls, a11, a21, a22) -> "DenseHermitian":
         """Assemble [[A11, A21^H], [A21, A22]] from the lower-block data."""
-        a11 = np.asarray(a11, dtype=complex)
-        a21 = np.atleast_2d(np.asarray(a21, dtype=complex))
-        a22 = np.atleast_2d(np.asarray(a22, dtype=complex))
-        m, k = a11.shape[0], a22.shape[0]
-        full = np.zeros((m + k, m + k), dtype=complex)
-        full[:m, :m] = a11
-        full[m:, :m] = a21
-        full[:m, m:] = a21.conj().T
-        full[m:, m:] = a22
-        return cls.from_array(full)
+        a21 = np.atleast_2d(np.asarray(a21))
+        return cls.from_array(np.block([[np.asarray(a11), a21.conj().T],
+                                        [a21, np.atleast_2d(np.asarray(a22))]]))
 
     @property
     def n(self) -> int:
@@ -80,7 +81,7 @@ class DenseHermitian:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.all(self.entries.imag == 0.0))
+        return self.entries.dtype == np.float64
 
     def real_array(self) -> np.ndarray:
         return self.entries.real.copy()
@@ -138,7 +139,7 @@ class SymTridiagonal:
         return self.diag.size
 
     def to_dense(self) -> DenseHermitian:
-        a = np.diag(self.diag).astype(complex)
+        a = np.diag(self.diag)
         idx = np.arange(self.n - 1)
         a[idx, idx + 1] = self.offdiag
         a[idx + 1, idx] = self.offdiag

@@ -238,6 +238,15 @@ class TestQrSweep:
             assert np.max(np.abs(before - after)) <= 1e-11 * max(
                 1.0, spectral_norm(T))
 
+    @pytest.mark.parametrize("d", [[3.0, -1.0, 2.0, 2.0], [1.0, 1.0],
+                                   [0.0, 5.0, -7.25], [1e-300, -3e200, 0.5]])
+    def test_zero_couplings_return_the_rows(self, d):
+        # every rotation is the identity up to sign: c = +-1, s = 0
+        T = SymTridiagonal(d, np.zeros(len(d) - 1))
+        S = qr_sweep(T)
+        assert np.array_equal(S.diag, T.diag)
+        assert np.array_equal(S.offdiag, T.offdiag)
+
     def test_drives_last_offdiagonal_down(self):
         rng = np.random.default_rng(39)
         T = graded_example(rng, 10, b_scale=0.2)
@@ -289,8 +298,9 @@ class TestRunQrWithAed:
         assert report.summary["norm"] == spectral_norm(T)
 
     def test_pass_that_deflates_nothing_keeps_its_rows(self, monkeypatch):
-        # the window is rebuilt only when a pass deflates some of it but not
-        # all; a pass that deflates nothing keeps d and e as they are
+        # the window is rebuilt only when a pass deflates some of it (all of
+        # it leaves the 1x1 block [head]); a pass that deflates nothing keeps
+        # d and e as they are
         decided, rebuilt = [], []
         decide = eigbounds.aed.deflation_decide
         rebuild = eigbounds.aed._tridiagonalize_bordered
@@ -311,8 +321,33 @@ class TestRunQrWithAed:
         spec, stats = run_qr_with_aed(T, window=10)
         assert stats.converged
         assert sum(1 for c, k in decided if c == 0) > 0
-        assert rebuilt == [k - c for c, k in decided if 0 < c < k]
+        assert rebuilt == [k - c for c, k in decided if c > 0]
         ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
+        assert np.max(np.abs(spec.values - ref)) <= 1e-12 * spectral_norm(T)
+
+    def test_pass_that_deflates_the_whole_window_keeps_the_head(self, monkeypatch):
+        # a zero coupling above the window makes every spike entry zero, so
+        # the first pass deflates all 4 window values and leaves rows 0..7
+        rng = np.random.default_rng(43)
+        d, e = rng.standard_normal(12), rng.uniform(0.5, 1.0, 11)
+        e[7] = 0.0
+        swept = []
+        sweep = eigbounds.aed.qr_sweep
+
+        def recording(S):
+            swept.append(S)
+            return sweep(S)
+
+        monkeypatch.setattr(eigbounds.aed, "qr_sweep", recording)
+        T = SymTridiagonal(d, e)
+        spec, stats = run_qr_with_aed(T, window=4)
+        assert stats.converged
+        first = stats.records[0]
+        assert (first.aed_deflations, first.negligible_deflations,
+                first.active_size) == (4, 0, 8)
+        assert np.array_equal(swept[0].diag, d[:8])
+        assert np.array_equal(swept[0].offdiag, e[:7])
+        ref = eigvalsh_tridiagonal(d, e)
         assert np.max(np.abs(spec.values - ref)) <= 1e-12 * spectral_norm(T)
 
     def test_zero_matrix_is_converged_at_once(self):

@@ -60,6 +60,16 @@ class TestEigDense:
         assert np.sum(eig_dense(A).values) == pytest.approx(
             np.real(np.trace(A.entries)), abs=1e-10)
 
+    @pytest.mark.parametrize("a", [
+        [[2.5]], [[-3.0 + 0j]], [[2.0 ** 600]], [[-(2.0 ** -600)]],
+        np.zeros((4, 4)), np.zeros((4, 4), dtype=complex),
+    ])
+    def test_no_rotation_gives_diagonal_and_identity(self, a):
+        # Jacobi starts converged: one row, or no off-diagonal mass at all
+        spec = eig_dense(DenseHermitian.from_array(a), want_vectors=True)
+        assert np.array_equal(spec.values, np.diagonal(a).real)
+        assert np.array_equal(spec.vectors, np.eye(len(a)))
+
 
 def _check_against_library(M, values_only=False):
     """eig_dense against numpy.linalg.eigvalsh (a third opinion, tests only):
@@ -246,6 +256,15 @@ class TestEigTridiag:
     def test_zero_offdiagonal_is_sorted_diagonal(self):
         T = SymTridiagonal([3.0, -1.0, 2.0], [0.0, 0.0])
         assert np.allclose(eig_tridiag(T).values, [-1.0, 2.0, 3.0], atol=1e-14)
+
+    @pytest.mark.parametrize("x", [0.0, 3.0, -(2.0 ** -600), 2.0 ** 600])
+    def test_one_row(self, x):
+        T = SymTridiagonal([x], [])
+        spec = eig_tridiag(T, want_vectors=True)
+        assert np.array_equal(spec.values, [x])
+        assert np.array_equal(spec.vectors, [[1.0]])
+        assert spec.vectors.dtype == np.float64
+        assert np.array_equal(eig_tridiag(T).values, [x])
 
     def test_vectors_satisfy_eigen_equation(self):
         rng = np.random.default_rng(11)

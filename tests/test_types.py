@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eigbounds import BlockSplit, DenseHermitian, HermitianError, LogScalar, SymTridiagonal
+from eigbounds.io import serialize_matrix
 from eigbounds.types import UNDERFLOW_LOG10
 
 
@@ -34,6 +35,58 @@ class TestDenseHermitian:
         B = DenseHermitian.from_array([[1.0, 1j], [-1j, 3.0]])
         assert not B.is_real
 
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, -0.5], [-0.5, 3.0]]),
+        np.array([[1, 2], [2, 3]]),
+        np.array([[1.0, -0.5], [-0.5, 3.0]], dtype=complex),
+        np.array([[1.0, -0.5], [-0.5, 3.0]], dtype=complex).conj(),  # -0j
+        # within tolerance: the diagonal's and the upper triangle's imaginary
+        # parts are not kept
+        np.array([[1.0 + 1e-12j, -0.5 + 1e-12j], [-0.5, 3.0]]),
+    ])
+    def test_real_input_is_stored_as_float64(self, a):
+        A = DenseHermitian.from_array(a)
+        assert A.entries.dtype == np.float64 and A.is_real
+        assert np.array_equal(A.entries, np.real(a))
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, -1j], [1j, 3.0]]),
+        np.array([[1.0, -1j], [1j, 3.0]], dtype=np.complex64),
+        np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1e-300j, 3.0]]),
+    ])
+    def test_nonzero_imaginary_part_stays_complex128(self, a):
+        A = DenseHermitian.from_array(a)
+        assert A.entries.dtype == np.complex128 and not A.is_real
+        assert np.array_equal(np.tril(A.entries), np.tril(a))
+        assert np.array_equal(A.entries, A.entries.conj().T)
+
+    @pytest.mark.parametrize("coupling", [
+        [[0.5, -1.5, 0.25]],
+        [[0.5, -1.5j, 0.25]],
+        [[1, 0, -2]],
+    ])
+    def test_from_blocks_dtype_and_entries(self, coupling):
+        rng = np.random.default_rng(19)
+        m = rng.standard_normal((3, 3))
+        a11, a22 = m + m.T, [[7.0]]
+        A = DenseHermitian.from_blocks(a11, coupling, a22)
+        # the zero-filled assembly of [[A11, A21^H], [A21, A22]]
+        full = np.zeros((4, 4), dtype=complex)
+        full[:3, :3], full[3:, :3], full[3:, 3:] = a11, coupling, a22
+        full[:3, 3:] = np.conj(coupling).T
+        assert np.array_equal(A.entries, DenseHermitian.from_array(full).entries)
+        assert A.entries.dtype == (np.complex128 if np.iscomplexobj(coupling)
+                                   else np.float64)
+
+    def test_serialize_real_matrix_text(self):
+        A = DenseHermitian.from_array([[2, -0.0, 0.1], [-0.0, 1e-300, 3],
+                                       [0.1, 3, -4.5]])
+        assert serialize_matrix(A) == (
+            "format dense-hermitian\n"
+            "row (2+0j) 0j (0.1+0j)\n"
+            "row 0j (1e-300+0j) (3+0j)\n"
+            "row (0.1+0j) (3+0j) (-4.5+0j)\n")
+
     def test_block_split_validation(self):
         with pytest.raises(ValueError):
             BlockSplit(0)
@@ -47,6 +100,9 @@ class TestSymTridiagonal:
         D = T.to_dense()
         assert np.array_equal(D.entries, D.entries.T)
         assert D.entries[1, 2] == 0.25
+        assert D.entries.dtype == np.float64
+        assert np.array_equal(D.entries, [[3.0, 0.5, 0.0], [0.5, 2.0, 0.25],
+                                          [0.0, 0.25, 1.0]])
 
     def test_window_is_trailing_block(self):
         T = SymTridiagonal([4.0, 3.0, 2.0, 1.0], [0.1, 0.2, 0.3])
