@@ -19,7 +19,7 @@ from . import generators
 from .aed import aed_transform, deflation_decide, deflation_soundness_check, run_qr_with_aed
 from .blocks import quadratic_residual_bounds, theorem1_bounds
 from .io import load_matrix
-from .multiplicity import detect_multiple, expansion_order, first_order_eigs
+from .multiplicity import detect_multiple, expansion_order
 from .report import RunReport
 from .solvers import eig_dense, eig_tridiag, spectral_norm
 from .tridiag import aed_window_bounds, wilkinson_gap_bound, wilkinson_pair_gap_bound
@@ -190,13 +190,13 @@ def cmd_multieig(A: DenseHermitian, E: DenseHermitian, eps_grid=None,
     contexts = detect_multiple(A, cluster_tol=cluster_tol)
     if not contexts:
         raise InputError("no eigenvalue cluster found at this tolerance")
-    for ci, ctx in enumerate(contexts, start=1):
-        preds = first_order_eigs(ctx, E, float(min(eps_grid)))
-        fit = expansion_order(ctx, E, eps_grid)
+    fits = expansion_order(contexts, E, eps_grid)
+    for ci, (ctx, fit) in enumerate(zip(contexts, fits), start=1):
         report.add(cluster=ci, lambda0=ctx.lambda0,
                    multiplicity=ctx.multiplicity, gap=ctx.gap,
                    slope=("exact" if fit.exact else fit.slope),
-                   predictions_at_min_eps=" ".join(repr(float(p)) for p in preds))
+                   predictions_at_min_eps=" ".join(
+                       repr(float(p)) for p in fit.predictions[-1]))
         for eps, err, gb in zip(fit.eps_grid, fit.errors, fit.gap_bounds):
             report.add(cluster=ci, eps=float(eps), error=float(err),
                        gap_bound=float(gb))
@@ -282,7 +282,7 @@ def _claim_expansion_slopes(report: RunReport) -> None:
     for trial in range(3):
         M = rng.standard_normal((3, 3))
         Erand = DenseHermitian.from_array((M + M.T) / 2.0)
-        fit = expansion_order(ctx, Erand, (1e-2, 1e-3, 1e-4, 1e-5))
+        fit = expansion_order([ctx], Erand, (1e-2, 1e-3, 1e-4, 1e-5))[0]
         ok = fit.exact or 1.8 <= fit.slope <= 2.2
         report.check(f"expansion-slope-{trial}", ok,
                      "exact" if fit.exact else f"slope={fit.slope:.4f}")

@@ -67,67 +67,71 @@ def detect_multiple(A: DenseHermitian,
     return contexts
 
 
-def _compressed_values(ctx: MultipleEigContext, E: DenseHermitian) -> np.ndarray:
-    q1 = ctx.basis
-    comp = q1.conj().T @ E.entries @ q1
-    return eig_dense(DenseHermitian.from_array(comp, atol=1e-6)).values
-
-
 def first_order_eigs(ctx: MultipleEigContext, E: DenseHermitian,
-                     eps: float) -> np.ndarray:
+                     eps) -> np.ndarray:
     """Predicted cluster eigenvalues of A + eps*E: lambda0 + eps * mu_i for
-    mu_i the ascending eigenvalues of Q1^H E Q1."""
-    if eps < 0.0:
+    mu_i the ascending eigenvalues of Q1^H E Q1.  A scalar eps gives one
+    value per mu_i; an array of eps gives one row of them per eps."""
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps < 0.0):
         raise ValueError("eps must be nonnegative")
-    return ctx.lambda0 + eps * _compressed_values(ctx, E)
+    q1 = ctx.basis
+    comp = DenseHermitian.from_array(q1.conj().T @ E.entries @ q1, atol=1e-6)
+    return ctx.lambda0 + np.multiply.outer(eps, eig_dense(comp).values)
 
 
 @dataclass(frozen=True)
 class OrderFit:
     """Log-log regression of prediction error against eps."""
 
-    eps_grid: np.ndarray
+    eps_grid: np.ndarray            # descending
+    predictions: np.ndarray         # first-order values, one row per eps
     errors: np.ndarray
     gap_bounds: np.ndarray          # quadratic-gap bound per eps
     slope: float | None             # None when every error is exactly 0
     exact: bool
 
 
-def expansion_order(ctx: MultipleEigContext, E: DenseHermitian,
-                    eps_grid) -> OrderFit:
-    """Measure the order of the first-order expansion's trailing term.
+def expansion_order(contexts, E: DenseHermitian, eps_grid) -> list[OrderFit]:
+    """Measure the order of the first-order expansion's trailing term, one
+    fit per context; the contexts are clusters of one matrix A, as one
+    detect_multiple call returns them.
 
     For each eps, the error is the worst rank-paired difference between the
     oracle cluster eigenvalues of A + eps*E and the first-order predictions;
     the fitted log-log slope should be about 2.  Each error is also compared
     with the quadratic-gap bound 2||eps E||^2 / (gap + sqrt(gap^2 +
-    4||eps E||^2)).
+    4||eps E||^2)).  ||E|| and the spectrum of each A + eps*E are computed
+    once for all clusters, after every cluster has passed the eps*||E|| <
+    gap/4 check.
     """
+    if len({id(ctx.matrix) for ctx in contexts}) != 1:
+        raise ValueError("contexts must be clusters of one matrix")
     eps_grid = np.asarray(sorted(map(float, eps_grid), reverse=True))
     if eps_grid.size < 2 or eps_grid[-1] <= 0.0:
         raise ValueError("eps grid must hold at least two positive values")
     if eps_grid[0] / eps_grid[-1] < 100.0:
         raise ValueError("eps grid must span at least two decades")
     norm_e = spectral_norm(E)
-    if math.isfinite(ctx.gap) and norm_e * eps_grid[0] >= ctx.gap / 4.0:
+    if any(math.isfinite(ctx.gap) and norm_e * eps_grid[0] >= ctx.gap / 4.0
+           for ctx in contexts):
         raise ValueError("largest eps violates eps*||E|| < gap/4")
-    mu = _compressed_values(ctx, E)
-    ranks = list(ctx.ranks)
-    errors = []
-    gap_bounds = []
-    for eps in eps_grid:
-        perturbed = DenseHermitian.from_array(
-            ctx.matrix.entries + eps * E.entries)
-        observed = eig_dense(perturbed).values[ranks]
-        predicted = ctx.lambda0 + eps * mu
-        errors.append(float(np.max(np.abs(observed - predicted))))
-        en = eps * norm_e
-        gap_bounds.append(2.0 * en * en /
-                          (ctx.gap + math.hypot(ctx.gap, 2.0 * en)))
-    errors = np.asarray(errors)
-    gap_bounds = np.asarray(gap_bounds)
-    scale = max(abs(ctx.lambda0), 1.0)
-    if np.all(errors <= 64.0 * np.finfo(float).eps * scale):
-        return OrderFit(eps_grid, errors, gap_bounds, slope=None, exact=True)
-    slope = float(np.polyfit(np.log(eps_grid), np.log(np.maximum(errors, 1e-300)), 1)[0])
-    return OrderFit(eps_grid, errors, gap_bounds, slope=slope, exact=False)
+    A = contexts[0].matrix
+    spectra = np.array([
+        eig_dense(DenseHermitian.from_array(A.entries + eps * E.entries)).values
+        for eps in eps_grid])
+    fits = []
+    for ctx in contexts:
+        predictions = first_order_eigs(ctx, E, eps_grid)
+        observed = spectra[:, list(ctx.ranks)]
+        errors = np.max(np.abs(observed - predictions), axis=1)
+        gap_bounds = np.array([
+            2.0 * en * en / (ctx.gap + math.hypot(ctx.gap, 2.0 * en))
+            for en in eps_grid * norm_e])
+        scale = max(abs(ctx.lambda0), 1.0)
+        exact = bool(np.all(errors <= 64.0 * np.finfo(float).eps * scale))
+        slope = None if exact else float(np.polyfit(
+            np.log(eps_grid), np.log(np.maximum(errors, 1e-300)), 1)[0])
+        fits.append(OrderFit(eps_grid, predictions, errors, gap_bounds,
+                             slope, exact))
+    return fits

@@ -823,31 +823,22 @@ def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are the couplings of a real tridiagonal with the same spectrum.  Row and
     column 0 are never reflected, so B[0, 0] stays.
     """
-    cplx = np.iscomplexobj(B)
     for kk in range(B.shape[0] - 2):
         x = B[kk + 1:, kk].copy()
         nx = np.linalg.norm(x)
         if nx == 0.0:
             continue
-        if x[0] == 0.0:
-            alpha = -nx
-        elif cplx:
-            alpha = -nx * (x[0] / abs(x[0]))
-        else:
-            alpha = -math.copysign(nx, x[0])
+        # x[0] / |x[0]| is exactly +-1 for real B
+        alpha = -nx if x[0] == 0.0 else -nx * (x[0] / abs(x[0]))
         v = x
         v[0] -= alpha
         v /= np.linalg.norm(v)
         # B <- H B H with w = B v - (v^H B v) v: B - 2 v w^H - 2 w v^H
         sub = B[kk + 1:, kk + 1:]
         w = sub @ v
-        if cplx:
-            vh = v.conj()
-            w -= (vh @ w) * v
-            sub -= 2.0 * np.outer(v, w.conj()) + 2.0 * np.outer(w, vh)
-        else:
-            w -= (v @ w) * v
-            sub -= 2.0 * np.outer(v, w) + 2.0 * np.outer(w, v)
+        vh = v.conj()
+        w -= (vh @ w) * v
+        sub -= 2.0 * np.outer(v, w.conj()) + 2.0 * np.outer(w, vh)
         B[kk + 1, kk] = alpha
     return np.diagonal(B).real.copy(), np.diagonal(B, offset=-1).copy()
 
@@ -864,8 +855,6 @@ def _tridiagonal_norm(T: SymTridiagonal) -> float:
     is the contract of the whole solve.  If either fails, T is solved
     whole."""
     n = T.n
-    if n == 1:
-        return abs(float(T.diag[0]))
     S, e = _unit_scaled(T)
     off_sq, glo, ghi, tol = _bisection_start(S)
     blocks = _norm_blocks(S)

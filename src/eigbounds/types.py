@@ -79,13 +79,6 @@ class DenseHermitian:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def is_real(self) -> bool:
-        return self.entries.dtype == np.float64
-
-    def real_array(self) -> np.ndarray:
-        return self.entries.real.copy()
-
     def block(self, split: "BlockSplit", which: str) -> np.ndarray:
         """Return one of the 2x2 partition blocks ('11', '21', '22')."""
         m = self.n - split.k

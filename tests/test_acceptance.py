@@ -107,7 +107,7 @@ def test_criterion_9_oracle_cross_validation():
         dense_vals = eig_dense(T.to_dense()).values
         worst_val = max(worst_val,
                         float(np.max(np.abs(spec.values - dense_vals))) / scale)
-        R = T.to_dense().real_array() @ spec.vectors - spec.vectors * spec.values
+        R = T.to_dense().entries @ spec.vectors - spec.vectors * spec.values
         worst_resid = max(worst_resid,
                           float(np.max(np.abs(R))) / max(norm, 1e-30))
     report("criterion 9 (oracle cross-validation)",

@@ -21,7 +21,8 @@ from eigbounds import DenseHermitian, cli, serialize_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# name -> argv; {gen}, {A}, {E}, {M} and {P} name the input files below
+# name -> argv; {gen}, {A}, {E}, {M}, {P}, {M2} and {P2} name the input files
+# below
 CASES = {
     "verify-all": ["verify-all"],
     "wilkinson-10": ["wilkinson", "--n", "10"],
@@ -36,6 +37,8 @@ CASES = {
                                  "--perturbation", "{E}", "--k", "6",
                                  "--verify", "--indices", "1,7,14,20"],
     "multieig": ["multieig", "--matrix", "{M}", "--perturbation", "{P}"],
+    "multieig-two-clusters": ["multieig", "--matrix", "{M2}",
+                              "--perturbation", "{P2}"],
 }
 
 
@@ -63,6 +66,16 @@ def write_inputs(workdir: Path) -> dict:
     p = _symmetric(rng, 8)
     matrices = {"A": a, "E": e, "M": (h * vals) @ h,
                 "P": p / np.max(np.abs(p))}
+    # two clusters, a triple 0.5 and a double -1.0, below seven spread
+    # singles under a random orthogonal similarity (drawn from its own
+    # generator so the inputs above stay as they are)
+    rng2 = np.random.default_rng(20261)
+    vals = np.concatenate([np.cumsum(rng2.uniform(0.5, 1.5, 7)) + 1.0,
+                           [0.5, 0.5, 0.5, -1.0, -1.0]])
+    q, _ = np.linalg.qr(rng2.standard_normal((12, 12)))
+    p = _symmetric(rng2, 12)
+    matrices["M2"] = (q * vals) @ q.T
+    matrices["P2"] = p / np.linalg.norm(p, 2)
     paths = {}
     for key, entries in matrices.items():
         path = workdir / f"{key}.mat"

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from eigbounds import (DenseHermitian, detect_multiple, eig_dense,
-                       expansion_order, first_order_eigs)
+from eigbounds import (DenseHermitian, cli, detect_multiple, eig_dense,
+                       expansion_order, first_order_eigs, load_matrix,
+                       multiplicity, spectral_norm)
+from test_golden import write_inputs
 
 
 def symmetric(rng, n, scale=1.0):
@@ -75,6 +77,19 @@ class TestFirstOrderEigs:
             A.entries + eps * E.entries)).values[:2]
         assert np.max(np.abs(np.sort(preds) - exact)) <= 1e-10
 
+    def test_eps_grid_gives_one_row_per_eps(self):
+        rng = np.random.default_rng(55)
+        ctx = detect_multiple(DenseHermitian.from_array(
+            np.diag([2.0, 2.0, 2.0, 6.0])))[0]
+        E = symmetric(rng, 4)
+        grid = np.array([1e-2, 1e-3, 0.0])
+        rows = first_order_eigs(ctx, E, grid)
+        assert rows.shape == (3, 3)
+        for eps, row in zip(grid, rows):
+            assert np.array_equal(row, first_order_eigs(ctx, E, float(eps)))
+        with pytest.raises(ValueError):
+            first_order_eigs(ctx, E, [1e-2, -1e-3])
+
 
 class TestExpansionOrder:
     def test_trailing_term_is_quadratic(self):
@@ -83,7 +98,7 @@ class TestExpansionOrder:
         ctx = detect_multiple(A)[0]
         for _ in range(5):
             E = symmetric(rng, 3)
-            fit = expansion_order(ctx, E, (1e-2, 1e-3, 1e-4, 1e-5))
+            fit = expansion_order([ctx], E, (1e-2, 1e-3, 1e-4, 1e-5))[0]
             assert fit.exact or 1.8 <= fit.slope <= 2.2
             assert np.all(fit.errors <= fit.gap_bounds)
 
@@ -91,7 +106,7 @@ class TestExpansionOrder:
         A = DenseHermitian.from_array(np.diag([2.0, 2.0, 8.0]))
         ctx = detect_multiple(A)[0]
         E = DenseHermitian.from_array(np.diag([0.3, -0.4, 0.0]))
-        fit = expansion_order(ctx, E, (1e-2, 1e-3, 1e-4, 1e-5))
+        fit = expansion_order([ctx], E, (1e-2, 1e-3, 1e-4, 1e-5))[0]
         assert fit.exact
 
     def test_grid_must_span_two_decades(self):
@@ -99,7 +114,7 @@ class TestExpansionOrder:
         ctx = detect_multiple(A)[0]
         E = DenseHermitian.from_array(np.eye(3))
         with pytest.raises(ValueError):
-            expansion_order(ctx, E, (1e-2, 5e-3))
+            expansion_order([ctx], E, (1e-2, 5e-3))
 
     def test_large_eps_rejected(self):
         rng = np.random.default_rng(54)
@@ -107,4 +122,72 @@ class TestExpansionOrder:
         ctx = detect_multiple(A)[0]
         E = random_hermitian(rng, 3, scale=10.0)
         with pytest.raises(ValueError):
-            expansion_order(ctx, E, (1e-1, 1e-2, 1e-3, 1e-4))
+            expansion_order([ctx], E, (1e-1, 1e-2, 1e-3, 1e-4))
+
+    def test_fits_every_cluster_of_one_matrix(self):
+        rng = np.random.default_rng(56)
+        A = DenseHermitian.from_array(np.diag([1.0, 1.0, 4.0, 4.0, 4.0, 9.0]))
+        E = symmetric(rng, 6)
+        grid = (1e-2, 1e-3, 1e-4)
+        ctxs = detect_multiple(A)
+        fits = expansion_order(ctxs, E, grid)
+        assert len(fits) == 2
+        for ctx, fit in zip(ctxs, fits):
+            alone = expansion_order([ctx], E, grid)[0]
+            assert np.array_equal(fit.errors, alone.errors)
+            assert np.array_equal(fit.predictions,
+                                  first_order_eigs(ctx, E, fit.eps_grid))
+            assert fit.predictions.shape == (3, ctx.multiplicity)
+
+    def test_contexts_of_two_matrices_rejected(self):
+        E = DenseHermitian.from_array(0.01 * np.eye(3))
+        c1 = detect_multiple(DenseHermitian.from_array(np.diag([1.0, 1.0, 5.0])))[0]
+        c2 = detect_multiple(DenseHermitian.from_array(np.diag([2.0, 3.0, 3.0])))[0]
+        with pytest.raises(ValueError):
+            expansion_order([c1, c2], E, (1e-2, 1e-3, 1e-4))
+        with pytest.raises(ValueError):
+            expansion_order([], E, (1e-2, 1e-3, 1e-4))
+
+    def test_gap_of_every_cluster_checked_before_any_spectrum(self, monkeypatch):
+        # the second cluster's gap (0.2) is too small for eps = 0.1
+        A = DenseHermitian.from_array(np.diag([1.0, 1.0, 5.0, 5.0, 5.2]))
+        E = DenseHermitian.from_array(np.eye(5))
+        ctxs = detect_multiple(A)
+        assert len(ctxs) == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectrum was computed")
+
+        monkeypatch.setattr(multiplicity, "eig_dense", refuse)
+        with pytest.raises(ValueError, match="gap"):
+            expansion_order(ctxs, E, (1e-1, 1e-2, 1e-3))
+
+
+def test_multieig_solves_each_perturbed_matrix_once(tmp_path, monkeypatch):
+    """Two clusters (multiplicities 3 and 2) share one ||E|| and one
+    spectrum of A + eps*E per eps."""
+    paths = write_inputs(tmp_path)
+    A = load_matrix(paths["M2"])
+    E = load_matrix(paths["P2"])
+    perturbed, norms = [], []
+
+    def counting_eig(M, want_vectors=False):
+        if M.n == A.n and not want_vectors:
+            perturbed.append(M.entries)
+        return eig_dense(M, want_vectors)
+
+    def counting_norm(M):
+        norms.append(M)
+        return spectral_norm(M)
+
+    monkeypatch.setattr(multiplicity, "eig_dense", counting_eig)
+    monkeypatch.setattr(multiplicity, "spectral_norm", counting_norm)
+    grid = (1e-2, 1e-3, 1e-4, 1e-5)
+    report = cli.cmd_multieig(A, E, eps_grid=grid)
+    clusters = [r for r in report.records if "multiplicity" in r]
+    assert sorted(r["multiplicity"] for r in clusters) == [2, 3]
+    assert report.sound
+    assert len(perturbed) == len(grid)
+    for eps, M in zip(grid, perturbed):
+        assert np.array_equal(M, A.entries + eps * E.entries)
+    assert len(norms) == 1 and norms[0] is E

@@ -19,7 +19,7 @@ from eigbounds.solvers import (JacobiConvergenceError, _counts_within,
 def _assert_eigenpairs(T, spec):
     """Residual within 1e-12 of the norm and orthonormal columns within
     1e-12, both on the full matrix."""
-    D = T.to_dense().real_array()
+    D = T.to_dense().entries
     V = spec.vectors
     assert np.max(np.abs(D @ V - V * spec.values)) <= 1e-12 * spectral_norm(T)
     assert np.max(np.abs(V.T @ V - np.eye(T.n))) <= 1e-12
@@ -162,7 +162,7 @@ def _dense_input(seed, n, kind, complex_entries):
         d = 2.0 ** -(3.0 * np.arange(n))
         G = random_hermitian(rng, n, 0.1, complex_entries).entries
         return np.diag(d) + np.sqrt(np.outer(d, d)) * G * (1 - np.eye(n))
-    W = wilkinson_plus(n // 2).to_dense().real_array()
+    W = wilkinson_plus(n // 2).to_dense().entries
     if kind == "wilkinson":
         return W
     Q, _ = np.linalg.qr(random_hermitian(rng, W.shape[0],
@@ -177,9 +177,9 @@ class TestDenseValues:
     solves in which a Sturm count met the pivot guard."""
 
     @pytest.mark.parametrize("M", [
-        wilkinson_plus(5).to_dense().real_array(),
-        wilkinson_plus(9).to_dense().real_array(),
-        SymTridiagonal([1.0, 2.0, 3.0], [1.0, 1.0]).to_dense().real_array(),
+        wilkinson_plus(5).to_dense().entries,
+        wilkinson_plus(9).to_dense().entries,
+        SymTridiagonal([1.0, 2.0, 3.0], [1.0, 1.0]).to_dense().entries,
         np.array([[-3.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])],
         ids=["wilkinson5", "wilkinson9", "123", "zero-pivot3"])
     def test_guarded_counts_fall_back_to_jacobi(self, M):
@@ -272,7 +272,7 @@ class TestEigTridiag:
             n = int(rng.integers(3, 30))
             T = random_tridiagonal(rng, n)
             spec = eig_tridiag(T, want_vectors=True)
-            D = T.to_dense().real_array()
+            D = T.to_dense().entries
             R = D @ spec.vectors - spec.vectors * spec.values
             assert np.max(np.abs(R)) <= 1e-12 * max(spectral_norm(T), 1.0)
             gram = spec.vectors.T @ spec.vectors
@@ -313,7 +313,7 @@ class TestSpectralNorm:
         for _ in range(10):
             T = random_tridiagonal(rng, int(rng.integers(2, 25)))
             assert spectral_norm(T) == pytest.approx(
-                np.linalg.norm(T.to_dense().real_array(), 2), rel=1e-11)
+                np.linalg.norm(T.to_dense().entries, 2), rel=1e-11)
 
     def test_diagonal_is_max_abs(self):
         A = DenseHermitian.from_array(np.diag([1.0, -9.0, 4.0]))
@@ -330,6 +330,12 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(DenseHermitian.from_array(np.zeros((4, 4)))) == 0.0
+
+    @pytest.mark.parametrize("x", [0.0, 3.5, -3.5, 7.0, 1e300, -1e-300,
+                                   2.0 ** -1070])
+    def test_one_row_is_abs(self, x):
+        assert spectral_norm(SymTridiagonal([x], [])) == abs(x)
+        assert spectral_norm(DenseHermitian.from_array([[x]])) == abs(x)
 
     # dense and rectangular input: a Householder reduction and bisection of
     # the extreme ranks, checked against numpy (tests only)
@@ -393,7 +399,7 @@ class TestSpectralNorm:
                 for got, ref in ((spectral_norm(DenseHermitian.from_array(H)), H),
                                  (spectral_norm(R), R),
                                  (spectral_norm(R.T), R),
-                                 (spectral_norm(T), T.to_dense().real_array())):
+                                 (spectral_norm(T), T.to_dense().entries)):
                     assert got == pytest.approx(np.linalg.norm(ref, 2), rel=1e-13,
                                                 abs=1e-15)
 
@@ -851,7 +857,7 @@ class TestLaguerreRefinement:
         T = SymTridiagonal([2.0, 3.0, -1.0, 2.5, -0.5, 0.25, 2.0],
                            [0.0, 0.3, 0.0, 0.2, 0.7, 0.0])
         ref = np.sort(np.concatenate([
-            np.linalg.eigvalsh(T.to_dense().real_array()[a:b, a:b])
+            np.linalg.eigvalsh(T.to_dense().entries[a:b, a:b])
             for a, b in ((0, 1), (1, 3), (3, 6), (6, 7))]))
         vals, refined = _refined_eigenvalues(T, monkeypatch)
         double = np.flatnonzero(ref == 2.0) + 1
@@ -868,7 +874,7 @@ class TestLaguerreRefinement:
         vals, refined = _refined_eigenvalues(T, monkeypatch)
         assert refined.size == T.n
         assert np.array_equal(vals[0::2], vals[1::2])
-        ref = np.linalg.eigvalsh(B.to_dense().real_array())
+        ref = np.linalg.eigvalsh(B.to_dense().entries)
         assert np.max(np.abs(vals[0::2] - ref)) <= _bisection_tol(T)
         _assert_certified(T, vals, refined)
 
@@ -946,7 +952,7 @@ class TestCertificateFailure:
             return jacobi(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "_jacobi", recording)
-        M = wilkinson_plus(5).to_dense().real_array()
+        M = wilkinson_plus(5).to_dense().entries
         _check_against_library(M, values_only=True)
         assert per_call and max(per_call) == 1 and redo == [11]
 
@@ -1006,7 +1012,7 @@ class TestSturmKernel:
     def test_counts_from_above_keep_the_extreme_ranks(self, T):
         off_sq = T.offdiag ** 2
         xs = np.arange(-12.0, 13.0, 0.25)
-        lam = np.linalg.eigvalsh(T.to_dense().real_array())
+        lam = np.linalg.eigvalsh(T.to_dense().entries)
         xs = xs[np.min(np.abs(xs[:, None] - lam), axis=1) > 1e-9]
         assert any(_meets_small_pivot(T, x) for x in xs.tolist())
         below = solvers._sturm_counts(T.diag, off_sq, xs)
