@@ -9,7 +9,7 @@ from .blocks import (BoundReport, eigvec_tail_bound, quadratic_residual_bounds,
                      theorem1_bounds, weyl_bound)
 from .tridiag import (aed_window_bounds, decay_profile, decay_step_bound,
                       wilkinson_gap_bound, wilkinson_pair_gap_bound)
-from .aed import (AedOutcome, RunStatistics, aed_transform, deflation_decide,
+from .aed import (AedOutcome, RunStatistics, aed_transform,
                   deflation_soundness_check, qr_sweep, run_qr_with_aed)
 from .multiplicity import (MultipleEigContext, detect_multiple, expansion_order,
                            first_order_eigs)
@@ -42,7 +42,6 @@ __all__ = [
     "AedOutcome",
     "RunStatistics",
     "aed_transform",
-    "deflation_decide",
     "deflation_soundness_check",
     "qr_sweep",
     "run_qr_with_aed",

@@ -4,8 +4,8 @@ The transform eigendecomposes a trailing window, exposing the spike vector
 t = b_{n-k} V(1,:) whose small entries mark window eigenvalues that can be
 locked: each lies within its |t_i| of an eigenvalue of the whole matrix,
 which the soundness check confirms by Sturm counts alone.  The outcome
-keeps only the window values, the spike and the coupling; the window
-eigenvectors are used once, for the spike, and dropped.  A Wilkinson-shift
+keeps only the window values, the spike and the deflation flags; the
+window eigenvectors are used once, for the spike, and dropped.  A Wilkinson-shift
 QR sweep plus an end-to-end driver make the deflation behavior observable
 on whole matrices; the driver returns the undeflated part of each window to
 tridiagonal form with the solvers' Householder reduction (a pass that
@@ -17,7 +17,7 @@ scales its deflation test once, from the two extreme eigenvalues alone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .types import Spectrum, SymTridiagonal
 __all__ = [
     "AedOutcome",
     "aed_transform",
-    "deflation_decide",
     "deflation_soundness_check",
     "qr_sweep",
     "run_qr_with_aed",
@@ -41,11 +40,10 @@ _MAX_SWEEPS = 100000
 @dataclass(frozen=True)
 class AedOutcome:
     """Window spectrum and spike, ordered by decreasing |D|, with the
-    deflation flags of deflation_decide (all False from aed_transform)."""
+    deflation flags."""
 
     values: np.ndarray              # window spectrum D, descending magnitude
     spike: np.ndarray               # t = b_{n-k} * (first row of V)
-    coupling: float                 # b_{n-k}
     deflatable: np.ndarray          # |t_i| <= tol * scale
 
     @property
@@ -53,26 +51,20 @@ class AedOutcome:
         return int(np.sum(self.deflatable))
 
 
-def aed_transform(T: SymTridiagonal, k: int) -> AedOutcome:
-    """Eigendecompose the trailing k-by-k window and form the spike."""
+def aed_transform(T: SymTridiagonal, k: int, tol: float,
+                  scale: float) -> AedOutcome:
+    """Eigendecompose the trailing k-by-k window, form the spike, and flag
+    window eigenvalues with |t_i| <= tol * scale as deflatable."""
     n = T.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"window size k={k} out of range for order {n}")
-    spec = eig_tridiag(T.window(k), want_vectors=True)
-    order = np.argsort(-np.abs(spec.values), kind="stable")
-    values = spec.values[order]
-    coupling = float(T.offdiag[n - k - 1])
-    spike = coupling * spec.vectors[0, order]
-    return AedOutcome(values=values, spike=spike, coupling=coupling,
-                      deflatable=np.zeros(k, dtype=bool))
-
-
-def deflation_decide(outcome: AedOutcome, tol: float, scale: float) -> AedOutcome:
-    """Flag window eigenvalues with |t_i| <= tol * scale as deflatable."""
     if tol <= 0.0 or scale <= 0.0:
         raise ValueError("tol and scale must be positive")
-    flags = np.abs(outcome.spike) <= tol * scale
-    return replace(outcome, deflatable=flags)
+    spec = eig_tridiag(T.window(k), want_vectors=True)
+    order = np.argsort(-np.abs(spec.values), kind="stable")
+    spike = float(T.offdiag[n - k - 1]) * spec.vectors[0, order]
+    return AedOutcome(values=spec.values[order], spike=spike,
+                      deflatable=np.abs(spike) <= tol * scale)
 
 
 def deflation_soundness_check(T: SymTridiagonal, outcome: AedOutcome,
@@ -193,13 +185,10 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
     locked: list[float] = []
     stats = RunStatistics(scale=scale)
 
-    def negligible(i: int) -> bool:
-        return abs(e[i]) <= tol * (abs(d[i]) + abs(d[i + 1]))
-
     def deflate_trailing() -> int:
         nonlocal d, e
         count = 0
-        while d.size > 1 and negligible(e.size - 1):
+        while d.size > 1 and abs(e[-1]) <= tol * (abs(d[-2]) + abs(d[-1])):
             locked.append(float(d[-1]))
             d, e = d[:-1], e[:-1]
             count += 1
@@ -215,15 +204,14 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
         n_a = d.size
         k_eff = min(window, n_a - 1)
         active = SymTridiagonal(d, e)
-        outcome = deflation_decide(aed_transform(active, k_eff), tol, scale)
+        outcome = aed_transform(active, k_eff, tol, scale)
         kept = ~outcome.deflatable
         locked.extend(float(v) for v in outcome.values[outcome.deflatable])
-        m = int(np.sum(kept))
         head_rows = n_a - k_eff
         # a pass that deflates nothing keeps its rows: by the implicit-Q
         # theorem the rebuild would give them back, up to roundoff and the
         # signs of the couplings; with all of them deflated it is [head]
-        if m < k_eff:
+        if outcome.deflation_count:
             block = _tridiagonalize_bordered(float(d[head_rows - 1]),
                                              outcome.spike[kept],
                                              outcome.values[kept])
@@ -231,21 +219,18 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
             e = np.concatenate([e[:head_rows - 1], block.offdiag])
         return outcome.deflation_count
 
-    # first AED pass before any sweep
-    first = aed_pass() if d.size > 1 else 0
-    stats.records.append(SweepRecord(0, first, deflate_trailing(), d.size))
-
-    # deflate_trailing locks a lone row, so the active size is never 1 here
-    while d.size > 0 and stats.sweeps < _MAX_SWEEPS:
+    # pass 0 runs before any sweep
+    neg = 0
+    while True:
+        aed_count = aed_pass() if d.size > 1 else 0
+        neg += deflate_trailing()
+        stats.records.append(SweepRecord(stats.sweeps, aed_count, neg, d.size))
+        if d.size == 0 or stats.sweeps >= _MAX_SWEEPS:
+            break
         stats.sweeps += 1
         swept = qr_sweep(SymTridiagonal(d, e))
         d, e = swept.diag.copy(), swept.offdiag.copy()
         neg = deflate_trailing()
-        aed_count = 0
-        if d.size > 1:
-            aed_count = aed_pass()
-            neg += deflate_trailing()
-        stats.records.append(SweepRecord(stats.sweeps, aed_count, neg, d.size))
 
     stats.converged = d.size == 0
     values = np.sort(np.concatenate([np.array(locked), d]))

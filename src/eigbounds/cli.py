@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import generators
-from .aed import aed_transform, deflation_decide, deflation_soundness_check, run_qr_with_aed
+from .aed import aed_transform, deflation_soundness_check, run_qr_with_aed
 from .blocks import quadratic_residual_bounds, theorem1_bounds
 from .io import load_matrix
 from .multiplicity import detect_multiple, expansion_order
@@ -157,7 +157,7 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
         return report
     scale = spectral_norm(T)
     report.summary["norm"] = scale
-    outcome = deflation_decide(aed_transform(T, k), tol, scale)
+    outcome = aed_transform(T, k, tol, scale)
     report.summary["spike_norm"] = float(np.linalg.norm(outcome.spike))
     report.summary["deflation_count"] = outcome.deflation_count
     bounds = aed_window_bounds(T, k, j=j, alpha=alpha,
@@ -226,7 +226,7 @@ def _claim_deflation_window(report: RunReport) -> None:
     """Graded 1000x1000 deflation fixture: headline bound and spike profile."""
     T = generators.aed_example(1000)
     scale = spectral_norm(T)
-    outcome = deflation_decide(aed_transform(T, 100), 1e-16, scale)
+    outcome = aed_transform(T, 100, 1e-16, scale)
     win_vals = np.sort(outcome.values)
     small = np.array([v for v in win_vals if v < 10.0])
     fixed = aed_window_bounds(T, 100, j=88, alpha=1.0, window_values=small)

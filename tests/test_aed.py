@@ -8,9 +8,8 @@ import eigbounds.cli
 import eigbounds.solvers
 from conftest import random_tridiagonal
 from eigbounds import (AedOutcome, SymTridiagonal, aed_example, aed_transform,
-                       deflation_decide, deflation_soundness_check,
-                       eig_tridiag, qr_sweep, run_qr_with_aed, spectral_norm,
-                       wilkinson_plus)
+                       deflation_soundness_check, eig_tridiag, qr_sweep,
+                       run_qr_with_aed, spectral_norm, wilkinson_plus)
 from eigbounds.solvers import _gersch_bounds
 
 
@@ -26,39 +25,40 @@ class TestAedTransform:
             n = int(rng.integers(5, 40))
             k = int(rng.integers(2, n))
             T = random_tridiagonal(rng, n)
-            out = aed_transform(T, k)
+            out = aed_transform(T, k, 1e-16, spectral_norm(T))
             assert np.linalg.norm(out.spike) == pytest.approx(
                 abs(T.offdiag[n - k - 1]), abs=1e-13)
 
     def test_window_values_descend_in_magnitude(self):
         rng = np.random.default_rng(31)
         T = random_tridiagonal(rng, 12)
-        out = aed_transform(T, 6)
+        out = aed_transform(T, 6, 1e-16, spectral_norm(T))
         mags = np.abs(out.values)
         assert np.all(np.diff(mags) <= 1e-14)
 
     def test_values_match_window_oracle(self):
         rng = np.random.default_rng(32)
         T = random_tridiagonal(rng, 15)
-        out = aed_transform(T, 5)
+        out = aed_transform(T, 5, 1e-16, spectral_norm(T))
         assert np.allclose(np.sort(out.values),
                            eig_tridiag(T.window(5)).values, atol=1e-12)
 
     def test_spike_matches_library_on_the_graded_fixture(self):
         # a third opinion (tests only): |t_i| = |b_{n-k} V(1, i)| to 1e-8 |b_{n-k}|
         T = aed_example(1000)
-        out = aed_transform(T, 100)
+        out = aed_transform(T, 100, 1e-16, spectral_norm(T))
+        coupling = T.offdiag[T.n - 101]
         W = T.window(100)
         vals, V = eigh_tridiagonal(W.diag, W.offdiag)
         order = np.argsort(out.values, kind="stable")
         assert np.max(np.abs(out.values[order] - vals)) <= 1e-12 * vals[-1]
-        ref = np.abs(out.coupling * V[0, :])
-        assert np.max(np.abs(np.abs(out.spike[order]) - ref)) <= 1e-8 * abs(out.coupling)
+        ref = np.abs(coupling * V[0, :])
+        assert np.max(np.abs(np.abs(out.spike[order]) - ref)) <= 1e-8 * abs(coupling)
 
     def test_spike_is_coupling_times_first_basis_row(self):
         rng = np.random.default_rng(33)
         T = random_tridiagonal(rng, 9)
-        out = aed_transform(T, 4)
+        out = aed_transform(T, 4, 1e-16, spectral_norm(T))
         spec = eig_tridiag(T.window(4), want_vectors=True)
         order = np.argsort(-np.abs(spec.values), kind="stable")
         assert np.allclose(out.spike, T.offdiag[4] * spec.vectors[0, order],
@@ -66,35 +66,31 @@ class TestAedTransform:
 
 
 class TestDeflationDecide:
+    """The deflation flags aed_transform sets from tol and scale."""
+
     def test_threshold_splits_flags(self):
         rng = np.random.default_rng(34)
         T = graded_example(rng, 20, b_scale=1e-4)
         scale = spectral_norm(T)
-        out = deflation_decide(aed_transform(T, 8), tol=1e-6, scale=scale)
+        out = aed_transform(T, 8, tol=1e-6, scale=scale)
         flags = np.abs(out.spike) <= 1e-6 * scale
         assert np.array_equal(out.deflatable, flags)
         assert out.deflation_count == int(np.sum(flags))
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(35)
-        T = graded_example(rng, 12)
-        scale = spectral_norm(T)
-        once = deflation_decide(aed_transform(T, 5), 1e-8, scale)
-        twice = deflation_decide(once, 1e-8, scale)
-        assert np.array_equal(once.deflatable, twice.deflatable)
-
     def test_invalid_tolerance_rejected(self):
         rng = np.random.default_rng(36)
-        out = aed_transform(graded_example(rng, 8), 3)
+        T = graded_example(rng, 8)
         with pytest.raises(ValueError):
-            deflation_decide(out, 0.0, 1.0)
+            aed_transform(T, 3, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            aed_transform(T, 3, 1e-16, 0.0)
 
     def test_deflated_values_near_full_spectrum(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
             T = graded_example(rng, 25, b_scale=1e-3)
             scale = spectral_norm(T)
-            out = deflation_decide(aed_transform(T, 10), 1e-8, scale)
+            out = aed_transform(T, 10, 1e-8, scale)
             if out.deflation_count == 0:
                 continue
             slack = 1e-12 * scale
@@ -125,7 +121,7 @@ def outcome_with_radii(mus, radii):
     """An AedOutcome that deflates every value in mus, with |spike| = radii."""
     mus = np.asarray(mus, dtype=float)
     return AedOutcome(values=mus, spike=np.asarray(radii, dtype=float),
-                      coupling=1.0, deflatable=np.ones(mus.size, dtype=bool))
+                      deflatable=np.ones(mus.size, dtype=bool))
 
 
 class TestDeflationSoundnessCheck:
@@ -140,8 +136,8 @@ class TestDeflationSoundnessCheck:
             k = int(rng.choice([10, 40, 90]))
             T = (graded_example(rng, n, b_scale=float(rng.choice([1e-3, 0.3])))
                  if trial % 2 else random_tridiagonal(rng, n))
-            mus = aed_transform(T, k).values
             norm = spectral_norm(T)
+            mus = aed_transform(T, k, 1e-16, norm).values
             # radii from 1e-10 ||T|| up to ||T||, three per value
             radii = norm * 10.0 ** rng.uniform(-10.0, 0.0, (3, mus.size))
             for r in radii:
@@ -188,7 +184,7 @@ class TestDeflationSoundnessCheck:
         rng = np.random.default_rng(44)
         T = graded_example(rng, 200, b_scale=1e-3)
         scale = spectral_norm(T)
-        out = deflation_decide(aed_transform(T, 40), 1e-8, scale)
+        out = aed_transform(T, 40, 1e-8, scale)
         assert out.deflation_count > 0
         mus = out.values[out.deflatable]
         radii = np.abs(out.spike[out.deflatable]) + 1e-12 * scale
@@ -217,7 +213,7 @@ class TestDeflationSoundnessCheck:
     def test_nothing_deflated_makes_no_sturm_call(self, monkeypatch):
         rng = np.random.default_rng(45)
         T = graded_example(rng, 30)
-        out = aed_transform(T, 10)
+        out = aed_transform(T, 10, 1e-300, spectral_norm(T))
         assert out.deflation_count == 0
 
         def no_sturm(*args, **kwargs):
@@ -302,11 +298,11 @@ class TestRunQrWithAed:
         # it leaves the 1x1 block [head]); a pass that deflates nothing keeps
         # d and e as they are
         decided, rebuilt = [], []
-        decide = eigbounds.aed.deflation_decide
+        transform = eigbounds.aed.aed_transform
         rebuild = eigbounds.aed._tridiagonalize_bordered
 
-        def deciding(outcome, tol, scale):
-            out = decide(outcome, tol, scale)
+        def deciding(T, k, tol, scale):
+            out = transform(T, k, tol, scale)
             decided.append((out.deflation_count, out.values.size))
             return out
 
@@ -314,7 +310,7 @@ class TestRunQrWithAed:
             rebuilt.append(args[1].size)
             return rebuild(*args)
 
-        monkeypatch.setattr(eigbounds.aed, "deflation_decide", deciding)
+        monkeypatch.setattr(eigbounds.aed, "aed_transform", deciding)
         monkeypatch.setattr(eigbounds.aed, "_tridiagonalize_bordered", rebuilding)
         rng = np.random.default_rng(42)
         T = SymTridiagonal(rng.standard_normal(50), rng.standard_normal(49))
