@@ -767,12 +767,15 @@ def _twisted_vectors(T, vals, norm_scale):
             T.diag, T.offdiag, vals[c0:c1], clusters, norm_scale)
     # close values in different clusters leave overlaps of order resid/gap:
     # Newton-Schulz steps X <- X (I - E/2), E = X^T X - I, clear them for
-    # O(resid) more residual
+    # O(resid) more residual.  Only entries above 0.01 TOL_ORTH take part:
+    # overlaps that large lie between close values, whose components are of
+    # similar size, so tiny components are not swamped by mixing in columns
+    # that are orthogonal to roundoff already
     for _ in range(8):
         E = vecs.T @ vecs - np.eye(n)
         if np.max(np.abs(E)) <= 0.1 * TOL_ORTH:
             break
-        vecs -= 0.5 * (vecs @ E)
+        vecs -= 0.5 * (vecs @ np.where(np.abs(E) > 0.01 * TOL_ORTH, E, 0.0))
     # the contract itself, with ||T|| = max |lambda|, decides the fallback
     resid = _residual_norms(T.diag, T.offdiag, vals, vecs)
     if not (np.max(np.abs(E)) <= TOL_ORTH

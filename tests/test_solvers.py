@@ -1,16 +1,18 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+import eigbounds.aed
 from conftest import graded_tridiagonal, random_hermitian, random_tridiagonal
 from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
-                       eig_tridiag, spectral_norm, wilkinson_plus,
-                       wilkinson_split)
+                       eig_tridiag, run_qr_with_aed, spectral_norm,
+                       wilkinson_plus, wilkinson_split)
 from eigbounds import solvers
 from eigbounds.solvers import (JacobiConvergenceError, _counts_within,
                                _round_robin_pairs)
@@ -1225,6 +1227,30 @@ _VECTOR_CASES = {
 }
 
 
+def _mp_first_entry_log10(T, lam, dps=250):
+    """log10 |v(1)| of the unit eigenvector of T at lam, from a twisted
+    factorisation T - lam I = N_r G_r N_r^T in dps-digit arithmetic (tests
+    only): z_r = 1, z_i = -b_i z_{i+1} / D+_i above the twist row r and
+    z_i = -b_{i-1} z_{i-1} / D-_i below it, with r where |gamma_r| is least."""
+    with mpmath.workdps(dps):
+        d = [mpmath.mpf(float(x)) - mpmath.mpf(float(lam)) for x in T.diag]
+        b = [mpmath.mpf(float(x)) for x in T.offdiag]
+        n = len(d)
+        dp, dm = d[:], d[:]
+        for i in range(1, n):
+            dp[i] = d[i] - b[i - 1] ** 2 / dp[i - 1]
+        for i in range(n - 2, -1, -1):
+            dm[i] = d[i] - b[i] ** 2 / dm[i + 1]
+        r = min(range(n), key=lambda i: abs(dp[i] + dm[i] - d[i]))
+        z = [mpmath.mpf(0)] * n
+        z[r] = mpmath.mpf(1)
+        for i in range(r - 1, -1, -1):
+            z[i] = -b[i] * z[i + 1] / dp[i]
+        for i in range(r + 1, n):
+            z[i] = -b[i - 1] * z[i - 1] / dm[i]
+        return float(mpmath.log10(abs(z[0]) / mpmath.sqrt(mpmath.fsum(x * x for x in z))))
+
+
 class TestTwistedVectors:
     @pytest.mark.parametrize("name", list(_VECTOR_CASES))
     def test_residual_and_orthogonality(self, name):
@@ -1319,3 +1345,26 @@ class TestTwistedVectors:
         _assert_eigenpairs(T, spec)
         V = spec.vectors
         assert np.max(np.abs(V.T @ V - np.eye(T.n))) <= 0.1 * solvers.TOL_ORTH
+
+    def test_tiny_first_row_entries_keep_their_relative_accuracy(self, monkeypatch):
+        # pass 7 of an AED run on the graded fixture: the twisted vectors
+        # overlap by about 1e-13, so Newton-Schulz runs, and the smallest
+        # first-row entries (the spike over the coupling) are near 1e-160;
+        # clearing overlaps between columns that are orthogonal to roundoff
+        # already would mix in entries about 29 orders larger
+        windows = []
+        solve = eigbounds.aed.eig_tridiag
+
+        def capturing(W, want_vectors=False):
+            windows.append(W)
+            return solve(W, want_vectors)
+
+        monkeypatch.setattr(eigbounds.aed, "eig_tridiag", capturing)
+        run_qr_with_aed(aed_example(1000), 100)
+        W = windows[7]
+        assert W.n == 100
+        spec = eig_tridiag(W, want_vectors=True)
+        first = np.abs(spec.vectors[0])
+        for i in np.argsort(first)[:3]:
+            assert np.log10(first[i]) == pytest.approx(
+                _mp_first_entry_log10(W, spec.values[i]), abs=0.05)
