@@ -5,13 +5,13 @@ t = b_{n-k} V(1,:) whose small entries mark window eigenvalues that can be
 locked: each lies within its |t_i| of an eigenvalue of the whole matrix,
 which the soundness check confirms by Sturm counts alone.  The outcome
 keeps only the window values, the spike and the deflation flags; the
-window eigenvectors are used once, for the spike, and dropped.  A Wilkinson-shift
-QR sweep plus an end-to-end driver make the deflation behavior observable
-on whole matrices; the driver returns the undeflated part of each window to
-tridiagonal form with the solvers' Householder reduction (a pass that
-deflates nothing keeps its window as it is), and takes the norm that
-scales its deflation test once, from the two extreme eigenvalues alone
-(spectral_norm).
+window eigenvectors are used once, for the spike, and dropped.  A
+Wilkinson-shift QR sweep plus an end-to-end driver make the deflation
+behavior observable on whole matrices; the driver returns the undeflated
+part of each window to tridiagonal form with the solvers' Householder
+reduction (a pass that deflates nothing keeps its window as it is), and
+takes the norm that scales its deflation test once, from the two extreme
+eigenvalues alone (spectral_norm).
 """
 
 from __future__ import annotations

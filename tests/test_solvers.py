@@ -1248,7 +1248,8 @@ def _mp_first_entry_log10(T, lam, dps=250):
             z[i] = -b[i] * z[i + 1] / dp[i]
         for i in range(r + 1, n):
             z[i] = -b[i - 1] * z[i - 1] / dm[i]
-        return float(mpmath.log10(abs(z[0]) / mpmath.sqrt(mpmath.fsum(x * x for x in z))))
+        norm = mpmath.sqrt(mpmath.fsum(x * x for x in z))
+        return float(mpmath.log10(abs(z[0]) / norm))
 
 
 class TestTwistedVectors:
