@@ -12,25 +12,26 @@ the counts; Laguerre's iteration on det(T - xI) from there, for all
 isolated eigenvalues at once (Li & Zeng 1994); and a certificate, two
 Sturm counts half a tolerance either side of each iterate.  An eigenvalue
 that fails the certificate, or never isolates, is bisected to the
-tolerance, so a wrong iterate costs time but is never returned.  A Sturm
-count runs the pivot recurrence in row blocks with one division and one
-subtraction per row and no pivot guard; the guard of LAPACK dstebz is
-applied afterwards, by recounting only the shifts whose pivots came below
-pivmin (Demmel, Dhillon & Ren 1995).  Every solver first scales its input
-by the power of two that brings the largest |entry| into [0.5, 1), so
-pivmin = eps^2 and the tolerances are relative to the matrix, and scales
-the results back exactly: 2^k A gives 2^k times the results for A.
-The engine can take chosen ranks alone: a spectral norm computes only
-ranks 1 and n, rank 1 with Sturm counts taken from above, which a zero
-pivot cannot mislead.  Graded tridiagonals have those two ranks solved on
-certified principal blocks; see _norm_blocks.  The AED deflation check
-needs no eigenvalue: two Sturm counts per deflated value (Barth, Martin &
-Wilkinson 1967) give the eigenvalues in an interval around it
-(_counts_within).  Counted from below, as for a whole spectrum, a count on
-an exactly zero pivot may read one
-short, so a dense values-only solve in which a count met the pivot guard
-above the last row is redone by round-robin Jacobi sweeps, which also give
-every dense spectrum with vectors.
+tolerance, so a wrong iterate costs time but is never returned.  The
+Sturm counts, their guarded recount and Laguerre's derivatives read one
+pivot loop (_pivot_blocks), in row blocks with one division and one
+subtraction per row; a count runs it without the pivot guard, and the
+guard of LAPACK dstebz is applied afterwards, by recounting only the shifts
+whose pivots came below pivmin (Demmel, Dhillon & Ren 1995).  Every solver
+first scales its input by the power of two that brings the largest |entry|
+into [0.5, 1), so pivmin = eps^2 and the tolerances are relative to the
+matrix, and scales the results back exactly: 2^k A gives 2^k times the
+results for A.  The engine can take chosen ranks alone: a spectral norm
+computes only ranks 1 and n, rank 1 with Sturm counts taken from above,
+which a zero pivot cannot mislead.  Graded tridiagonals have those two
+ranks solved on certified principal blocks; see _norm_blocks.  The AED
+deflation check needs no eigenvalue: two Sturm counts per deflated value
+(Barth, Martin & Wilkinson 1967) give the eigenvalues in an interval around
+it (_counts_within).  Counted from below, as for a whole spectrum, a count
+on an exactly zero pivot may read one short, so a dense values-only solve
+in which a count met the pivot guard above the last row is redone by
+round-robin Jacobi sweeps, which also give every dense spectrum with
+vectors.
 These are deliberately independent of any library eigensolver so that every
 bound in the package is checked against an implementation with no shared
 code path.
@@ -63,7 +64,7 @@ _SHIFTS_PER_PASS = 1024
 _MAX_BISECT_STEPS = 120
 # the cap on Laguerre iterations, before the certificate (_block_eigenvalues)
 _MAX_LAGUERRE_STEPS = 10
-# rows per block of the unguarded Sturm recurrence (_sturm_counts)
+# rows per block of the pivot recurrence (_pivot_blocks)
 _STURM_ROWS = 64
 # pivot guard of the Sturm recurrences: every input is unit-scaled first,
 # so a guard of LAPACK dstebz's form c * max(1, max b^2) is c (|b| < 1)
@@ -206,6 +207,40 @@ def _jacobi(A: DenseHermitian, want_vectors: bool) -> Spectrum:
     return Spectrum(vals[order], V[:, order] if want_vectors else None)
 
 
+def _pivot_blocks(diag, off_sq, x, ts, guard=False):
+    """The pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} of T - xI at each x,
+    in blocks of _STURM_ROWS rows (call under np.errstate): one subtraction
+    d_i - x for the whole block, then per row one division into ts[i - r0],
+    rows the caller chooses, and one subtraction.  Each block is yielded as
+    a view into a buffer that the next block overwrites.  Without guard a
+    chain runs on through a zero pivot (0/0 makes NaN); with guard, as in
+    LAPACK dstebz, a pivot with |q| < _PIVMIN continues the chain as if it
+    were -_PIVMIN but is yielded as it is, so it counts by its own sign.
+    """
+    n = diag.size
+    h = min(n, _STURM_ROWS)
+    # buf[1:] holds a block of pivots and buf[0] the row above it; above
+    # row 0 that is 1.0 under the zero coupling b2[0], and d_0 - x - 0 / 1
+    # is d_0 - x exactly
+    buf = np.empty((h + 1, x.size))
+    buf[-1] = 1.0
+    rows = list(buf)
+    b2 = [0.0, *off_sq.tolist()]            # b2[i] couples rows i - 1 and i
+    for r0 in range(0, n, h):
+        k = min(h, n - r0)
+        buf[0] = buf[-1]                    # every block but the last is full
+        q = buf[1:k + 1]
+        np.subtract(diag[r0:r0 + k, None], x, out=q)
+        # out= positionally in the row loops, here and in _log_derivatives:
+        # the keyword costs a few percent at small orders
+        for b, prev, row, t in zip(b2[r0:r0 + k], rows, rows[1:], ts):
+            if guard:
+                prev = np.where(np.abs(prev) < _PIVMIN, -_PIVMIN, prev)
+            np.divide(b, prev, t)
+            np.subtract(row, t, row)
+        yield q
+
+
 def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
                   above=None, guarded=None) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in xs (vectorized);
@@ -213,87 +248,50 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
     A boolean array guarded, if given, is set where a pivot above the last
     row met the guard, so that the count may be one short (see below).
 
-    The pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} run without the pivot
-    guard, in blocks of _STURM_ROWS rows: one subtraction d_i - xs for the
-    whole block, then one division and one subtraction per row.  Once per
-    block the negative pivots are counted and each shift's chain is checked
-    for a pivot with |q| < _PIVMIN (or NaN, from 0/0).  Up to its first such
-    pivot a chain is the same with or without the guard, so only the shifts
-    that met one are recounted, by the guarded recurrence; the counts are
-    those of the guarded recurrence for every shift.
+    The pivots (_pivot_blocks) run unguarded.  Once per block the negative
+    pivots are counted and each shift's chain is checked for a pivot with
+    |q| < _PIVMIN (or NaN, from 0/0).  Up to its first such pivot a chain
+    is the same with or without the guard, so only the shifts that met one
+    are recounted, with the guard; the counts are those of the guarded
+    recurrence for every shift.
 
-    The guard continues a chain from a pivot within _PIVMIN of zero as if it
-    were -_PIVMIN but counts it by its own sign, so at an exactly zero pivot
-    the count comes out one short; it never reads n where fewer eigenvalues
-    lie below x, since that needs every pivot negative.  Counting from
-    above, a shift in above is recounted by the recurrence of -T at -x,
-    whose unguarded pivots are those of T at x negated; its n - count then
-    never reads 0 where an eigenvalue lies at or below x.  Bisecting rank 1
-    from above and rank n from below is thus safe from the zero pivot: for
-    T = tridiag(1, (-3, -2, -1), 1), a shift on d_0 counts 0 eigenvalues
-    below it where there is one, and rank 1 from below bisects to -3
-    instead of -2 - sqrt(3).
+    With the guard an exactly zero pivot makes the count one short; it never
+    reads n where fewer eigenvalues lie below x, since that needs every
+    pivot negative.  Counting from above, a shift in above is recounted on
+    -T at -x, whose unguarded pivots are those of T at x negated; its n -
+    count then never reads 0 where an eigenvalue lies at or below x.
+    Bisecting rank 1 from above and rank n from below is thus safe from the
+    zero pivot: for T = tridiag(1, (-3, -2, -1), 1), a shift on d_0 counts
+    0 eigenvalues below it where there is one, and rank 1 from below
+    bisects to -3 instead of -2 - sqrt(3).
     """
     n, m = diag.size, xs.size
     h = min(n, _STURM_ROWS)
-    # buf[1:] holds a block of pivots and buf[0] the row above it; above
-    # row 0 that is 1.0 under the zero coupling b2[0], and d_0 - x - 0 / 1
-    # is d_0 - x exactly
-    buf = np.empty((h + 1, m))
-    buf[-1] = 1.0
-    rows = list(buf)
     neg = np.empty((h, m), dtype=bool)
-    t = np.empty(m)
     count = np.zeros(m, dtype=np.int64)
     small = np.zeros(m, dtype=bool)
-    b2 = [0.0, *off_sq.tolist()]            # b2[i] couples rows i - 1 and i
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for r0 in range(0, n, h):
-            k = min(h, n - r0)
-            buf[0] = buf[-1]                # every block but the last is full
-            q = buf[1:k + 1]
-            np.subtract(diag[r0:r0 + k, None], xs, out=q)
-            for b, prev, row in zip(b2[r0:r0 + k], rows, rows[1:]):
-                np.divide(b, prev, out=t)
-                np.subtract(row, t, out=row)
+        for i, q in enumerate(_pivot_blocks(diag, off_sq, xs, [np.empty(m)] * h)):
+            k = q.shape[0]
             # _STURM_ROWS < 256, so a block's counts fit in uint8
             neg8 = np.less(q, 0.0, out=neg[:k]).view(np.uint8)
             count += neg8.sum(axis=0, dtype=np.uint8)
-            if guarded is not None and r0 + k == n:
+            if guarded is not None and i * h + k == n:
                 # the last pivot is counted by its sign, guard or not
                 guarded[:] = small | ~(np.abs(q[:-1]).min(axis=0, initial=np.inf)
                                        >= _PIVMIN)
             # a NaN pivot makes the minimum NaN, which fails the test as well
             small |= ~(np.abs(q).min(axis=0) >= _PIVMIN)
-    flip = small & above if above is not None else np.zeros(m, dtype=bool)
-    plain = small & ~flip
-    if plain.any():
-        count[plain] = _guarded_sturm_counts(diag, off_sq, xs[plain])
-    if flip.any():
-        count[flip] = n - _guarded_sturm_counts(-diag, off_sq, -xs[flip])
-    return count
-
-
-def _guarded_sturm_counts(diag: np.ndarray, off_sq: np.ndarray,
-                          xs: np.ndarray) -> np.ndarray:
-    """The Sturm counts with the pivot guard of LAPACK dstebz on every row."""
-    q = diag[0] - xs
-    count = (q < 0.0).astype(np.int64)
-    # one row per iteration, in place: q <- (d_i - xs) - b_{i-1}^2 / q with
-    # |q| < _PIVMIN replaced by -_PIVMIN first
-    t = np.empty_like(q)
-    neg = np.empty(q.shape, dtype=bool)
-    d = diag.tolist()
-    b2 = off_sq.tolist()
-    for i in range(1, len(d)):
-        np.abs(q, out=t)
-        np.less(t, _PIVMIN, out=neg)
-        np.copyto(q, -_PIVMIN, where=neg)
-        np.divide(b2[i - 1], q, out=q)
-        np.subtract(d[i], xs, out=t)
-        np.subtract(t, q, out=q)
-        np.less(q, 0.0, out=neg)
-        count += neg
+        if not small.any():
+            return count
+        flip = small & above if above is not None else np.zeros(m, dtype=bool)
+        # the guarded recount: T at x, and -T at -x for the flipped shifts
+        for sel, sign in ((small & ~flip, 1.0), (flip, -1.0)):
+            if sel.any():
+                x = sign * xs[sel]
+                c = sum(np.count_nonzero(q < 0.0, axis=0) for q in _pivot_blocks(
+                    sign * diag, off_sq, x, [np.empty(x.size)] * h, guard=True))
+                count[sel] = c if sign > 0 else n - c
     return count
 
 
@@ -459,47 +457,42 @@ def _log_derivatives(diag, off_sq, x):
     at each x (call under np.errstate).
 
     f is the product of the pivots q_i = d_i - x - t_i, t_i = b_{i-1}^2 /
-    q_{i-1}.  With u_i = q_i'/q_i and v_i = q_i''/q_i, f'/f = sum u_i and
-    -(f'/f)' = sum u_i^2 - v_i.  From q_i' = t_i u_{i-1} - 1 and q_i'' =
-    t_i (v_{i-1} - 2 u_{i-1}^2), with r_i = t_i / q_i,
+    q_{i-1} (_pivot_blocks).  With u_i = q_i'/q_i and v_i = q_i''/q_i, f'/f
+    = sum u_i and -(f'/f)' = sum u_i^2 - v_i.  From q_i' = t_i u_{i-1} - 1
+    and q_i'' = t_i (v_{i-1} - 2 u_{i-1}^2), with r_i = t_i / q_i,
         u_i = r_i u_{i-1} - 1 / q_i,   v_i = r_i v_{i-1} - 2 r_i u_{i-1}^2,
     so after the pivots each of u and v is one multiply and one subtract
-    per row.  Rows run in blocks of _STURM_ROWS, as in _sturm_counts.  There
-    is no pivot guard: a zero pivot makes the results non-finite.
+    per row, block by block.  There is no pivot guard: a zero pivot makes
+    the results non-finite.
     """
     n, m = diag.size, x.size
     h = min(n, _STURM_ROWS)
-    # rows 1.. of each buffer hold a block and row 0 the row above it;
-    # above row 0 that is q = 1, u = v = 0 under the zero coupling b2[0]
-    Q, U, V, R = np.empty((4, h + 1, m))
-    Q[-1], U[-1], V[-1] = 1.0, 0.0, 0.0
+    # rows 1.. of each buffer hold a block, of R the t_i and then r_i, and
+    # row 0 of U and V the row above it: u = v = 0 above row 0 (b2[0] = 0)
+    R, U, V = np.zeros((3, h + 1, m))
     # the rows as views made once, updated in place through out=
-    qs, us, vs, rs = list(Q), list(U), list(V), list(R)
+    us, vs, rs = list(U), list(V), list(R)
     t = np.empty(m)
     s1, s2 = np.zeros(m), np.zeros(m)
     below = np.zeros(m, dtype=np.int64)
-    b2 = [0.0, *off_sq.tolist()]
-    for r0 in range(0, n, h):
-        k = min(h, n - r0)
+    for q in _pivot_blocks(diag, off_sq, x, rs[1:]):
+        k = q.shape[0]
         # every block but the last is full
-        Q[0], U[0], V[0] = Q[-1], U[-1], V[-1]
-        q, r, u, v = Q[1:k + 1], R[1:k + 1], U[1:k + 1], V[1:k + 1]
-        np.subtract(diag[r0:r0 + k, None], x, out=q)
-        for b, prev, row, ri in zip(b2[r0:r0 + k], qs, qs[1:], rs[1:]):
-            np.divide(b, prev, out=ri)
-            np.subtract(row, ri, out=row)
+        U[0], V[0] = U[-1], V[-1]
+        r, u, v = R[1:k + 1], U[1:k + 1], V[1:k + 1]
         r /= q
         np.divide(-1.0, q, out=u)           # u_i = r_i u_{i-1} - 1 / q_i
         for ri, prev, row in zip(rs[1:k + 1], us, us[1:]):
-            np.multiply(ri, prev, out=t)
-            np.add(row, t, out=row)
+            np.multiply(ri, prev, t)
+            np.add(row, t, row)
         np.multiply(U[:k], U[:k], out=v)    # v_i = r_i (v_{i-1} - 2 u_{i-1}^2)
         v *= -2.0 * r
         for ri, prev, row in zip(rs[1:k + 1], vs, vs[1:]):
-            np.multiply(ri, prev, out=t)
-            np.add(row, t, out=row)
+            np.multiply(ri, prev, t)
+            np.add(row, t, row)
         s1 += u.sum(axis=0)
-        s2 += (u * u - v).sum(axis=0)
+        np.multiply(u, u, out=r)            # r is free from here on
+        s2 += np.subtract(r, v, out=r).sum(axis=0)
         below += (q < 0.0).sum(axis=0)
     return s1, s2, below
 
@@ -707,7 +700,7 @@ def _chunk_vectors(diag, off, lam, clusters, norm_scale):
     they take inverse iteration from fixed-seed random vectors, Gram-Schmidt
     inside the cluster, as does any column that misses the target."""
     # D+ of T and of T reversed (D- bottom up) in one row loop; a pivot below
-    # _PIVMIN in magnitude becomes -_PIVMIN, as in _guarded_sturm_counts
+    # _PIVMIN in magnitude becomes -_PIVMIN, as in _pivot_blocks' guard
     piv = np.stack([diag, diag[::-1]], 1)[..., None] - lam
     b2 = np.stack([off, off[::-1]], 1)[..., None] ** 2
     for i in range(len(diag)):

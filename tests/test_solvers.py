@@ -803,6 +803,40 @@ class TestSubtreeBisection:
         assert vals.shape == (0,) and not met
 
 
+def _log_derivative_inputs():
+    for n in (1, 2, 3, 64, 65, 129, 300):     # across the row-block edges
+        rng = np.random.default_rng(900 + n)
+        yield f"random{n}", SymTridiagonal(rng.standard_normal(n),
+                                           rng.standard_normal(n - 1))
+    yield "wilkinson40", wilkinson_plus(40)
+    yield "aed1000", aed_example(1000)
+
+
+class TestLogDerivatives:
+    """_log_derivatives against the spectrum: f'/f = sum 1 / (x - lambda_j),
+    -(f'/f)' = sum 1 / (x - lambda_j)^2 and the negative pivots count the
+    eigenvalues below x, at shifts at least 1e-3 from the spectrum of the
+    unit-scaled matrix (between eigenvalues and beyond both ends)."""
+
+    @pytest.mark.parametrize("name,T", list(_log_derivative_inputs()))
+    def test_matches_the_spectrum(self, name, T):
+        S, _ = solvers._unit_scaled(T)
+        lam = eigvalsh_tridiagonal(S.diag, S.offdiag)
+        x = np.concatenate([0.5 * (lam[:-1] + lam[1:]),
+                            np.linspace(lam[0] - 0.5, lam[-1] + 0.5, 101)])
+        x = x[np.min(np.abs(x[:, None] - lam), axis=1) >= 1e-3]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s1, s2, below = solvers._log_derivatives(S.diag, S.offdiag ** 2, x)
+        terms = 1.0 / (x[:, None] - lam)
+        # worst seen: 2.1e-12 for s1 (against sum |terms|) and 2.2e-7 for s2,
+        # both on random65
+        assert np.max(np.abs(s1 - terms.sum(axis=1))
+                      / np.abs(terms).sum(axis=1)) <= 1e-11
+        s2_ref = np.sum(terms ** 2, axis=1)
+        assert np.max(np.abs(s2 - s2_ref) / s2_ref) <= 1e-6
+        assert np.array_equal(below, np.sum(lam < x[:, None], axis=1))
+
+
 class TestLaguerreRefinement:
     """Edge cases of the refinement in eig_tridiag: a non-finite Laguerre
     step, the smallest order, zero couplings and eigenvalues that never
@@ -974,14 +1008,17 @@ def _meets_small_pivot(T, x):
 class TestSturmKernel:
     @staticmethod
     def _record_guarded(monkeypatch):
+        """The shifts of every guarded pivot run (_pivot_blocks with
+        guard=True), one array per call."""
         calls = []
-        guarded = solvers._guarded_sturm_counts
+        pivot_blocks = solvers._pivot_blocks
 
-        def recording(diag, off_sq, xs):
-            calls.append(xs.copy())
-            return guarded(diag, off_sq, xs)
+        def recording(diag, off_sq, x, ts, guard=False):
+            if guard:
+                calls.append(x.copy())
+            return pivot_blocks(diag, off_sq, x, ts, guard)
 
-        monkeypatch.setattr(solvers, "_guarded_sturm_counts", recording)
+        monkeypatch.setattr(solvers, "_pivot_blocks", recording)
         return calls
 
     @pytest.mark.parametrize("kind", ["random", "graded"])
@@ -1027,7 +1064,7 @@ class TestSturmKernel:
         assert np.array_equal(above == 0, true == 0)
         # from above, -T's guarded recurrence recounts at -x
         hit = np.array([_meets_small_pivot(T, x) for x in xs.tolist()])
-        neg = solvers._guarded_sturm_counts(-T.diag, off_sq, -xs[hit])
+        neg = _one_row_sturm_counts(-T.diag, off_sq, -xs[hit])
         assert np.array_equal(above[hit], T.n - neg)
         assert np.array_equal(above[~hit], below[~hit])
 
