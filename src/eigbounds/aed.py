@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solvers import _counts_within, _householder_tridiagonal, eig_tridiag, spectral_norm
+from .solvers import (_counts_within, _householder_tridiagonal, _scale_exponent,
+                      eig_tridiag, spectral_norm)
 from .types import Spectrum, SymTridiagonal
 
 __all__ = [
@@ -123,14 +124,18 @@ def _tridiagonalize_bordered(head: float, spike: np.ndarray,
                              window_vals: np.ndarray) -> SymTridiagonal:
     """Householder reduction of the bordered block [[head, t^T], [t, D]]
     back to tridiagonal form.  The first coordinate stays fixed, so the
-    coupling of the head row to the rest of the matrix survives."""
+    coupling of the head row to the rest of the matrix survives.  The block
+    is reduced unit-scaled, B = 2^e S, so that its column norms neither
+    overflow nor underflow, and the result scaled back exactly."""
     m = spike.size
     B = np.zeros((m + 1, m + 1))
     B[0, 0] = head
     B[0, 1:] = spike
     B[1:, 0] = spike
     B[1:, 1:] = np.diag(window_vals)
-    return SymTridiagonal(*_householder_tridiagonal(B))
+    e = _scale_exponent(float(np.max(np.abs(B))))
+    d, sub = _householder_tridiagonal(np.ldexp(B, -e))
+    return SymTridiagonal(np.ldexp(d, e), np.ldexp(sub, e))
 
 
 @dataclass

@@ -7,9 +7,9 @@ import eigbounds.aed
 import eigbounds.cli
 import eigbounds.solvers
 from conftest import random_tridiagonal
-from eigbounds import (AedOutcome, SymTridiagonal, aed_example, aed_transform,
-                       deflation_soundness_check, eig_tridiag, qr_sweep,
-                       run_qr_with_aed, spectral_norm, wilkinson_plus)
+from eigbounds import (AedOutcome, Spectrum, SymTridiagonal, aed_example,
+                       aed_transform, deflation_soundness_check, eig_tridiag,
+                       qr_sweep, run_qr_with_aed, spectral_norm, wilkinson_plus)
 from eigbounds.solvers import _gersch_bounds
 
 
@@ -293,6 +293,22 @@ class TestRunQrWithAed:
         assert next(iter(report.summary)) == "norm"
         assert report.summary["norm"] == spectral_norm(T)
 
+    def test_spectrum_check_is_relative_below_unit_norm(self, monkeypatch):
+        # aed --simulate --verify holds the run to 1e-10 ||T|| of eig_tridiag
+        # also where ||T|| < 1, so a run 1e-9 ||T|| off fails there
+        W = aed_example(60)
+        T = SymTridiagonal(np.ldexp(W.diag, -600), np.ldexp(W.offdiag, -600))
+        assert eigbounds.cli.cmd_aed(T, 10, simulate=True, verify=True).sound
+        run = eigbounds.aed.run_qr_with_aed
+
+        def off(T, window, tol):
+            spec, stats = run(T, window=window, tol=tol)
+            return Spectrum(spec.values + 1e-9 * stats.scale), stats
+
+        monkeypatch.setattr(eigbounds.cli, "run_qr_with_aed", off)
+        report = eigbounds.cli.cmd_aed(T, 10, simulate=True, verify=True)
+        assert report.failures == ["spectrum-match"]
+
     def test_pass_that_deflates_nothing_keeps_its_rows(self, monkeypatch):
         # the window is rebuilt only when a pass deflates some of it (all of
         # it leaves the 1x1 block [head]); a pass that deflates nothing keeps
@@ -345,6 +361,30 @@ class TestRunQrWithAed:
         assert np.array_equal(swept[0].offdiag, e[:7])
         ref = eigvalsh_tridiagonal(d, e)
         assert np.max(np.abs(spec.values - ref)) <= 1e-12 * spectral_norm(T)
+
+    @pytest.mark.parametrize("T,window", [
+        (aed_example(60), 10),
+        (aed_example(1000), 100),
+        (random_tridiagonal(np.random.default_rng(44), 50), 8),
+    ], ids=["aed60", "aed1000", "random50"])
+    def test_power_of_two_scaling(self, T, window):
+        # 2^k T runs the same sweeps and deflations to 2^k times the values
+        # for |k| = 300; far below 1 the window rebuild still does not
+        # underflow (unit-scaled), so the values stay right
+        def scaled(k):
+            return SymTridiagonal(np.ldexp(T.diag, k), np.ldexp(T.offdiag, k))
+
+        spec, stats = run_qr_with_aed(T, window)
+        for k in (300, -300):
+            got, got_stats = run_qr_with_aed(scaled(k), window)
+            assert np.array_equal(got.values, np.ldexp(spec.values, k))
+            assert got_stats.sweeps == stats.sweeps
+            assert got_stats.records == stats.records
+        ref = eig_tridiag(T).values
+        for k in (-600, -900):
+            got, _ = run_qr_with_aed(scaled(k), window)
+            assert (np.max(np.abs(np.ldexp(got.values, -k) - ref))
+                    <= 1e-12 * spectral_norm(T))
 
     def test_zero_matrix_is_converged_at_once(self):
         spec, stats = run_qr_with_aed(SymTridiagonal(np.zeros(5), np.zeros(4)),
