@@ -55,12 +55,13 @@ class AedOutcome:
 def aed_transform(T: SymTridiagonal, k: int, tol: float,
                   scale: float) -> AedOutcome:
     """Eigendecompose the trailing k-by-k window, form the spike, and flag
-    window eigenvalues with |t_i| <= tol * scale as deflatable."""
+    window eigenvalues with |t_i| <= tol * scale as deflatable.  scale may
+    be 0, the norm of the zero matrix: then only exact zeros deflate."""
     n = T.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"window size k={k} out of range for order {n}")
-    if tol <= 0.0 or scale <= 0.0:
-        raise ValueError("tol and scale must be positive")
+    if tol <= 0.0 or scale < 0.0:
+        raise ValueError("tol must be positive and scale nonnegative")
     spec = eig_tridiag(T.window(k), want_vectors=True)
     order = np.argsort(-np.abs(spec.values), kind="stable")
     spike = float(T.offdiag[n - k - 1]) * spec.vectors[0, order]

@@ -83,7 +83,19 @@ class TestDeflationDecide:
         with pytest.raises(ValueError):
             aed_transform(T, 3, 0.0, 1.0)
         with pytest.raises(ValueError):
-            aed_transform(T, 3, 1e-16, 0.0)
+            aed_transform(T, 3, 1e-16, -1.0)
+
+    def test_scale_zero_deflates_only_exact_zeros(self):
+        # scale 0 is the norm of the zero matrix, whose spike is all zero
+        out = aed_transform(SymTridiagonal(np.zeros(4), np.zeros(3)), 2, 1e-16, 0.0)
+        assert out.deflation_count == 2
+        rng = np.random.default_rng(38)
+        d, e = rng.standard_normal(12), rng.uniform(0.5, 1.0, 11)
+        out = aed_transform(SymTridiagonal(d, e), 5, 1e-16, 0.0)
+        assert out.deflation_count == 0
+        e[6] = 0.0                  # the coupling above the window
+        out = aed_transform(SymTridiagonal(d, e), 5, 1e-16, 0.0)
+        assert out.deflation_count == 5
 
     def test_deflated_values_near_full_spectrum(self):
         rng = np.random.default_rng(37)

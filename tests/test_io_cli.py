@@ -111,6 +111,18 @@ class TestCli:
         assert rc == 1
         assert "verdict=FAIL" in out
 
+    def test_aed_analysis_of_the_zero_matrix(self, tmp_path, capsys):
+        # its norm is 0, and each window value deflates on an exactly zero
+        # spike entry; all 4 eigenvalues lie within the slack of 0
+        path = tmp_path / "zero.mat"
+        path.write_text(serialize_matrix(SymTridiagonal(np.zeros(4), np.zeros(3))))
+        assert main(["aed", "--matrix", str(path), "--k", "2", "--verify"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "summary deflation_count=2" in out
+        checks = [line for line in out if line.startswith("check=deflated-0 ")]
+        assert len(checks) == 2
+        assert all("verdict=PASS" in c and "eigenvalues=4 " in c for c in checks)
+
     def test_multieig_command(self, matrix_files, capsys):
         rc = main(["multieig", "--matrix", matrix_files["Adouble"],
                    "--perturbation", matrix_files["Esmall"],
