@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solvers import eig_dense, spectral_norm
+from .solvers import _dense_batch, spectral_norm
 from .types import BlockSplit, DenseHermitian, LogScalar
 
 __all__ = [
@@ -69,8 +69,8 @@ def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
     if np.any(E.block(split, "11")) or np.any(E.block(split, "22")):
         raise ValueError("perturbation must have zero diagonal blocks")
     norm_e = spectral_norm(E)
-    a1_vals = eig_dense(DenseHermitian.from_array(A.block(split, "11"))).values
-    a2_vals = eig_dense(DenseHermitian.from_array(A.block(split, "22"))).values
+    (a1_vals, a2_vals), _ = _dense_batch([DenseHermitian.from_array(A.block(split, "11")),
+                                          DenseHermitian.from_array(A.block(split, "22"))])
     dist = np.abs(np.subtract.outer(a1_vals, a2_vals))
     gaps = np.concatenate([dist.min(axis=1), dist.min(axis=0)])
     # ascending eigenvalues of A, each with its gap to the other block
@@ -96,11 +96,12 @@ def eigvec_tail_bound(A: DenseHermitian, split: BlockSplit, lam: float) -> float
     """Bound on the trailing eigenvector component norm ||x2|| for an
     eigenvalue lam of A: ||A21|| / min_j |lam - lambda_j(A22)|."""
     split.check(A.n)
-    a22 = DenseHermitian.from_array(A.block(split, "22"))
-    gap = _gap_to_block(lam, eig_dense(a22).values)
+    (a22_vals,), (a21n,) = _dense_batch([DenseHermitian.from_array(A.block(split, "22"))],
+                                        [A.block(split, "21")])
+    gap = _gap_to_block(lam, a22_vals)
     if gap <= 0.0:
         raise ValueError("lam coincides with an eigenvalue of A22 (zero gap)")
-    return spectral_norm(A.block(split, "21")) / gap
+    return a21n / gap
 
 
 def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
@@ -117,19 +118,23 @@ def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
     denominator is not positive the report falls back to the Weyl bound,
     flagged invalid, with tau None.  Callers that already hold the
     ascending eigenvalues of A can pass them as `values` to skip that
-    decomposition."""
+    decomposition.  The spectra and the norms of the blocks come from one
+    engine call (_dense_batch); ||E|| is weyl_bound's."""
     split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
-    vals = eig_dense(A).values if values is None else np.asarray(values, dtype=float)
-    if vals.shape != (A.n,):
-        raise ValueError(f"values must have shape ({A.n},), got {vals.shape}")
-    a22_vals = eig_dense(DenseHermitian.from_array(A.block(split, "22"))).values
+    if values is not None:
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (A.n,):
+            raise ValueError(f"values must have shape ({A.n},), got {vals.shape}")
     weyl = weyl_bound(E)
-    a21n = spectral_norm(A.block(split, "21"))
-    e11 = spectral_norm(DenseHermitian.from_array(E.block(split, "11")))
-    e21 = spectral_norm(E.block(split, "21"))
-    e22 = spectral_norm(DenseHermitian.from_array(E.block(split, "22")))
+    a22 = DenseHermitian.from_array(A.block(split, "22"))
+    spectra, (a21n, e11, e21, e22) = _dense_batch([a22] if values is not None else [a22, A], [
+        A.block(split, "21"), DenseHermitian.from_array(E.block(split, "11")),
+        E.block(split, "21"), DenseHermitian.from_array(E.block(split, "22"))])
+    a22_vals = spectra[0]
+    if values is None:
+        vals = spectra[1]
     slack = (weyl + e22) if refined else 2.0 * weyl
     out = []
     for i in indices:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import eig_dense, spectral_norm
+from .solvers import _dense_batch, eig_dense
 from .types import DenseHermitian
 
 __all__ = [
@@ -102,8 +102,8 @@ def expansion_order(contexts, E: DenseHermitian, eps_grid) -> list[OrderFit]:
     the fitted log-log slope should be about 2.  Each error is also compared
     with the quadratic-gap bound 2||eps E||^2 / (gap + sqrt(gap^2 +
     4||eps E||^2)).  ||E|| and the spectrum of each A + eps*E are computed
-    once for all clusters, after every cluster has passed the eps*||E|| <
-    gap/4 check.
+    once for all clusters, in one engine call (_dense_batch), and used
+    only once every cluster has passed the eps*||E|| < gap/4 check.
     """
     if len({id(ctx.matrix) for ctx in contexts}) != 1:
         raise ValueError("contexts must be clusters of one matrix")
@@ -112,14 +112,13 @@ def expansion_order(contexts, E: DenseHermitian, eps_grid) -> list[OrderFit]:
         raise ValueError("eps grid must hold at least two positive values")
     if eps_grid[0] / eps_grid[-1] < 100.0:
         raise ValueError("eps grid must span at least two decades")
-    norm_e = spectral_norm(E)
+    A = contexts[0].matrix
+    spectra, (norm_e,) = _dense_batch(
+        [DenseHermitian.from_array(A.entries + eps * E.entries) for eps in eps_grid], [E])
     if any(math.isfinite(ctx.gap) and norm_e * eps_grid[0] >= ctx.gap / 4.0
            for ctx in contexts):
         raise ValueError("largest eps violates eps*||E|| < gap/4")
-    A = contexts[0].matrix
-    spectra = np.array([
-        eig_dense(DenseHermitian.from_array(A.entries + eps * E.entries)).values
-        for eps in eps_grid])
+    spectra = np.array(spectra)
     fits = []
     for ctx in contexts:
         predictions = first_order_eigs(ctx, E, eps_grid)

@@ -12,12 +12,19 @@ the counts; Laguerre's iteration on det(T - xI) from there, for all
 isolated eigenvalues at once (Li & Zeng 1994); and a certificate, two
 Sturm counts half a tolerance either side of each iterate.  An eigenvalue
 that fails the certificate, or never isolates, is bisected to the
-tolerance, so a wrong iterate costs time but is never returned.  The
-Sturm counts, their guarded recount and Laguerre's derivatives read one
-pivot loop (_pivot_blocks), in row blocks with one division and one
-subtraction per row; a count runs it without the pivot guard, and the
-guard of LAPACK dstebz is applied afterwards, by recounting only the shifts
-whose pivots came below pivmin (Demmel, Dhillon & Ren 1995).  Every solver
+tolerance, so a wrong iterate costs time but is never returned.  One
+engine call solves many tridiagonals, its members (_block_eigenvalues):
+they are stacked along the shift axis, each shift carrying its member's
+rows, so every row loop runs once for all members (the Sturm counts once
+per member order), and each member's results are bit for bit those of a
+call with it alone.  Zero couplings split a tridiagonal into members, and
+the spectra and norms of several dense matrices are one call
+(_dense_batch).  The Sturm counts, their guarded recount and Laguerre's
+derivatives read one pivot loop (_pivot_blocks), in row blocks with one
+division and one subtraction per row; a count runs it without the pivot
+guard, and the guard of LAPACK dstebz is applied afterwards, by recounting
+only the shifts whose pivots came below pivmin (Demmel, Dhillon & Ren
+1995).  Every solver
 first scales its input by the power of two that brings the largest |entry|
 into [0.5, 1), so pivmin = eps^2 and the tolerances are relative to the
 matrix, and scales the results back exactly: 2^k A gives 2^k times the
@@ -40,6 +47,8 @@ code path.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,17 +120,13 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of a Hermitian matrix, ascending.
 
     The values alone come from the Householder tridiagonal of A
-    (_dense_tridiagonal) through the engine of eig_tridiag (_eigenvalues):
-    isolate, refine, certify.  A Sturm count whose shift met the pivot
-    guard above the last row may be one short (see _sturm_counts), so a
-    solve in which any count met it is redone by Jacobi (_jacobi), which
-    also computes every spectrum with vectors.
+    (_dense_tridiagonal) through the engine of eig_tridiag: isolate,
+    refine, certify, as the one-matrix case of _dense_batch, which redoes
+    a solve in which a Sturm count met the pivot guard by Jacobi (_jacobi).
+    Jacobi also computes every spectrum with vectors.
     """
     if not want_vectors:
-        T, e = _dense_tridiagonal(A.entries)
-        vals, guarded = _eigenvalues(T)
-        if not guarded:
-            return Spectrum(np.ldexp(vals, e))
+        return Spectrum(_dense_batch([A])[0][0])
     return _jacobi(A, want_vectors)
 
 
@@ -212,12 +217,14 @@ def _pivot_blocks(diag, off_sq, x, ts, guard=False):
     in blocks of _STURM_ROWS rows (call under np.errstate): one subtraction
     d_i - x for the whole block, then per row one division into ts[i - r0],
     rows the caller chooses, and one subtraction.  Each block is yielded as
-    a view into a buffer that the next block overwrites.  Without guard a
-    chain runs on through a zero pivot (0/0 makes NaN); with guard, as in
-    LAPACK dstebz, a pivot with |q| < _PIVMIN continues the chain as if it
-    were -_PIVMIN but is yielded as it is, so it counts by its own sign.
+    a view into a buffer that the next block overwrites.  diag and off_sq
+    are T's, or a column of them for each x (a stack, _stack).  Without
+    guard a chain runs on through a zero pivot (0/0 makes NaN); with guard,
+    as in LAPACK dstebz, a pivot with |q| < _PIVMIN continues the chain as
+    if it were -_PIVMIN but is yielded as it is, so it counts by its own
+    sign.
     """
-    n = diag.size
+    n = diag.shape[0]
     h = min(n, _STURM_ROWS)
     # buf[1:] holds a block of pivots and buf[0] the row above it; above
     # row 0 that is 1.0 under the zero coupling b2[0], and d_0 - x - 0 / 1
@@ -225,12 +232,15 @@ def _pivot_blocks(diag, off_sq, x, ts, guard=False):
     buf = np.empty((h + 1, x.size))
     buf[-1] = 1.0
     rows = list(buf)
-    b2 = [0.0, *off_sq.tolist()]            # b2[i] couples rows i - 1 and i
+    if diag.ndim == 1:
+        diag, b2 = diag[:, None], [0.0, *off_sq.tolist()]
+    else:
+        b2 = [0.0, *off_sq]                 # b2[i] couples rows i - 1 and i
     for r0 in range(0, n, h):
         k = min(h, n - r0)
         buf[0] = buf[-1]                    # every block but the last is full
         q = buf[1:k + 1]
-        np.subtract(diag[r0:r0 + k, None], x, out=q)
+        np.subtract(diag[r0:r0 + k], x, out=q)
         # out= positionally in the row loops, here and in _log_derivatives:
         # the keyword costs a few percent at small orders
         for b, prev, row, t in zip(b2[r0:r0 + k], rows, rows[1:], ts):
@@ -245,15 +255,18 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
                   above=None, guarded=None) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in xs (vectorized);
     where the boolean mask above is set, n minus the number strictly above.
-    A boolean array guarded, if given, is set where a pivot above the last
-    row met the guard, so that the count may be one short (see below).
+    diag and off_sq are the tridiagonal's, or a column for each shift of
+    tridiagonals of one order n (_stacked_counts).  A boolean array
+    guarded, if given, is set where a pivot above the last row met the
+    guard, so that the count may be one short (see below).
 
     The pivots (_pivot_blocks) run unguarded.  Once per block the negative
     pivots are counted and each shift's chain is checked for a pivot with
     |q| < _PIVMIN (or NaN, from 0/0).  Up to its first such pivot a chain
     is the same with or without the guard, so only the shifts that met one
     are recounted, with the guard; the counts are those of the guarded
-    recurrence for every shift.
+    recurrence for every shift, and a guarded chain meets a small pivot
+    above the last row exactly where the unguarded one does.
 
     With the guard an exactly zero pivot makes the count one short; it never
     reads n where fewer eigenvalues lie below x, since that needs every
@@ -265,21 +278,19 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
     0 eigenvalues below it where there is one, and rank 1 from below
     bisects to -3 instead of -2 - sqrt(3).
     """
-    n, m = diag.size, xs.size
+    n, m = diag.shape[0], xs.size
     h = min(n, _STURM_ROWS)
     neg = np.empty((h, m), dtype=bool)
     count = np.zeros(m, dtype=np.int64)
     small = np.zeros(m, dtype=bool)
+    if guarded is not None:
+        guarded[:] = False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, q in enumerate(_pivot_blocks(diag, off_sq, xs, [np.empty(m)] * h)):
+        for q in _pivot_blocks(diag, off_sq, xs, [np.empty(m)] * h):
             k = q.shape[0]
             # _STURM_ROWS < 256, so a block's counts fit in uint8
             neg8 = np.less(q, 0.0, out=neg[:k]).view(np.uint8)
             count += neg8.sum(axis=0, dtype=np.uint8)
-            if guarded is not None and i * h + k == n:
-                # the last pivot is counted by its sign, guard or not
-                guarded[:] = small | ~(np.abs(q[:-1]).min(axis=0, initial=np.inf)
-                                       >= _PIVMIN)
             # a NaN pivot makes the minimum NaN, which fails the test as well
             small |= ~(np.abs(q).min(axis=0) >= _PIVMIN)
         if not small.any():
@@ -289,9 +300,40 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
         for sel, sign in ((small & ~flip, 1.0), (flip, -1.0)):
             if sel.any():
                 x = sign * xs[sel]
-                c = sum(np.count_nonzero(q < 0.0, axis=0) for q in _pivot_blocks(
-                    sign * diag, off_sq, x, [np.empty(x.size)] * h, guard=True))
+                d, b = (diag, off_sq) if diag.ndim == 1 else (diag[:, sel], off_sq[:, sel])
+                c = np.zeros(x.size, dtype=np.int64)
+                met = np.zeros(x.size, dtype=bool)
+                for r0, q in zip(range(0, n, h), _pivot_blocks(
+                        sign * d, b, x, [np.empty(x.size)] * h, guard=True)):
+                    c += np.count_nonzero(q < 0.0, axis=0)
+                    # the rows above the last
+                    met |= (np.abs(q[:n - 1 - r0]) < _PIVMIN).any(axis=0)
                 count[sel] = c if sign > 0 else n - c
+                if guarded is not None:
+                    guarded[sel] = met
+    return count
+
+
+def _stacked_counts(diag, off_sq, at, xs, above, guarded=None):
+    """_sturm_counts of each shift in xs on the tridiagonal of column at[j]
+    of a stack (_stack), or of the lone tridiagonal diag and off_sq.  The
+    columns come by falling order, so the shifts of each order are
+    consecutive: each order is counted in a call of its own, on its own
+    rows, so no padding is counted, and in calls of at most
+    _BLOCK_ELEMENTS / n shifts, so that the rows the shifts carry stay
+    near 8 MB."""
+    if diag.ndim == 1:
+        return _sturm_counts(diag, off_sq, xs, above, guarded)
+    order = _orders(diag)[at]
+    cuts = [0, *(np.flatnonzero(np.diff(order)) + 1).tolist(), xs.size]
+    count = np.empty(xs.size, dtype=np.int64)
+    for a, b in zip(cuts, cuts[1:]):
+        n = int(order[a])
+        step = max(1, _BLOCK_ELEMENTS // n)
+        for c in range(a, b, step):
+            part = slice(c, min(b, c + step))
+            count[part] = _sturm_counts(diag[:n, at[part]], off_sq[:n - 1, at[part]], xs[part],
+                                        above[part], None if guarded is None else guarded[part])
     return count
 
 
@@ -357,7 +399,7 @@ def _top_block(diag: np.ndarray, off: np.ndarray) -> tuple[int, int] | None:
     block extends the core on each side up to the first row where that
     product falls to eps; the block's own top eigenvector decays in the
     same way, so it is a Ritz vector of T with residual below eps |b| at
-    the cut.  The certificate in _tridiagonal_norm decides, not this."""
+    the cut.  The certificate in _tridiagonal_batch decides, not this."""
     half = 0.5 * (diag[:-1] - diag[1:])
     L = float(np.max(0.5 * (diag[:-1] + diag[1:]) + np.hypot(half, off)))
     ratio = _decay_ratio(_gersch_radii(off), L - diag)
@@ -375,14 +417,15 @@ def _top_block(diag: np.ndarray, off: np.ndarray) -> tuple[int, int] | None:
 
 def _norm_blocks(T: SymTridiagonal):
     """The blocks of _top_block for lambda_n (on T) and lambda_1 (on -T)
-    on which _tridiagonal_norm solves those two ranks, or None, and T is
+    on which _tridiagonal_batch solves those two ranks, or None, and T is
     solved whole, below _NORM_BLOCK_MIN_ORDER rows or where either block
     is all of T.
 
-    The block path makes one engine call more than the whole solve, and a
-    _block_eigenvalues call has a large fixed cost whatever its rows, so
-    small orders decline on their order alone, among them the dense inputs
-    of the CLI's block bounds (orders 12 to 40).  From order 64 on, graded
+    The block path adds a member and a Sturm count of all of T (the
+    certificate), and a member's subtree passes count about as many shifts
+    whatever its rows, so small orders decline on their order alone, among
+    them the dense inputs of the CLI's block bounds (orders 12 to 40).
+    From order 64 on, graded
     tridiagonals such as aed_example, whose extreme eigenvectors decay
     super-exponentially from the ends, take the block path with about 22
     rows a block.  Wilkinson matrices, the Householder tridiagonals of
@@ -393,56 +436,73 @@ def _norm_blocks(T: SymTridiagonal):
     return (top, bottom) if bottom else None
 
 
-def _subtree_pass(diag, off_sq, ranks, lo, hi, above, max_depth, rows):
-    """Up to L bisection steps for every rank, from one _sturm_counts call.
+def _subtree_pass(diag, off_sq, ranks, rows, lo, hi, clo, chi, above, runs):
+    """Up to L bisection steps for every rank, from one count of all their
+    shifts (_stacked_counts).
 
-    lo, hi and above (see _sturm_counts) describe intervals, and rows[r] is
-    the interval of ranks[r], so ranks that share an interval share its
-    subtree.  For each interval the depth-L subtree of midpoints is built
+    lo, hi, the counts clo and chi there and above (see _sturm_counts)
+    describe intervals, and runs, a list of (a, b, L), gives intervals a to
+    b - 1 the depth L; rows[r] is the interval of ranks[r], so ranks that
+    share an interval share its subtree.  diag and off_sq are the
+    tridiagonal of every interval, or one column of a stack (_stack) per
+    interval.  For each interval the depth-L subtree of midpoints is built
     level by level, each point 0.5 * (left + right) of its two neighbours
     one level up: the midpoint a one-step loop would compute.  All 2^L - 1
-    interior points of all intervals are counted at once, L chosen so that
-    is about _SHIFTS_PER_PASS shifts (10 levels for one interval, 6 for 10,
-    1 from 342 on), and the L decisions of each rank are then replayed on
-    node indices.
+    interior points of all intervals are counted at once, and the L
+    decisions of each rank are then replayed on node indices.
 
-    Returns (grid, counts, path, spans): the flattened nodes, one row of
-    2^L + 1 per interval; the counts at the interior nodes, one row of
-    2^L - 1 per interval; each rank's left node (flat index into grid)
-    after each step, an (L, ranks) array; and the node distance to its
-    right node after each step.  A count whose shift met the pivot guard
-    above the last row, and may be one short, reads -1 in counts; the
-    steps follow it as it is.
+    An interval's nodes are every 2^(M - L)-th of a row of 2^M + 1, M the
+    largest L; the nodes between them read a count no rank is below, so a
+    rank that has taken its L steps stays where it is.  Returns (grid,
+    counts, path, span, marked): the flattened rows of nodes and of their
+    counts, clo and chi at the ends; each rank's left node (flat index into
+    grid) after each step, an (M, ranks) array; the node distance from its
+    last left node to its right node, 2^(M - L); and the intervals (with
+    repeats) with a count whose shift met the pivot guard above the last
+    row.  Such a count may be one short and reads -1 in counts; the steps
+    follow it as it is.
     """
     u, m = lo.size, ranks.size
-    L = min(max_depth, max(1, int(math.log2(_SHIFTS_PER_PASS / u + 1))))
-    w = 1 << L
+    M = max(L for _, _, L in runs)
+    w = 1 << M
+    # the subtree of depth M for every interval: its top L levels are the
+    # depth-L subtree, on every 2^(M - L)-th node
     grid = np.empty((u, w + 1))
-    grid[:, 0] = lo
-    grid[:, w] = hi
+    grid[:, 0], grid[:, w] = lo, hi
     h = w
     while h > 1:
         grid[:, h // 2::h] = 0.5 * (grid[:, :-1:h] + grid[:, h::h])
         h //= 2
-    met = np.empty(u * (w - 1), dtype=bool)
-    counts = _sturm_counts(diag, off_sq, grid[:, 1:w].ravel(),
-                           np.repeat(above, w - 1), met).reshape(u, w - 1)
+    xs = np.concatenate([grid[a:b, w >> L:w:w >> L].ravel() for a, b, L in runs])
+    at = np.concatenate([np.repeat(np.arange(a, b), (1 << L) - 1) for a, b, L in runs])
+    guarded = np.empty(xs.size, dtype=bool)
+    c = _stacked_counts(diag, off_sq, at, xs, above[at], guarded)
+    counts = np.full((u, w + 1), diag.shape[0])
+    counts[:, 0], counts[:, w] = clo, chi
+    inner, p0 = [], 0                       # each run's counted nodes
+    for a, b, L in runs:
+        nodes = counts[a:b, w >> L:w:w >> L]
+        inner.append((nodes, slice(p0, p0 + nodes.size)))
+        nodes[...] = c[p0:p0 + nodes.size].reshape(nodes.shape)
+        p0 += nodes.size
     # up[r, j]: fewer eigenvalues than ranks[r] lie below node j of its
     # interval, so bisection keeps the interval above it (the ends are
     # never read); path[l] is each rank's left node (flat index) after l
     # steps
-    up = np.empty((m, w + 1), dtype=bool)
-    np.less(counts.take(rows, axis=0), ranks[:, None], out=up[:, 1:w])
-    up = up.ravel()
-    path = np.empty((L + 1, m), dtype=np.intp)
+    up = (counts.take(rows, axis=0) < ranks[:, None]).ravel()
+    path = np.empty((M + 1, m), dtype=np.intp)
     path[0] = np.arange(m) * (w + 1)
-    for lvl in range(1, L + 1):
+    for lvl in range(1, M + 1):
         node = path[lvl - 1] + (w >> lvl)
         path[lvl] = np.where(up[node], node, path[lvl - 1])
-    counts[met.reshape(u, w - 1)] = -1
+    marked = at[guarded]
+    if marked.size:
+        for nodes, part in inner:
+            nodes[guarded[part].reshape(nodes.shape)] = -1
     # from each rank's row of up to its interval's row of grid
     path = path[1:] + (rows - np.arange(m)) * (w + 1)
-    return grid.ravel(), counts, path, (w >> np.arange(1, L + 1))[:, None]
+    span = np.concatenate([np.full(b - a, w >> L) for a, b, L in runs])[rows]
+    return grid.ravel(), counts.ravel(), path, span, marked
 
 
 def _bisection_start(T: SymTridiagonal):
@@ -463,9 +523,11 @@ def _log_derivatives(diag, off_sq, x):
         u_i = r_i u_{i-1} - 1 / q_i,   v_i = r_i v_{i-1} - 2 r_i u_{i-1}^2,
     so after the pivots each of u and v is one multiply and one subtract
     per row, block by block.  There is no pivot guard: a zero pivot makes
-    the results non-finite.
+    the results non-finite.  diag and off_sq are as in _pivot_blocks, or a
+    stack whose columns differ in order, whose padding adds zero terms
+    (_stack).
     """
-    n, m = diag.size, x.size
+    n, m = diag.shape[0], x.size
     h = min(n, _STURM_ROWS)
     # rows 1.. of each buffer hold a block, of R the t_i and then r_i, and
     # row 0 of U and V the row above it: u = v = 0 above row 0 (b2[0] = 0)
@@ -505,14 +567,16 @@ def _laguerre(diag, off_sq, ranks, x, hi, tol):
     S1^2)) - S1), S1 = f'/f, S2 = -(f'/f)', lands in (x, lambda_k] and
     converges cubically to lambda_k (Li & Zeng 1994, "The Laguerre
     iteration in solving the symmetric tridiagonal eigenproblem,
-    revisited", SIAM J. Sci. Comput. 15).  A rank stops once the distance
-    its last two steps predict is left falls to tol / 4, when its step is
-    not a finite step up, or where the pivots already count k eigenvalues
-    below x; the certificate in _block_eigenvalues judges where it ends.
+    revisited", SIAM J. Sci. Comput. 15), n the order of the tridiagonal of
+    each x (_orders).  A rank stops once the distance its last two steps
+    predict is left falls to tol / 4, when its step is not a finite step
+    up, or where the pivots already count k eigenvalues below x; the
+    certificate in _block_eigenvalues judges where it ends.
     """
-    n = diag.size
+    n = _orders(diag)
     live = np.ones(x.size, dtype=bool)
     prev = np.zeros(x.size)
+    quarter = 0.25 * tol
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_LAGUERRE_STEPS):
             s1, s2, below = _log_derivatives(diag, off_sq, x)
@@ -522,7 +586,7 @@ def _laguerre(diag, off_sq, ranks, x, hi, tol):
             # cubic convergence: after a step s that followed a step p, about
             # s (s / p)^3 of the distance is left
             step = new - x
-            live = move & (step * (step / prev) ** 3 > 0.25 * tol)
+            live = move & (step * (step / prev) ** 3 > quarter)
             prev = step
             x = np.where(move, new, x)
             if not live.any():
@@ -530,38 +594,62 @@ def _laguerre(diag, off_sq, ranks, x, hi, tol):
     return x
 
 
-def _eigenvalues(T: SymTridiagonal) -> tuple[np.ndarray, bool]:
-    """All eigenvalues of T, ascending, each within tol / 2 of the
-    eigenvalue of its rank as Sturm counts see it (_bisection_start), and
-    whether a count met the pivot guard above the last row, so that a value
-    may be wrong.
+class _Member(NamedTuple):
+    """One tridiagonal of a _block_eigenvalues call: diagonal diag and
+    squared couplings off_sq (zeros allowed), the interval [glo, ghi] its
+    bisection starts from and its tol, the ascending 1-based ranks to
+    compute (default all), and above, one flag per rank that counts that
+    rank's shifts from above (see _sturm_counts)."""
 
-    Zero couplings split T into blocks whose spectra make up T's: each block
-    is solved alone, so an eigenvalue two blocks share needs no telling
-    apart, but from T's Gerschgorin interval and tol, so that its shifts
-    are those a bisection of T would take.  A block of one row is its
-    diagonal entry; the others go through _block_eigenvalues.
-    """
-    off_sq, glo, ghi, tol = _bisection_start(T)
-    edges = [0, *(np.flatnonzero(off_sq == 0.0) + 1).tolist(), T.n]
-    vals = []
-    guarded = False
-    for a, b in zip(edges, edges[1:]):
-        if b - a == 1:
-            vals.append(T.diag[a:b])
-            continue
-        v, met = _block_eigenvalues(T.diag[a:b], off_sq[a:b - 1], glo, ghi, tol)
-        vals.append(v)
-        guarded = guarded or met
-    return (vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))), guarded
+    diag: np.ndarray
+    off_sq: np.ndarray
+    glo: float
+    ghi: float
+    tol: float
+    ranks: Sequence[int] | None = None
+    above: Sequence[bool] | None = None
 
 
-def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
-    """The eigenvalues of the given ascending 1-based ranks (default all) of
-    the tridiagonal with diagonal diag and squared couplings off_sq, from
-    the interval [glo, ghi], and whether a Sturm count met the pivot guard
-    above the last row.  above, one flag per rank, counts that rank's shifts
-    from above (see _sturm_counts) in all three stages.
+def _stack(members):
+    """(diag, off_sq) of the members side by side, one column each, as the
+    engine's shifts carry them: a lone member's own arrays, and otherwise
+    every member padded below its last row to the largest order with rows
+    of diagonal +inf and zero couplings, which mark where it ends
+    (_orders).  Sturm counts take each order on its own rows
+    (_stacked_counts).  In Laguerre's derivatives (_log_derivatives) a
+    padding row is decoupled with pivot +inf, so it adds zero terms, and
+    padding below leaves the row blocks of _pivot_blocks where they are.
+    (After an exactly zero last pivot the padding makes NaN where the
+    member alone makes inf; either stops that rank's iteration where it
+    is.)"""
+    if len(members) == 1:
+        return members[0].diag, members[0].off_sq
+    n = max(mb.diag.size for mb in members)
+    diag = np.full((n, len(members)), np.inf)
+    off_sq = np.zeros((n - 1, len(members)))
+    for j, mb in enumerate(members):
+        diag[:mb.diag.size, j] = mb.diag
+        off_sq[:mb.off_sq.size, j] = mb.off_sq
+    return diag, off_sq
+
+
+def _rows_of(diag, off_sq, cols):
+    """The rows of the shifts of the given stack columns (_stack)."""
+    if diag.ndim == 1:
+        return diag, off_sq
+    return diag[:, cols], off_sq[:, cols]
+
+
+def _orders(diag):
+    """The order of each shift's tridiagonal: the rows of a lone one, and
+    per column of a stack (_stack) the rows above its padding."""
+    return diag.shape[0] if diag.ndim == 1 else np.count_nonzero(np.isfinite(diag), axis=0)
+
+
+def _block_eigenvalues(members):
+    """For each _Member, the eigenvalues of its ranks from its interval,
+    and whether a Sturm count of it met the pivot guard above its last row.
+    above counts a rank's shifts from above in all three stages.
 
     1. Isolate: whole subtree passes (_subtree_pass) over the ranks still
        to do, until every rank's interval [lo, hi] is within tol or has
@@ -580,73 +668,184 @@ def _block_eigenvalues(diag, off_sq, glo, ghi, tol, ranks=None, above=None):
        double eigenvalue) does from the start.
     A wrong iterate thus costs time but never yields a wrong value.  The
     couplings may be zero: a value two blocks share then never isolates.
+
+    The members are solved together, stacked along the shift axis
+    (_stack): every shift carries its member's rows, so each pass, the
+    Laguerre iteration and the certificate run their row loops once for
+    all members, and the fixed cost of a call is paid once.  Nothing else
+    is shared: each member's passes take the depth its own interval count
+    and step budget give, its ranks see sentinel neighbours at its ends,
+    and Laguerre's step takes its own order, so each result is bit for bit
+    that of a call with the member alone.  Members whose isolation is over
+    wait for the others, so steps 2 and 3 run once.
     """
-    n = diag.size
-    ranks = np.arange(1, n + 1) if ranks is None else np.asarray(ranks)
-    m = ranks.size
-    above = np.zeros(m, dtype=bool) if above is None else np.asarray(above, dtype=bool)
-    # lo[1:-1] and hi[1:-1] are the intervals of the ranks; the outer
-    # entries let each rank see its neighbours' intervals
-    lo = np.full(m + 2, glo)
-    hi = np.full(m + 2, ghi)
-    lo[-1], hi[0] = np.inf, -np.inf
-    clo, chi = np.zeros(m, dtype=np.int64), np.full(m, n)
-    isolated = np.zeros(m, dtype=bool)
+    # the members by falling order (_stacked_counts), back in place at the end
+    order = sorted(range(len(members)), key=lambda j: -members[j].diag.size)
+    members = [members[j] for j in order]
+    # slots: a sentinel, then each member's ranks followed by a sentinel; a
+    # sentinel's interval (lo inf, hi -inf) lets the ranks at a member's ends
+    # see no neighbour, none of another member
+    ranks = [np.arange(1, mb.diag.size + 1) if mb.ranks is None
+             else np.asarray(mb.ranks, dtype=np.int64) for mb in members]
+    first = [1]
+    for r in ranks:
+        first.append(first[-1] + r.size + 1)
+    mem = np.full(first.pop(), len(members))
+    rank = np.zeros(mem.size, dtype=np.int64)
+    above = np.zeros(mem.size, dtype=bool)
+    for j, (f, r, mb) in enumerate(zip(first, ranks, members)):
+        mem[f:f + r.size] = j
+        rank[f:f + r.size] = r
+        if mb.above is not None:
+            above[f:f + r.size] = mb.above
+    tol, lo, hi, chi = np.array([*((mb.tol, mb.glo, mb.ghi, mb.diag.size) for mb in members),
+                                 (0.0, np.inf, -np.inf, 0)]).T[:, mem]
+    chi = chi.astype(np.int64)
+    clo = np.zeros(mem.size, dtype=np.int64)
+    isolated = np.zeros(mem.size, dtype=bool)
+    steps = [0] * len(members)
+    met = np.zeros(len(members), dtype=bool)
+    diag, off_sq = _stack(members)
     refine = True                   # steps 2 and 3 are still to come
-    met = False
-    todo = np.flatnonzero(~((hi - lo)[1:-1] <= tol))
-    steps = 0
-    while todo.size and steps < _MAX_BISECT_STEPS:
-        p = todo + 1
-        # ranks ascend, so ranks that share an interval (and its direction
-        # of counting) are adjacent
+    todo = np.flatnonzero(~(hi - lo <= tol))
+    while todo.size:
+        # ranks ascend within a member, so ranks that share an interval (and
+        # its direction of counting) are adjacent
+        j = mem[todo]
         fresh = np.empty(todo.size, dtype=bool)
         fresh[0] = True
-        fresh[1:] = ((lo[p[1:]] != lo[p[:-1]]) | (hi[p[1:]] != hi[p[:-1]])
-                     | (above[todo[1:]] != above[todo[:-1]]))
+        fresh[1:] = ((lo[todo[1:]] != lo[todo[:-1]]) | (hi[todo[1:]] != hi[todo[:-1]])
+                     | (above[todo[1:]] != above[todo[:-1]]) | (j[1:] != j[:-1]))
         heads = todo[fresh]
-        grid, counts, path, spans = _subtree_pass(
-            diag, off_sq, ranks[todo], lo[heads + 1], hi[heads + 1], above[heads],
-            _MAX_BISECT_STEPS - steps, np.cumsum(fresh) - 1)
-        met = met or bool((counts < 0).any())
-        steps += path.shape[0]
-        w = 2 * spans[0, 0]
-        # counts at every node, the carried ones at the interval ends
-        cgrid = np.empty((heads.size, w + 1), dtype=np.int64)
-        cgrid[:, 0], cgrid[:, w], cgrid[:, 1:w] = clo[heads], chi[heads], counts
-        left, right = path[-1], path[-1] + spans[-1]
-        lo[p], hi[p] = grid.take(left), grid.take(right)
-        clo[todo], chi[todo] = cgrid.take(left), cgrid.take(right)
+        hm = mem[heads]
+        # each member's depth: about _SHIFTS_PER_PASS shifts over its own
+        # intervals (10 levels for one, 6 for 10, 1 from 342 on), within the
+        # steps it has left
+        runs, a = [], 0
+        for jj, u in enumerate(np.bincount(hm, minlength=len(members)).tolist()):
+            if u:
+                L = min(_MAX_BISECT_STEPS - steps[jj],
+                        max(1, int(math.log2(_SHIFTS_PER_PASS / u + 1))))
+                steps[jj] += L
+                # members of one depth side by side make one run
+                if runs and runs[-1][2] == L:
+                    runs[-1] = (runs[-1][0], a + u, L)
+                else:
+                    runs.append((a, a + u, L))
+                a += u
+        grid, counts, path, span, marked = _subtree_pass(
+            *_rows_of(diag, off_sq, hm), rank[todo], np.cumsum(fresh) - 1, lo[heads],
+            hi[heads], clo[heads], chi[heads], above[heads], runs)
+        met[hm[marked]] = True
+        left, right = path[-1], path[-1] + span
+        lo[todo], hi[todo] = grid.take(left), grid.take(right)
+        clo[todo], chi[todo] = counts.take(left), counts.take(right)
         # alone in [lo, hi) by counts that did not meet the pivot guard,
         # and its neighbours' intervals at least its width away
-        k = ranks[todo]
-        width = hi[p] - lo[p]
+        k = rank[todo]
+        width = hi[todo] - lo[todo]
         isolated[todo] = ((clo[todo] == k - 1) & (chi[todo] == k)
-                          & (lo[p] - hi[todo] >= width) & (lo[p + 1] - hi[p] >= width))
-        todo = todo[~((isolated[todo] & refine) | (width <= tol))]
-        if not refine or (todo.size and steps < _MAX_BISECT_STEPS):
+                          & (lo[todo] - hi[todo - 1] >= width) & (lo[todo + 1] - hi[todo] >= width))
+        todo = todo[~((isolated[todo] & refine) | (width <= tol[todo]))]
+        if max(steps) >= _MAX_BISECT_STEPS:
+            todo = todo[np.array(steps)[mem[todo]] < _MAX_BISECT_STEPS]
+        if not refine or todo.size:
             continue
         # isolation is over: steps 2 and 3, once; the ranks that fail the
         # certificate bisect on in this loop, with a step count of their own
         refine = False
-        i = np.flatnonzero(isolated & ((hi - lo)[1:-1] > tol))
+        i = np.flatnonzero(isolated & (hi - lo > tol))
         if not i.size:
             break
-        x = _laguerre(diag, off_sq, ranks[i], lo[i + 1], hi[i + 1], tol)
-        shifts = np.concatenate([x - 0.5 * tol, x + 0.5 * tol])
-        up = np.tile(above[i], 2)
+        x = _laguerre(*_rows_of(diag, off_sq, mem[i]), rank[i], lo[i], hi[i], tol[i])
+        # each rank's two shifts side by side, so members stay in order
+        shifts = np.empty(2 * i.size)
+        shifts[0::2], shifts[1::2] = x - 0.5 * tol[i], x + 0.5 * tol[i]
+        up, at = np.repeat(above[i], 2), np.repeat(mem[i], 2)
         c = np.empty(shifts.size, dtype=np.int64)
         g = np.empty(shifts.size, dtype=bool)
         for s in range(0, shifts.size, _SHIFTS_PER_PASS):
             part = slice(s, s + _SHIFTS_PER_PASS)
-            c[part] = _sturm_counts(diag, off_sq, shifts[part], up[part], g[part])
-        met = met or bool(g.any())
-        ok = (c[:i.size] < ranks[i]) & (c[i.size:] >= ranks[i])
+            c[part] = _stacked_counts(diag, off_sq, at[part], shifts[part], up[part], g[part])
+        met[at[g]] = True
+        ok = (c[0::2] < rank[i]) & (c[1::2] >= rank[i])
         # a kept iterate is its rank's interval, so its midpoint is x
-        lo[i[ok] + 1] = hi[i[ok] + 1] = x[ok]
-        todo, steps = i[~ok], 0
-    vals = 0.5 * (lo[1:-1] + hi[1:-1])
-    return np.maximum.accumulate(vals), met  # monotone at roundoff scale
+        lo[i[ok]] = hi[i[ok]] = x[ok]
+        todo = i[~ok]
+        steps = [0] * len(members)
+    # monotone at roundoff scale, member by member
+    solved = [(np.maximum.accumulate(0.5 * (lo[f:f + r.size] + hi[f:f + r.size])), bool(m))
+              for f, r, m in zip(first, ranks, met)]
+    return [solved[order.index(j)] for j in range(len(members))]
+
+
+def _tridiagonal_batch(spectra, norms):
+    """From one _block_eigenvalues call: for each unit-scaled tridiagonal
+    in spectra, its eigenvalues, ascending, and whether a count met the
+    pivot guard above the last row, so that a value may be wrong; and for
+    each in norms, max(|lambda_1|, |lambda_n|).  Each value is within tol
+    / 2 of the eigenvalue of its rank as Sturm counts see it
+    (_bisection_start).
+
+    Zero couplings split a spectrum's T into blocks whose spectra make up
+    T's: each block is a member of its own, so an eigenvalue two blocks
+    share needs no telling apart, but from T's Gerschgorin interval and
+    tol, so that its shifts are those a bisection of T would take.  A block
+    of one row is its diagonal entry.
+
+    A norm computes only ranks 1 and n, rank 1 counted from above so that a
+    zero pivot cannot mislead it (see _sturm_counts).  Where _norm_blocks
+    gives a principal block for each rank, each is a member on its block,
+    from T's Gerschgorin interval and tol, certified on T: one Sturm count
+    of T at x - tol/2 and x + tol/2 for each, with the same counting
+    directions, must bracket its rank, which is the contract of the whole
+    solve.  The norms that fail are solved whole, together, in one more
+    call.
+    """
+    members, splits, paths = [], [], []
+    for T in spectra:
+        off_sq, glo, ghi, tol = _bisection_start(T)
+        edges = [0, *(np.flatnonzero(off_sq == 0.0) + 1).tolist(), T.n]
+        splits.append(list(zip(edges, edges[1:])))
+        members += [_Member(T.diag[a:b], off_sq[a:b - 1], glo, ghi, tol)
+                    for a, b in splits[-1] if b - a > 1]
+    for S in norms:
+        off_sq, glo, ghi, tol = _bisection_start(S)
+        blocks = _norm_blocks(S)
+        whole = _Member(S.diag, off_sq, glo, ghi, tol, (1, S.n), (True, False))
+        paths.append((blocks, off_sq, tol, whole))
+        if blocks:
+            (a, b), (c, d) = blocks
+            members += [_Member(S.diag[a:b], off_sq[a:b - 1], glo, ghi, tol, (b - a,)),
+                        _Member(S.diag[c:d], off_sq[c:d - 1], glo, ghi, tol, (1,), (True,))]
+        else:
+            members.append(whole)
+    solved = iter(_block_eigenvalues(members) if members else ())
+    values = []
+    for T, blocks in zip(spectra, splits):
+        parts = [(T.diag[a:b], False) if b - a == 1 else next(solved) for a, b in blocks]
+        vals = parts[0][0] if len(parts) == 1 else np.sort(np.concatenate([v for v, _ in parts]))
+        values.append((vals, any(met for _, met in parts)))
+    ends, refused = [], []
+    for S, (blocks, off_sq, tol, whole) in zip(norms, paths):
+        x = next(solved)[0]
+        if blocks:
+            xn, x1 = x[0], next(solved)[0][0]
+            h = 0.5 * tol
+            cnt = _sturm_counts(S.diag, off_sq, np.array([x1 - h, x1 + h, xn - h, xn + h]),
+                                np.array([True, True, False, False]))
+            x = (x1, xn) if cnt[0] < 1 <= cnt[1] and cnt[2] < S.n <= cnt[3] else None
+        if x is None:
+            refused.append(whole)
+        ends.append(x)
+    solved = iter(_block_eigenvalues(refused) if refused else ())
+    ends = [next(solved)[0] if x is None else x for x in ends]
+    return values, [max(abs(float(x[0])), abs(float(x[-1]))) for x in ends]
+
+
+def _eigenvalues(T: SymTridiagonal) -> tuple[np.ndarray, bool]:
+    """The spectrum of unit-scaled T and its guard flag (_tridiagonal_batch)."""
+    return _tridiagonal_batch([T], [])[0][0]
 
 
 def _counts_within(T: SymTridiagonal, centres, radii) -> np.ndarray:
@@ -819,57 +1018,32 @@ def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are the couplings of a real tridiagonal with the same spectrum.  Row and
     column 0 are never reflected, so B[0, 0] stays.
     """
+    # ||x|| as numpy.linalg.norm takes it (the dot products, then the square
+    # root), without its call overhead
+    if np.iscomplexobj(B):
+        def norm(x):
+            return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    else:
+        def norm(x):
+            return math.sqrt(x.dot(x))
     for kk in range(B.shape[0] - 2):
         x = B[kk + 1:, kk].copy()
-        nx = np.linalg.norm(x)
+        nx = norm(x)
         if nx == 0.0:
             continue
         # x[0] / |x[0]| is exactly +-1 for real B
         alpha = -nx if x[0] == 0.0 else -nx * (x[0] / abs(x[0]))
         v = x
         v[0] -= alpha
-        v /= np.linalg.norm(v)
+        v /= norm(v)
         # B <- H B H with w = B v - (v^H B v) v: B - 2 v w^H - 2 w v^H
         sub = B[kk + 1:, kk + 1:]
         w = sub @ v
         vh = v.conj()
         w -= (vh @ w) * v
-        sub -= 2.0 * np.outer(v, w.conj()) + 2.0 * np.outer(w, vh)
+        sub -= 2.0 * (v[:, None] * w.conj()) + 2.0 * (w[:, None] * vh)
         B[kk + 1, kk] = alpha
     return np.diagonal(B).real.copy(), np.diagonal(B, offset=-1).copy()
-
-
-def _tridiagonal_norm(T: SymTridiagonal) -> float:
-    """max(|lambda_1|, |lambda_n|) of T: only those two ranks of unit-scaled
-    T are computed (_block_eigenvalues), rank 1 counted from above so that
-    a zero pivot cannot mislead it (see _sturm_counts).
-
-    Where _norm_blocks gives a principal block for each rank, each is
-    computed on its block, from T's Gerschgorin interval and tol, and
-    certified on T: one Sturm count of T at x - tol/2 and x + tol/2 for
-    each, with the same counting directions, must bracket its rank, which
-    is the contract of the whole solve.  If either fails, T is solved
-    whole."""
-    n = T.n
-    S, e = _unit_scaled(T)
-    off_sq, glo, ghi, tol = _bisection_start(S)
-    blocks = _norm_blocks(S)
-    vals = None
-    if blocks:
-        (a, b), (c, d) = blocks
-        xn = _block_eigenvalues(S.diag[a:b], off_sq[a:b - 1], glo, ghi, tol,
-                                (b - a,))[0][0]
-        x1 = _block_eigenvalues(S.diag[c:d], off_sq[c:d - 1], glo, ghi, tol,
-                                (1,), (True,))[0][0]
-        h = 0.5 * tol
-        cnt = _sturm_counts(S.diag, off_sq, np.array([x1 - h, x1 + h, xn - h, xn + h]),
-                            np.array([True, True, False, False]))
-        if cnt[0] < 1 <= cnt[1] and cnt[2] < n <= cnt[3]:
-            vals = (x1, xn)
-    if vals is None:
-        vals = _block_eigenvalues(S.diag, off_sq, glo, ghi, tol, (1, n),
-                                  (True, False))[0]
-    return math.ldexp(max(abs(float(vals[0])), abs(float(vals[-1]))), e)
 
 
 def _dense_tridiagonal(H: np.ndarray) -> tuple[SymTridiagonal, int]:
@@ -883,10 +1057,42 @@ def _dense_tridiagonal(H: np.ndarray) -> tuple[SymTridiagonal, int]:
     return T, e + f
 
 
-def _hermitian_norm(H: np.ndarray) -> float:
-    """Spectral norm of the Hermitian array H, from its tridiagonal."""
-    T, e = _dense_tridiagonal(H)
-    return math.ldexp(_tridiagonal_norm(T), e)
+def _norm_input(A) -> tuple[SymTridiagonal, Callable[[float], float]]:
+    """(S, finish): a unit-scaled tridiagonal S and the map from its
+    max(|lambda_1|, |lambda_n|) to spectral_norm(A).  S is A itself for a
+    tridiagonal and its Householder tridiagonal for a dense Hermitian
+    matrix; a general rectangular block gives sigma_1 = sqrt(lambda_max) of
+    its Gram matrix on the smaller side, formed unit-scaled so that the
+    squares stay in range."""
+    if isinstance(A, SymTridiagonal):
+        S, e = _unit_scaled(A)
+    elif isinstance(A, DenseHermitian):
+        S, e = _dense_tridiagonal(A.entries)
+    else:
+        B = np.atleast_2d(np.asarray(A))
+        if not np.any(B.imag):
+            B = B.real
+        e = _scale_exponent(float(np.max(np.abs(B))))
+        Bs = _ldexp(B, -e)
+        S, f = _dense_tridiagonal(Bs.conj().T @ Bs if B.shape[1] <= B.shape[0]
+                                  else Bs @ Bs.conj().T)
+        return S, lambda top: math.ldexp(math.sqrt(math.ldexp(top, f)), e)
+    return S, lambda top: math.ldexp(top, e)
+
+
+def _dense_batch(spectra=(), norms=()) -> tuple[list[np.ndarray], list[float]]:
+    """The values-only eig_dense of each DenseHermitian in spectra and the
+    spectral_norm of each matrix in norms, from one engine call
+    (_tridiagonal_batch) after a Householder reduction of each dense input
+    (_norm_input).  A Sturm count whose shift met the pivot guard above the
+    last row may be one short (see _sturm_counts), so a spectrum in which
+    any count met it is redone by Jacobi (_jacobi), that one alone."""
+    reduced = [_dense_tridiagonal(A.entries) for A in spectra]
+    inputs = [_norm_input(A) for A in norms]
+    values, tops = _tridiagonal_batch([T for T, _ in reduced], [S for S, _ in inputs])
+    return ([_jacobi(A, False).values if guarded else np.ldexp(vals, e)
+             for A, (_, e), (vals, guarded) in zip(spectra, reduced, values)],
+            [finish(top) for (_, finish), top in zip(inputs, tops)])
 
 
 def spectral_norm(A) -> float:
@@ -897,18 +1103,7 @@ def spectral_norm(A) -> float:
     isolate-refine-certify engine of eig_tridiag (_block_eigenvalues), after
     a Householder reduction for dense input; never a full spectrum.
     Graded tridiagonals have both ranks solved on certified principal
-    blocks; see _norm_blocks.
+    blocks; see _norm_blocks.  One call is the one-matrix case of
+    _dense_batch.
     """
-    if isinstance(A, SymTridiagonal):
-        return _tridiagonal_norm(A)
-    if isinstance(A, DenseHermitian):
-        return _hermitian_norm(A.entries)
-    B = np.atleast_2d(np.asarray(A))
-    if not np.any(B.imag):
-        B = B.real
-    # sigma_1 = sqrt(lambda_max) of the Gram matrix on the smaller side,
-    # formed unit-scaled so that the squares stay in range
-    e = _scale_exponent(float(np.max(np.abs(B))))
-    Bs = _ldexp(B, -e)
-    G = Bs.conj().T @ Bs if B.shape[1] <= B.shape[0] else Bs @ Bs.conj().T
-    return math.ldexp(math.sqrt(_hermitian_norm(G)), e)
+    return _dense_batch(norms=[A])[1][0]

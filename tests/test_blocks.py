@@ -213,3 +213,49 @@ class TestTheorem1:
                 wo = DenseHermitian.from_blocks(a11, coupling, [[0.0]])
                 move = np.abs(eig_dense(w).values - eig_dense(wo).values)
                 assert float(np.max(move[1:])) <= 10.0 * eps * delta * delta
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The member count of each _block_eigenvalues call from here on."""
+    from eigbounds import solvers
+    calls = []
+    engine = solvers._block_eigenvalues
+
+    def counting(members):
+        calls.append(len(members))
+        return engine(members)
+
+    monkeypatch.setattr(solvers, "_block_eigenvalues", counting)
+    return calls
+
+
+class TestEngineCalls:
+    """The bound layer's spectra and norms are stacked into few calls of
+    the tridiagonal engine: the engine's fixed cost is paid per call."""
+
+    def test_theorem1_makes_two_calls(self, engine_calls):
+        # weyl_bound(E), then the spectra of A and A22 and the norms of
+        # A21, E11, E21 and E22 in one call
+        rng = np.random.default_rng(2300)
+        A = random_hermitian(rng, 12, complex_entries=True)
+        E = random_hermitian(rng, 12, scale=0.01)
+        reports = theorem1_bounds(A, E, BlockSplit(4))
+        assert len(engine_calls) <= 2
+        assert engine_calls[-1] >= 6
+        assert len(reports) == 12
+
+    def test_bound_block_verify_makes_five_calls(self, engine_calls):
+        # quad shape: the spectra of A and A + E, then theorem 1 (two
+        # calls), then ||E|| and the A11, A22 spectra of the quadratic bound
+        from eigbounds import cli
+        rng = np.random.default_rng(2301)
+        m, k = 14, 6
+        a11 = random_hermitian(rng, m).entries + np.diag(4.0 * np.arange(m))
+        a22 = random_hermitian(rng, k).entries + np.diag(4.0 * np.arange(m, m + k))
+        A = DenseHermitian.from_blocks(a11, np.zeros((k, m)), a22)
+        E = off_diagonal_perturbation(rng, m, k, 0.05)
+        report = cli.cmd_bound_block(A, E, k, verify=True)
+        assert report.sound
+        assert any("quad-residual" in r.get("check", "") for r in report.records)
+        assert len(engine_calls) <= 5

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_hermitian
 from eigbounds import (DenseHermitian, cli, detect_multiple, eig_dense,
                        expansion_order, first_order_eigs, load_matrix,
-                       multiplicity, spectral_norm)
+                       multiplicity)
 from test_golden import write_inputs
 
 
@@ -148,46 +148,79 @@ class TestExpansionOrder:
         with pytest.raises(ValueError):
             expansion_order([], E, (1e-2, 1e-3, 1e-4))
 
-    def test_gap_of_every_cluster_checked_before_any_spectrum(self, monkeypatch):
-        # the second cluster's gap (0.2) is too small for eps = 0.1
+    def test_gap_of_every_cluster_checked_before_any_fit(self, monkeypatch):
+        # the second cluster's gap (0.2) is too small for eps = 0.1; the
+        # check needs ||E||, which comes in the one engine call with the
+        # perturbed spectra, and no cluster's first-order spectrum follows
         A = DenseHermitian.from_array(np.diag([1.0, 1.0, 5.0, 5.0, 5.2]))
         E = DenseHermitian.from_array(np.eye(5))
         ctxs = detect_multiple(A)
         assert len(ctxs) == 2
+        batches = []
+        batch = multiplicity._dense_batch
+
+        def counting(spectra=(), norms=()):
+            batches.append((len(spectra), len(norms)))
+            return batch(spectra, norms)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a spectrum was computed")
 
+        monkeypatch.setattr(multiplicity, "_dense_batch", counting)
         monkeypatch.setattr(multiplicity, "eig_dense", refuse)
         with pytest.raises(ValueError, match="gap"):
             expansion_order(ctxs, E, (1e-1, 1e-2, 1e-3))
+        assert batches == [(3, 1)]
+
+    def test_one_engine_call_plus_one_per_cluster(self, tmp_path, monkeypatch):
+        # ||E|| and every A + eps E share one call; each cluster's
+        # first-order spectrum is one more
+        from eigbounds import solvers
+        A = load_matrix(write_inputs(tmp_path)["M2"])
+        ctxs = detect_multiple(A)
+        assert len(ctxs) == 2
+        E = symmetric(np.random.default_rng(2302), A.n, 0.01)
+        calls = []
+        engine = solvers._block_eigenvalues
+
+        def counting(members):
+            calls.append(len(members))
+            return engine(members)
+
+        monkeypatch.setattr(solvers, "_block_eigenvalues", counting)
+        expansion_order(ctxs, E, (1e-2, 1e-3, 1e-4, 1e-5))
+        assert len(calls) == 1 + len(ctxs)
+        assert calls[0] >= 5
 
 
 def test_multieig_solves_each_perturbed_matrix_once(tmp_path, monkeypatch):
     """Two clusters (multiplicities 3 and 2) share one ||E|| and one
-    spectrum of A + eps*E per eps."""
+    spectrum of A + eps*E per eps, all from one batched call."""
     paths = write_inputs(tmp_path)
     A = load_matrix(paths["M2"])
     E = load_matrix(paths["P2"])
-    perturbed, norms = [], []
+    batches, values_only = [], []
+    batch = multiplicity._dense_batch
+
+    def counting_batch(spectra=(), norms=()):
+        batches.append((spectra, norms))
+        return batch(spectra, norms)
 
     def counting_eig(M, want_vectors=False):
         if M.n == A.n and not want_vectors:
-            perturbed.append(M.entries)
+            values_only.append(M)
         return eig_dense(M, want_vectors)
 
-    def counting_norm(M):
-        norms.append(M)
-        return spectral_norm(M)
-
+    monkeypatch.setattr(multiplicity, "_dense_batch", counting_batch)
     monkeypatch.setattr(multiplicity, "eig_dense", counting_eig)
-    monkeypatch.setattr(multiplicity, "spectral_norm", counting_norm)
     grid = (1e-2, 1e-3, 1e-4, 1e-5)
     report = cli.cmd_multieig(A, E, eps_grid=grid)
     clusters = [r for r in report.records if "multiplicity" in r]
     assert sorted(r["multiplicity"] for r in clusters) == [2, 3]
     assert report.sound
+    assert len(batches) == 1 and values_only == []
+    perturbed, norms = batches[0]
     assert len(perturbed) == len(grid)
     for eps, M in zip(grid, perturbed):
-        assert np.array_equal(M, A.entries + eps * E.entries)
+        assert np.array_equal(M.entries, A.entries + eps * E.entries)
     assert len(norms) == 1 and norms[0] is E

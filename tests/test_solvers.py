@@ -465,14 +465,14 @@ class TestNormBlock:
 
     @staticmethod
     def _spy(monkeypatch):
-        """The arguments of each _block_eigenvalues call, and the number of
+        """The members of each _block_eigenvalues call, and the number of
         shifts of each _sturm_counts call, from here on."""
         engine_calls, sturm_calls = [], []
         engine, counts = solvers._block_eigenvalues, solvers._sturm_counts
 
-        def engine_spy(*args):
-            engine_calls.append(args)
-            return engine(*args)
+        def engine_spy(members):
+            engine_calls.append(members)
+            return engine(members)
 
         def counts_spy(*args):
             sturm_calls.append(args[2].size)
@@ -492,10 +492,12 @@ class TestNormBlock:
                   SymTridiagonal(-d, b)):
             engine_calls.clear()
             norm = spectral_norm(M)
-            # no engine call sees more than 64 rows, and none is refused:
-            # from order 64 or so both ranks are solved on blocks
-            assert len(engine_calls) == (1 if M.n < 64 else 2)
-            assert max(len(c[0]) for c in engine_calls) <= 64
+            # one engine call, no member of more than 64 rows, and none is
+            # refused: from order 64 or so both ranks are solved on blocks,
+            # two members of one call
+            assert len(engine_calls) == 1
+            assert len(engine_calls[0]) == (1 if M.n < 64 else 2)
+            assert max(mb.diag.size for mb in engine_calls[0]) <= 64
             assert norm == pytest.approx(_library_norm(M), rel=1e-13, abs=0.0)
             for k in (-600, -40, 40, 600):
                 S = SymTridiagonal(np.ldexp(M.diag, k), np.ldexp(M.offdiag, k))
@@ -503,8 +505,8 @@ class TestNormBlock:
 
     @pytest.mark.parametrize("case", ["random", "wilkinson", "householder"])
     def test_spread_eigenvectors_decline(self, case, monkeypatch):
-        # one engine call on every row, ranks 1 and n, and no Sturm count
-        # besides the ones that call makes
+        # one engine call with one member on every row, ranks 1 and n, and
+        # no Sturm count besides the ones that call makes
         rng = np.random.default_rng(1850)
         # below 64 rows the order alone declines; above, the blocks do
         if case == "random":
@@ -521,11 +523,12 @@ class TestNormBlock:
             sturm_calls.clear()
             norm = spectral_norm(A)
             assert len(engine_calls) == 1
-            diag, *_, ranks, above = engine_calls[0]
-            assert diag.size == A.n and ranks == (1, A.n) and above == (True, False)
+            [member] = engine_calls[0]
+            assert (member.diag.size == A.n and member.ranks == (1, A.n)
+                    and member.above == (True, False))
             made = len(sturm_calls)
             sturm_calls.clear()
-            solvers._block_eigenvalues(*engine_calls[0])
+            solvers._block_eigenvalues(engine_calls[0])
             assert made == len(sturm_calls)
             dense = A.entries if case == "householder" else A.to_dense().entries
             assert norm == pytest.approx(np.linalg.norm(dense, 2), rel=1e-13, abs=0.0)
@@ -536,8 +539,8 @@ class TestNormBlock:
         T = aed_example(200)
         S, e = solvers._unit_scaled(T)
         off_sq, glo, ghi, tol = solvers._bisection_start(S)
-        ends = solvers._block_eigenvalues(S.diag, off_sq, glo, ghi, tol, (1, T.n),
-                                          (True, False))[0]
+        [(ends, _)] = solvers._block_eigenvalues(
+            [solvers._Member(S.diag, off_sq, glo, ghi, tol, (1, T.n), (True, False))])
         whole = math.ldexp(max(abs(float(ends[0])), abs(float(ends[1]))), e)
         choose = solvers._top_block
         engine_calls, _ = self._spy(monkeypatch)
@@ -548,9 +551,11 @@ class TestNormBlock:
                 lambda diag, off: (0, 2) if next(order) in wrong else choose(diag, off))
             engine_calls.clear()
             assert spectral_norm(T) == whole
-            assert [len(c[0]) for c in engine_calls][-1:] == [T.n]
-            assert len(engine_calls) == 3
-            assert min(len(c[0]) for c in engine_calls) == 2
+            # the two blocks are one call of two members, then T is solved
+            # whole in a second
+            assert [mb.diag.size for mb in engine_calls[-1]] == [T.n]
+            assert [len(c) for c in engine_calls] == [2, 1]
+            assert min(mb.diag.size for mb in engine_calls[0]) == 2
 
     def test_small_orders_and_zero_couplings(self, monkeypatch):
         rng = np.random.default_rng(1870)
@@ -571,8 +576,8 @@ class TestNormBlock:
                 engine_calls.clear()
                 assert spectral_norm(T) == pytest.approx(_library_norm(T), rel=1e-13,
                                                          abs=0.0)
-                # no block was refused
-                assert len(engine_calls) in (1, 2)
+                # no block was refused: one call, of T or of its two blocks
+                assert len(engine_calls) == 1 and len(engine_calls[0]) in (1, 2)
 
 
 def _bisection_tol(T):
@@ -678,10 +683,15 @@ def _assert_bit_identical(T, monkeypatch):
         m = ranks.size
         for rows in (np.arange(m), np.zeros(m, dtype=np.intp)):
             u = int(rows[-1]) + 1
-            grid, _, path, spans = solvers._subtree_pass(
-                T.diag, off_sq, ranks, np.full(u, glo), np.full(u, ghi),
-                np.zeros(u, dtype=bool), solvers._MAX_BISECT_STEPS, rows)
-            lo, hi = _one_midpoint_steps(T, ranks, path.shape[0])
+            L = _depth(u)
+            grid, _, path, span, _ = solvers._subtree_pass(
+                T.diag, off_sq, ranks, rows, np.full(u, glo), np.full(u, ghi),
+                np.zeros(u, dtype=np.int64), np.full(u, T.n), np.zeros(u, dtype=bool),
+                [(0, u, L)])
+            assert path.shape[0] == L
+            spans = (1 << L) >> np.arange(1, L + 1)[:, None]
+            assert np.array_equal(span, np.broadcast_to(spans[-1], (m,)))
+            lo, hi = _one_midpoint_steps(T, ranks, L)
             assert np.array_equal(grid[path].view(np.int64), lo.view(np.int64))
             assert np.array_equal(grid[path + spans].view(np.int64), hi.view(np.int64))
     vals, refined = _refined_eigenvalues(T, monkeypatch)
@@ -737,6 +747,28 @@ class TestSubtreeBisection:
         got = solvers._sturm_counts(T.diag, off_sq, xs)
         assert np.array_equal(got, _one_row_sturm_counts(T.diag, off_sq, xs))
 
+    @pytest.mark.parametrize("depths", [(10, 6), (3, 9), (1, 4)])
+    def test_runs_of_two_depths_each_replay_their_own_steps(self, depths):
+        # intervals of two depths in one pass: each rank takes its own L
+        # steps as the one-midpoint reference does, bit for bit, then stays
+        T = random_tridiagonal(np.random.default_rng(480), 12)
+        off_sq, glo, ghi, _ = solvers._bisection_start(T)
+        ranks, h = np.arange(1, T.n + 1), 5
+        grid, counts, path, span, marked = solvers._subtree_pass(
+            T.diag, off_sq, ranks, np.arange(T.n), np.full(T.n, glo), np.full(T.n, ghi),
+            np.zeros(T.n, dtype=np.int64), np.full(T.n, T.n), np.zeros(T.n, dtype=bool),
+            [(0, h, depths[0]), (h, T.n, depths[1])])
+        assert path.shape[0] == max(depths) and marked.size == 0
+        for part, L in ((slice(0, h), depths[0]), (slice(h, T.n), depths[1])):
+            lo, hi = _one_midpoint_steps(T, ranks[part], L)
+            assert np.array_equal(grid[path[:L, part]], lo)
+            assert np.all(path[L:, part] == path[L - 1, part])
+            left = path[-1, part]
+            assert np.array_equal(grid[left + span[part]], hi[-1])
+            # the counts at both ends of each rank's last interval bracket it
+            assert np.all(counts[left] < ranks[part])
+            assert np.all(counts[left + span[part]] >= ranks[part])
+
     @pytest.mark.parametrize("n", [1, 3, 17, 342])
     def test_diagonal_bit_identical(self, n, monkeypatch):
         rng = np.random.default_rng(500 + n)
@@ -787,8 +819,8 @@ class TestSubtreeBisection:
         rng = np.random.default_rng(700 + n)
         T = aed_example(n) if n == 1000 else random_tridiagonal(rng, n)
         off_sq, glo, ghi, tol = solvers._bisection_start(T)
-        ends, _ = solvers._block_eigenvalues(T.diag, off_sq, glo, ghi, tol, (1, n),
-                                             (True, False))
+        [(ends, _)] = solvers._block_eigenvalues(
+            [solvers._Member(T.diag, off_sq, glo, ghi, tol, (1, n), (True, False))])
         full = _one_midpoint_bisection(T)
         ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
         assert np.max(np.abs(ends - full[[0, -1]])) <= tol
@@ -799,8 +831,102 @@ class TestSubtreeBisection:
     def test_empty_rank_list(self):
         T = random_tridiagonal(np.random.default_rng(710), 6)
         off_sq, glo, ghi, tol = solvers._bisection_start(T)
-        vals, met = solvers._block_eigenvalues(T.diag, off_sq, glo, ghi, tol, ranks=())
+        [(vals, met)] = solvers._block_eigenvalues(
+            [solvers._Member(T.diag, off_sq, glo, ghi, tol, ranks=())])
         assert vals.shape == (0,) and not met
+
+
+def _member_matrix(kind, n, seed):
+    """A tridiagonal of about order n (1..130) of the given kind, unit-scaled
+    as the engine takes it."""
+    rng = np.random.default_rng(seed)
+    T = {"random": lambda: random_tridiagonal(rng, n),
+         "graded": lambda: graded_tridiagonal(rng, n),
+         "wilkinson": lambda: wilkinson_plus(max(1, (n - 1) // 2)),
+         "split": lambda: wilkinson_split(max(2, (n - 1) // 2))[0],
+         "123": lambda: SymTridiagonal([1.0, 2.0, 3.0], [1.0, 1.0]),
+         "11": lambda: SymTridiagonal([1.0, 1.0], [0.5])}[kind]()
+    return solvers._unit_scaled(T)[0]
+
+
+@st.composite
+def _members(draw):
+    """1 to 6 engine members: all ranks, ranks 1 and n as a norm takes them,
+    or a random subset of ranks with random counting directions."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        S = _member_matrix(draw(st.sampled_from(["random", "graded", "wilkinson", "split",
+                                                 "123", "11"])),
+                           draw(st.integers(1, 130)), draw(st.integers(0, 2 ** 32 - 1)))
+        off_sq, glo, ghi, tol = solvers._bisection_start(S)
+        ranks = draw(st.sampled_from(["all", "ends", "subset"]))
+        if ranks == "all":
+            out.append(solvers._Member(S.diag, off_sq, glo, ghi, tol))
+        elif ranks == "ends":
+            out.append(solvers._Member(S.diag, off_sq, glo, ghi, tol, (1, S.n),
+                                       (True, False)))
+        else:
+            picked = sorted(draw(st.sets(st.integers(1, S.n), max_size=S.n)))
+            above = draw(st.lists(st.booleans(), min_size=len(picked),
+                                  max_size=len(picked)))
+            out.append(solvers._Member(S.diag, off_sq, glo, ghi, tol, picked, above))
+    return out
+
+
+class TestStackedMembers:
+    """Members stacked in one _block_eigenvalues call give, each, what a call
+    with that member alone gives, bit for bit: values and guard flag."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(_members())
+    def test_each_member_as_if_alone(self, members):
+        stacked = solvers._block_eigenvalues(members)
+        assert len(stacked) == len(members)
+        for member, (vals, met) in zip(members, stacked):
+            [(alone, alone_met)] = solvers._block_eigenvalues([member])
+            assert np.array_equal(vals.view(np.int64), alone.view(np.int64))
+            assert met == alone_met
+
+    def test_the_guard_flag_is_each_members_own(self):
+        # W+(5) meets exactly zero pivots above its last row; the 3-row
+        # member meets one only in its last row (a shift of 0 on its
+        # decoupled last row 0), which does not count, also with the
+        # padding of a longer member below it; the random member meets none
+        mats = [_member_matrix("wilkinson", 11, 0),
+                solvers._unit_scaled(SymTridiagonal([-0.5, 0.5, 0.0], [1.0, 0.0]))[0],
+                _member_matrix("random", 40, 1)]
+        members = []
+        for S in mats:
+            off_sq, glo, ghi, tol = solvers._bisection_start(S)
+            members.append(solvers._Member(S.diag, off_sq, glo, ghi, tol))
+        assert [met for _, met in solvers._block_eigenvalues(members)] == [True, False, False]
+        assert [solvers._block_eigenvalues([mb])[0][1] for mb in members] == [True, False, False]
+
+    def test_counts_in_parts_of_bounded_size(self, monkeypatch):
+        # shifts of one order counted a few hundred at a time give the same
+        # bits as counted all at once
+        members = []
+        for kind, n in (("random", 30), ("graded", 30), ("split", 21), ("random", 9)):
+            S = _member_matrix(kind, n, n)
+            members.append(solvers._Member(S.diag, *solvers._bisection_start(S)))
+        whole = solvers._block_eigenvalues(members)
+        monkeypatch.setattr(solvers, "_BLOCK_ELEMENTS", 30 * 300)
+        for (vals, met), (ref, ref_met) in zip(solvers._block_eigenvalues(members), whole):
+            assert np.array_equal(vals.view(np.int64), ref.view(np.int64)) and met == ref_met
+
+    def test_members_that_share_an_interval_stay_apart(self):
+        # equal intervals, tolerances and ranks: the ranks of one member must
+        # not join the subtree of the other's
+        members = []
+        for T in (SymTridiagonal([1.1, 2.3, 3.7], [0.5, 0.7]),
+                  SymTridiagonal([-1.3, 0.2, 1.9], [0.9, 0.3])):
+            off_sq = T.offdiag ** 2
+            members.append(solvers._Member(T.diag, off_sq, -5.0, 5.0, 1e-15))
+        for mb, (vals, _) in zip(members, solvers._block_eigenvalues(members)):
+            [(alone, _)] = solvers._block_eigenvalues([mb])
+            assert np.array_equal(vals, alone)
+            ref = eigvalsh_tridiagonal(mb.diag, np.sqrt(mb.off_sq))
+            assert np.max(np.abs(vals - ref)) <= 1e-14
 
 
 def _log_derivative_inputs():
@@ -948,32 +1074,46 @@ class TestCertificateFailure:
     @staticmethod
     def _failing_laguerre(monkeypatch):
         """Replace _laguerre by one that returns hi; records, per
-        _block_eigenvalues call, how many times it was called."""
+        _block_eigenvalues call, [its members, its _laguerre calls]."""
         per_call = []
         block = solvers._block_eigenvalues
 
         def to_hi(diag, off_sq, ranks, x, hi, tol):
-            per_call[-1] += 1
+            per_call[-1][1] += 1
             return hi.copy()
 
-        def counting(*args, **kwargs):
-            per_call.append(0)
-            return block(*args, **kwargs)
+        def counting(members):
+            per_call.append([len(members), 0])
+            return block(members)
 
         monkeypatch.setattr(solvers, "_laguerre", to_hi)
         monkeypatch.setattr(solvers, "_block_eigenvalues", counting)
         return per_call
 
-    @pytest.mark.parametrize("T", [random_tridiagonal(np.random.default_rng(640), 30),
-                                   graded_tridiagonal(np.random.default_rng(641), 30),
-                                   wilkinson_split(10)[0]],
-                             ids=["random", "graded", "split10"])
+    _INPUTS = [random_tridiagonal(np.random.default_rng(640), 30),
+               graded_tridiagonal(np.random.default_rng(641), 30),
+               wilkinson_split(10)[0]]
+
+    @pytest.mark.parametrize("T", _INPUTS, ids=["random", "graded", "split10"])
     def test_failed_ranks_bisect_to_tol(self, T, monkeypatch):
+        # one engine call, the two halves of split10 its two members, and
+        # one Laguerre iteration in it
         per_call = self._failing_laguerre(monkeypatch)
         vals = eig_tridiag(T).values
-        assert per_call and max(per_call) == 1
+        assert per_call == [[2 if T is self._INPUTS[2] else 1, 1]]
         assert np.max(np.abs(vals - _one_midpoint_bisection(T))) <= _bisection_tol(T)
         _assert_certified(T, vals, np.arange(1, T.n + 1))
+
+    def test_failed_ranks_of_stacked_members_bisect_to_tol(self, monkeypatch):
+        # the three inputs in one call: one Laguerre iteration for all four
+        # members, and each value within tol of its own bisection
+        per_call = self._failing_laguerre(monkeypatch)
+        mats = [solvers._unit_scaled(T)[0] for T in self._INPUTS]
+        spectra, _ = solvers._tridiagonal_batch(mats, [])
+        assert per_call == [[4, 1]]
+        for S, (vals, _) in zip(mats, spectra):
+            assert np.max(np.abs(vals - _one_midpoint_bisection(S))) <= _bisection_tol(S)
+            _assert_certified(S, vals, np.arange(1, S.n + 1))
 
     def test_guard_still_reaches_jacobi(self, monkeypatch):
         # W+(5)'s tridiagonal meets exactly zero pivots: the flag from the
@@ -990,7 +1130,7 @@ class TestCertificateFailure:
         monkeypatch.setattr(solvers, "_jacobi", recording)
         M = wilkinson_plus(5).to_dense().entries
         _check_against_library(M, values_only=True)
-        assert per_call and max(per_call) == 1 and redo == [11]
+        assert per_call == [[1, 1]] and redo == [11]
 
 
 def _meets_small_pivot(T, x):
