@@ -9,9 +9,10 @@ window eigenvectors are used once, for the spike, and dropped.  A
 Wilkinson-shift QR sweep plus an end-to-end driver make the deflation
 behavior observable on whole matrices; the driver returns the undeflated
 part of each window to tridiagonal form with the solvers' Householder
-reduction (a pass that deflates nothing keeps its window as it is), and
-takes the norm that scales its deflation test once, from the two extreme
-eigenvalues alone (spectral_norm).
+reduction (a pass that deflates nothing keeps its window as it is), takes
+the norm that scales its deflation test once, from the two extreme
+eigenvalues alone (spectral_norm), and sweeps a unit-scaled copy of the
+matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .solvers import (_counts_within, _householder_tridiagonal, _scale_exponent,
-                      eig_tridiag, spectral_norm)
+                      _unit_scaled, eig_tridiag, spectral_norm)
 from .types import Spectrum, SymTridiagonal
 
 __all__ = [
@@ -176,7 +177,9 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
     immediately and the active matrix shrinks; spike entries of surviving
     window eigenvalues are recomputed on the next pass.  A run stops after
     _MAX_SWEEPS sweeps, unconverged, at the latest.  Returns the final
-    spectrum and per-sweep statistics.
+    spectrum and per-sweep statistics.  The run works on T unit-scaled,
+    2^-p T (as the solvers do), so that the sweeps' squares and differences
+    neither overflow nor underflow, and scales the values back exactly.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -186,8 +189,10 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
     if scale == 0.0:
         stats = RunStatistics(converged=True)
         return Spectrum(np.sort(T.diag)), stats
-    d = T.diag.copy()
-    e = T.offdiag.copy()
+    S, p = _unit_scaled(T)
+    d = S.diag.copy()
+    e = S.offdiag.copy()
+    unit = math.ldexp(scale, -p)            # ||S||, the scale of the AED test
     locked: list[float] = []
     stats = RunStatistics(scale=scale)
 
@@ -210,7 +215,7 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
         n_a = d.size
         k_eff = min(window, n_a - 1)
         active = SymTridiagonal(d, e)
-        outcome = aed_transform(active, k_eff, tol, scale)
+        outcome = aed_transform(active, k_eff, tol, unit)
         kept = ~outcome.deflatable
         locked.extend(float(v) for v in outcome.values[outcome.deflatable])
         head_rows = n_a - k_eff
@@ -240,4 +245,4 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
 
     stats.converged = d.size == 0
     values = np.sort(np.concatenate([np.array(locked), d]))
-    return Spectrum(values), stats
+    return Spectrum(np.ldexp(values, p)), stats

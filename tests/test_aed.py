@@ -369,8 +369,10 @@ class TestRunQrWithAed:
         first = stats.records[0]
         assert (first.aed_deflations, first.negligible_deflations,
                 first.active_size) == (4, 0, 8)
-        assert np.array_equal(swept[0].diag, d[:8])
-        assert np.array_equal(swept[0].offdiag, e[:7])
+        # the run sweeps T unit-scaled, 2^-p T
+        p = eigbounds.solvers._unit_scaled(T)[1]
+        assert np.array_equal(np.ldexp(swept[0].diag, p), d[:8])
+        assert np.array_equal(np.ldexp(swept[0].offdiag, p), e[:7])
         ref = eigvalsh_tridiagonal(d, e)
         assert np.max(np.abs(spec.values - ref)) <= 1e-12 * spectral_norm(T)
 
@@ -381,13 +383,15 @@ class TestRunQrWithAed:
     ], ids=["aed60", "aed1000", "random50"])
     def test_power_of_two_scaling(self, T, window):
         # 2^k T runs the same sweeps and deflations to 2^k times the values
-        # for |k| = 300; far below 1 the window rebuild still does not
-        # underflow (unit-scaled), so the values stay right
+        # for |k| = 300, and for k = 600, where the squares of the sweeps
+        # would overflow on the raw entries (the run is unit-scaled); far
+        # below 1 the window rebuild still does not underflow (unit-scaled),
+        # so the values stay right
         def scaled(k):
             return SymTridiagonal(np.ldexp(T.diag, k), np.ldexp(T.offdiag, k))
 
         spec, stats = run_qr_with_aed(T, window)
-        for k in (300, -300):
+        for k in (300, -300, 600):
             got, got_stats = run_qr_with_aed(scaled(k), window)
             assert np.array_equal(got.values, np.ldexp(spec.values, k))
             assert got_stats.sweeps == stats.sweeps
