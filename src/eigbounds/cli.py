@@ -169,7 +169,9 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
                    j_used=jj)
     if verify:
         mask = outcome.deflatable
-        slack = 1e-12 * max(scale, 1.0)
+        # relative to ||T||, with the least normal float as a floor so that
+        # the zero matrix still finds its eigenvalues at 0
+        slack = max(1e-12 * scale, np.finfo(float).tiny)
         counts = deflation_soundness_check(T, outcome, slack)
         for v, p, c in zip(outcome.values[mask], np.abs(outcome.spike[mask]),
                            counts):

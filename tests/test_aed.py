@@ -321,6 +321,18 @@ class TestRunQrWithAed:
         report = eigbounds.cli.cmd_aed(T, 10, simulate=True, verify=True)
         assert report.failures == ["spectrum-match"]
 
+    def test_deflation_check_is_relative_below_unit_norm(self):
+        # aed --verify checks each deflated value within |t| + 1e-12 ||T||:
+        # at 2^-600 each check still finds only its own eigenvalue, as at
+        # unit scale (an absolute 1e-12 would take in the whole spectrum)
+        W = aed_example(60)
+        for k in (0, -600):
+            T = SymTridiagonal(np.ldexp(W.diag, k), np.ldexp(W.offdiag, k))
+            report = eigbounds.cli.cmd_aed(T, 10, tol=1e-3, verify=True)
+            checks = [r["detail"] for r in report.records if "check" in r]
+            assert len(checks) == 6 and report.sound
+            assert all(c.startswith("eigenvalues=1 ") for c in checks)
+
     def test_pass_that_deflates_nothing_keeps_its_rows(self, monkeypatch):
         # the window is rebuilt only when a pass deflates some of it (all of
         # it leaves the 1x1 block [head]); a pass that deflates nothing keeps
