@@ -300,7 +300,7 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
         for sel, sign in ((small & ~flip, 1.0), (flip, -1.0)):
             if sel.any():
                 x = sign * xs[sel]
-                d, b = (diag, off_sq) if diag.ndim == 1 else (diag[:, sel], off_sq[:, sel])
+                d, b = _rows_of(diag, off_sq, sel)
                 c = np.zeros(x.size, dtype=np.int64)
                 met = np.zeros(x.size, dtype=bool)
                 for r0, q in zip(range(0, n, h), _pivot_blocks(
@@ -317,23 +317,34 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
 def _stacked_counts(diag, off_sq, at, xs, above, guarded=None):
     """_sturm_counts of each shift in xs on the tridiagonal of column at[j]
     of a stack (_stack), or of the lone tridiagonal diag and off_sq.  The
-    columns come by falling order, so the shifts of each order are
-    consecutive: each order is counted in a call of its own, on its own
-    rows, so no padding is counted, and in calls of at most
-    _BLOCK_ELEMENTS / n shifts, so that the rows the shifts carry stay
-    near 8 MB."""
+    columns come by falling order and at ascends, so the shifts of each
+    column and of each order are consecutive: each order is counted on its
+    own rows, so no padding is counted, a column alone as a lone
+    tridiagonal, and several together in calls of at most _BLOCK_ELEMENTS
+    / n shifts, so that the rows the shifts carry stay near 8 MB."""
     if diag.ndim == 1:
         return _sturm_counts(diag, off_sq, xs, above, guarded)
-    order = _orders(diag)[at]
-    cuts = [0, *(np.flatnonzero(np.diff(order)) + 1).tolist(), xs.size]
+    edges = (np.flatnonzero(np.diff(at)) + 1).tolist()
+    starts, stops = [0, *edges], [*edges, xs.size]
+    cols = at[starts].tolist()
+    orders = _orders(diag)[cols].tolist()
     count = np.empty(xs.size, dtype=np.int64)
-    for a, b in zip(cuts, cuts[1:]):
-        n = int(order[a])
-        step = max(1, _BLOCK_ELEMENTS // n)
-        for c in range(a, b, step):
-            part = slice(c, min(b, c + step))
-            count[part] = _sturm_counts(diag[:n, at[part]], off_sq[:n - 1, at[part]], xs[part],
-                                        above[part], None if guarded is None else guarded[part])
+    j = 0
+    while j < len(cols):
+        n, k = orders[j], j + 1
+        while (k < len(cols) and orders[k] == n
+               and stops[k] - starts[j] <= _BLOCK_ELEMENTS // n):
+            k += 1
+        if k == j + 1:
+            d, b = diag[:n, cols[j]], off_sq[:n - 1, cols[j]]
+        else:
+            reps = [stop - start for start, stop in zip(starts[j:k], stops[j:k])]
+            d = np.repeat(diag[:n, cols[j:k]], reps, axis=1)
+            b = np.repeat(off_sq[:n - 1, cols[j:k]], reps, axis=1)
+        part = slice(starts[j], stops[k - 1])
+        count[part] = _sturm_counts(d, b, xs[part], above[part],
+                                    None if guarded is None else guarded[part])
+        j = k
     return count
 
 
@@ -436,7 +447,7 @@ def _norm_blocks(T: SymTridiagonal):
     return (top, bottom) if bottom else None
 
 
-def _subtree_pass(diag, off_sq, ranks, rows, lo, hi, clo, chi, above, runs):
+def _subtree_pass(diag, off_sq, ranks, rows, lo, hi, clo, chi, above, runs, cols=None):
     """Up to L bisection steps for every rank, from one count of all their
     shifts (_stacked_counts).
 
@@ -444,12 +455,13 @@ def _subtree_pass(diag, off_sq, ranks, rows, lo, hi, clo, chi, above, runs):
     describe intervals, and runs, a list of (a, b, L), gives intervals a to
     b - 1 the depth L; rows[r] is the interval of ranks[r], so ranks that
     share an interval share its subtree.  diag and off_sq are the
-    tridiagonal of every interval, or one column of a stack (_stack) per
-    interval.  For each interval the depth-L subtree of midpoints is built
-    level by level, each point 0.5 * (left + right) of its two neighbours
-    one level up: the midpoint a one-step loop would compute.  All 2^L - 1
-    interior points of all intervals are counted at once, and the L
-    decisions of each rank are then replayed on node indices.
+    tridiagonal of every interval, or a stack (_stack) whose column of
+    interval i is cols[i].  For each interval the depth-L subtree of
+    midpoints is built level by level, each point 0.5 * (left + right) of
+    its two neighbours one level up: the midpoint a one-step loop would
+    compute.  All 2^L - 1 interior points of all intervals are counted at
+    once, and the L decisions of each rank are then replayed on node
+    indices.
 
     An interval's nodes are every 2^(M - L)-th of a row of 2^M + 1, M the
     largest L; the nodes between them read a count no rank is below, so a
@@ -476,7 +488,8 @@ def _subtree_pass(diag, off_sq, ranks, rows, lo, hi, clo, chi, above, runs):
     xs = np.concatenate([grid[a:b, w >> L:w:w >> L].ravel() for a, b, L in runs])
     at = np.concatenate([np.repeat(np.arange(a, b), (1 << L) - 1) for a, b, L in runs])
     guarded = np.empty(xs.size, dtype=bool)
-    c = _stacked_counts(diag, off_sq, at, xs, above[at], guarded)
+    c = _stacked_counts(diag, off_sq, at if cols is None else cols[at], xs, above[at],
+                        guarded)
     counts = np.full((u, w + 1), diag.shape[0])
     counts[:, 0], counts[:, w] = clo, chi
     inner, p0 = [], 0                       # each run's counted nodes
@@ -634,7 +647,8 @@ def _stack(members):
 
 
 def _rows_of(diag, off_sq, cols):
-    """The rows of the shifts of the given stack columns (_stack)."""
+    """The rows of the shifts on the given columns of a stack (_stack), or
+    the lone tridiagonal diag and off_sq."""
     if diag.ndim == 1:
         return diag, off_sq
     return diag[:, cols], off_sq[:, cols]
@@ -705,17 +719,18 @@ def _block_eigenvalues(members):
     isolated = np.zeros(mem.size, dtype=bool)
     steps = [0] * len(members)
     met = np.zeros(len(members), dtype=bool)
+    # ranks that share an interval share its member and counting direction
+    key = 2 * mem + above
     diag, off_sq = _stack(members)
     refine = True                   # steps 2 and 3 are still to come
     todo = np.flatnonzero(~(hi - lo <= tol))
     while todo.size:
         # ranks ascend within a member, so ranks that share an interval (and
-        # its direction of counting) are adjacent
-        j = mem[todo]
+        # its member and direction of counting) are adjacent
         fresh = np.empty(todo.size, dtype=bool)
         fresh[0] = True
         fresh[1:] = ((lo[todo[1:]] != lo[todo[:-1]]) | (hi[todo[1:]] != hi[todo[:-1]])
-                     | (above[todo[1:]] != above[todo[:-1]]) | (j[1:] != j[:-1]))
+                     | (key[todo[1:]] != key[todo[:-1]]))
         heads = todo[fresh]
         hm = mem[heads]
         # each member's depth: about _SHIFTS_PER_PASS shifts over its own
@@ -734,9 +749,10 @@ def _block_eigenvalues(members):
                     runs.append((a, a + u, L))
                 a += u
         grid, counts, path, span, marked = _subtree_pass(
-            *_rows_of(diag, off_sq, hm), rank[todo], np.cumsum(fresh) - 1, lo[heads],
-            hi[heads], clo[heads], chi[heads], above[heads], runs)
-        met[hm[marked]] = True
+            diag, off_sq, rank[todo], np.cumsum(fresh) - 1, lo[heads], hi[heads],
+            clo[heads], chi[heads], above[heads], runs, hm)
+        if marked.size:
+            met[hm[marked]] = True
         left, right = path[-1], path[-1] + span
         lo[todo], hi[todo] = grid.take(left), grid.take(right)
         clo[todo], chi[todo] = counts.take(left), counts.take(right)
@@ -767,7 +783,8 @@ def _block_eigenvalues(members):
         for s in range(0, shifts.size, _SHIFTS_PER_PASS):
             part = slice(s, s + _SHIFTS_PER_PASS)
             c[part] = _stacked_counts(diag, off_sq, at[part], shifts[part], up[part], g[part])
-        met[at[g]] = True
+        if g.any():
+            met[at[g]] = True
         ok = (c[0::2] < rank[i]) & (c[1::2] >= rank[i])
         # a kept iterate is its rank's interval, so its midpoint is x
         lo[i[ok]] = hi[i[ok]] = x[ok]
