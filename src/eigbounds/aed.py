@@ -157,7 +157,7 @@ class RunStatistics:
 
     @property
     def first_pass_aed_count(self) -> int:
-        return self.records[0].aed_deflations if self.records else 0
+        return self.records[0].aed_deflations
 
     @property
     def total_aed(self) -> int:
@@ -186,9 +186,6 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
     if window < 1:
         raise ValueError(f"window={window} must be >= 1")
     scale = spectral_norm(T)
-    if scale == 0.0:
-        stats = RunStatistics(converged=True)
-        return Spectrum(np.sort(T.diag)), stats
     S, p = _unit_scaled(T)
     d = S.diag.copy()
     e = S.offdiag.copy()

@@ -69,6 +69,8 @@ def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
     if np.any(E.block(split, "11")) or np.any(E.block(split, "22")):
         raise ValueError("perturbation must have zero diagonal blocks")
     norm_e = spectral_norm(E)
+    # far from unit scale ||E||^2 underflows or overflows
+    normal = np.finfo(float).tiny <= norm_e * norm_e < np.inf
     (a1_vals, a2_vals), _ = _dense_batch([DenseHermitian.from_array(A.block(split, "11")),
                                           DenseHermitian.from_array(A.block(split, "22"))])
     dist = np.abs(np.subtract.outer(a1_vals, a2_vals))
@@ -86,7 +88,8 @@ def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
                                    gap=0.0, valid=False,
                                    components={"weyl_fallback": norm_e}))
             continue
-        out.append(BoundReport(i, LogScalar.from_float(norm_e ** 2 / gap),
+        bound = norm_e ** 2 / gap if normal else norm_e * (norm_e / gap)
+        out.append(BoundReport(i, LogScalar.from_float(bound),
                                "quad_residual", gap=gap, valid=True,
                                components={"norm_E": norm_e}))
     return out

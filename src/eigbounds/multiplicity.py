@@ -76,7 +76,9 @@ def first_order_eigs(ctx: MultipleEigContext, E: DenseHermitian,
     if np.any(eps < 0.0):
         raise ValueError("eps must be nonnegative")
     q1 = ctx.basis
-    comp = DenseHermitian.from_array(q1.conj().T @ E.entries @ q1, atol=1e-6)
+    # Hermitian up to roundoff: keep the lower triangle, as DenseHermitian does
+    c = q1.conj().T @ E.entries @ q1
+    comp = DenseHermitian.from_array(np.tril(c) + np.tril(c, -1).conj().T)
     return ctx.lambda0 + np.multiply.outer(eps, eig_dense(comp).values)
 
 

@@ -142,11 +142,9 @@ def _jacobi(A: DenseHermitian, want_vectors: bool) -> Spectrum:
     # a real matrix is held as a real array (DenseHermitian), so it stays in
     # real arithmetic: the rotation formulas below are dtype-generic (the
     # phase ph degenerates to +-1) and run much faster
-    H = A.entries.copy()
     # H = 2^e S, solved as unit-scaled S and the values scaled back exactly
-    e = _scale_exponent(float(np.max(np.abs(H))))
-    if e:
-        H = _ldexp(H, -e)
+    e = _scale_exponent(float(np.max(np.abs(A.entries))))
+    H = _ldexp(A.entries, -e)
     V = np.eye(n, dtype=H.dtype) if want_vectors else None
     scale = math.sqrt(float(np.sum(np.abs(H) ** 2)))
     off_target = 0.5 * n * _EPS * scale
@@ -314,7 +312,7 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray,
     return count
 
 
-def _stacked_counts(diag, off_sq, at, xs, above, guarded=None):
+def _stacked_counts(diag, off_sq, at, xs, above, guarded):
     """_sturm_counts of each shift in xs on the tridiagonal of column at[j]
     of a stack (_stack), or of the lone tridiagonal diag and off_sq.  The
     columns come by falling order and at ascends, so the shifts of each
@@ -342,8 +340,7 @@ def _stacked_counts(diag, off_sq, at, xs, above, guarded=None):
             d = np.repeat(diag[:n, cols[j:k]], reps, axis=1)
             b = np.repeat(off_sq[:n - 1, cols[j:k]], reps, axis=1)
         part = slice(starts[j], stops[k - 1])
-        count[part] = _sturm_counts(d, b, xs[part], above[part],
-                                    None if guarded is None else guarded[part])
+        count[part] = _sturm_counts(d, b, xs[part], above[part], guarded[part])
         j = k
     return count
 

@@ -51,8 +51,7 @@ def decay_step_bound(T: SymTridiagonal, lam: float, k: int) -> float | None:
     n = T.n
     if not 1 <= k <= n:
         raise IndexError(f"row {k} out of range 1..{n}")
-    radius = (abs(float(T.offdiag[k - 2])) if k > 1 else 0.0) + \
-             (abs(float(T.offdiag[k - 1])) if k < n else 0.0)
+    radius = _gersch_radii(T.offdiag)[k - 1]
     ratio = float(_decay_ratio(radius, abs(lam - float(T.diag[k - 1]))))
     return None if ratio == math.inf else ratio
 

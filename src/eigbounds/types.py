@@ -31,7 +31,7 @@ class HermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-def _canonical_hermitian(entries: np.ndarray, atol: float) -> np.ndarray:
+def _canonical_hermitian(entries: np.ndarray) -> np.ndarray:
     a = np.asarray(entries)
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -39,7 +39,7 @@ def _canonical_hermitian(entries: np.ndarray, atol: float) -> np.ndarray:
     if not np.isfinite(a).all():
         raise HermitianError("matrix has NaN or infinite entries")
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if float(np.max(np.abs(a - a.conj().T))) > atol * scale:
+    if float(np.max(np.abs(a - a.conj().T))) > 1e-8 * scale:
         raise HermitianError("matrix deviates from Hermitian beyond tolerance")
     # stored real unless the strictly lower triangle, the only imaginary
     # parts kept, has a nonzero one
@@ -58,15 +58,12 @@ class DenseHermitian:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _canonical_hermitian(self.entries, atol=1e-8))
+        object.__setattr__(self, "entries", _canonical_hermitian(self.entries))
         self.entries.setflags(write=False)
 
     @classmethod
-    def from_array(cls, a, atol: float = 1e-8) -> "DenseHermitian":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "entries", _canonical_hermitian(np.asarray(a), atol))
-        obj.entries.setflags(write=False)
-        return obj
+    def from_array(cls, a) -> "DenseHermitian":
+        return cls(a)
 
     @classmethod
     def from_blocks(cls, a11, a21, a22) -> "DenseHermitian":

@@ -85,6 +85,12 @@ class TestDeflationDecide:
         with pytest.raises(ValueError):
             aed_transform(T, 3, 1e-16, -1.0)
 
+    @pytest.mark.parametrize("k", [0, 8, -1])
+    def test_window_size_out_of_range_rejected(self, k):
+        T = graded_example(np.random.default_rng(37), 8)
+        with pytest.raises(ValueError, match="window size"):
+            aed_transform(T, k, 1e-16, 1.0)
+
     def test_scale_zero_deflates_only_exact_zeros(self):
         # scale 0 is the norm of the zero matrix, whose spike is all zero
         out = aed_transform(SymTridiagonal(np.zeros(4), np.zeros(3)), 2, 1e-16, 0.0)
@@ -415,10 +421,15 @@ class TestRunQrWithAed:
                     <= 1e-12 * spectral_norm(T))
 
     def test_zero_matrix_is_converged_at_once(self):
-        spec, stats = run_qr_with_aed(SymTridiagonal(np.zeros(5), np.zeros(4)),
-                                      window=2)
+        T = SymTridiagonal(np.zeros(5), np.zeros(4))
+        spec, stats = run_qr_with_aed(T, window=2)
         assert stats.converged and stats.sweeps == 0
         assert np.array_equal(spec.values, np.zeros(5))
+        # one record, of pass 0: the window deflates as a plain AED pass
+        # does, and the rest deflates on its zero couplings
+        deflated = aed_transform(T, 2, 1e-16, 0.0).deflation_count
+        assert [(r.sweep, r.aed_deflations, r.negligible_deflations, r.active_size)
+                for r in stats.records] == [(0, deflated, 5 - deflated, 0)]
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_window_below_one_raises(self, window):

@@ -39,6 +39,20 @@ class TestQuadraticResidual:
         assert rep.bound.float_or_zero() == pytest.approx(0.005, rel=1e-13)
         assert np.max(dense_shift(A, E)) <= rep.bound.float_or_zero()
 
+    @pytest.mark.parametrize("s", [-600, 600])
+    def test_bound_follows_a_power_of_two_scaling(self, s):
+        # ||E||^2 underflows at 2^-600 and overflows at 2^+600
+        A = DenseHermitian.from_array(np.diag([0.0, 2.0]))
+        E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
+        unit = quadratic_residual_bounds(A, BlockSplit(1), E, [1])[0]
+        far = quadratic_residual_bounds(DenseHermitian.from_array(np.ldexp(A.entries, s)),
+                                        BlockSplit(1),
+                                        DenseHermitian.from_array(np.ldexp(E.entries, s)),
+                                        [1])[0]
+        assert far.valid and far.formula == "quad_residual"
+        assert far.bound.log10 == pytest.approx(unit.bound.log10 + s * np.log10(2.0),
+                                                abs=1e-12)
+
     def test_soundness_when_gap_dominates(self):
         rng = np.random.default_rng(22)
         for _ in range(25):
@@ -194,6 +208,19 @@ class TestTheorem1:
         rep = theorem1_bounds(A, E, BlockSplit(1), [1])[0]
         assert rep.valid
         assert rep.bound.float_or_zero() < 1e-6 < weyl_bound(E)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"indices": [0]}, IndexError),
+        ({"indices": [1, 5]}, IndexError),
+        ({"values": np.zeros(3)}, ValueError),
+        ({"values": np.zeros((4, 1))}, ValueError),
+    ])
+    def test_rejects_bad_indices_and_values(self, kwargs, error):
+        rng = np.random.default_rng(29)
+        A = random_hermitian(rng, 4)
+        E = random_hermitian(rng, 4, scale=0.1)
+        with pytest.raises(error, match="index|values"):
+            theorem1_bounds(A, E, BlockSplit(2), **kwargs)
 
     def test_invalid_tau_reports_weyl_fallback(self):
         A = DenseHermitian.from_array(np.diag([1.0, 1.01]))

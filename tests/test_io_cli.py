@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_tridiagonal
-from eigbounds import (DenseHermitian, SymTridiagonal, load_matrix,
-                       parse_matrix, serialize_matrix, wilkinson_plus)
+from eigbounds import (DenseHermitian, LogScalar, RunReport, SymTridiagonal,
+                       load_matrix, parse_matrix, serialize_matrix, wilkinson_plus)
 from eigbounds import cli
 from eigbounds.cli import main
-from eigbounds.io import MatrixFormatError
+from eigbounds.io import GENERATORS, MatrixFormatError
 
 
 class TestMatrixFiles:
@@ -36,6 +38,28 @@ class TestMatrixFiles:
         text = "# header\nformat tridiagonal\n\ndiag 1.0 2.0  # trailing\noffdiag 0.5\n"
         T = parse_matrix(text)
         assert np.array_equal(T.diag, [1.0, 2.0])
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_every_generator_name(self, name):
+        fn, params = GENERATORS[name]
+        text = f"format generator\nname {name}\n" + "".join(f"{p} 6\n" for p in params)
+        T, expected = parse_matrix(text), fn(*(6 for _ in params))
+        assert np.array_equal(T.diag, expected.diag)
+        assert np.array_equal(T.offdiag, expected.offdiag)
+
+    @pytest.mark.parametrize("text, match", [
+        ("diag 1 2\noffdiag 1\n", "first line"),
+        ("format tridiagonal\ndiag 1 2\noffdiag 1\nsuper 3\n", "needs 'diag'"),
+        ("format tridiagonal\noffdiag 1\n", "needs 'diag'"),
+        ("format dense-hermitian\nrow 1 0\ncol 0 1\n", "only 'row'"),
+        ("format dense-hermitian\nrow 1 2\nrow 3 4\n", "Hermitian"),
+        ("format generator\nname wilkinson_plus\nn 5\nm 3\n", "no parameter 'm'"),
+        ("format generator\nname wilkinson_plus\n", "missing parameters"),
+        ("format generator\nname hilbert\n", "unknown generator"),
+    ])
+    def test_malformed_file_rejected(self, text, match):
+        with pytest.raises(MatrixFormatError, match=match):
+            parse_matrix(text)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(MatrixFormatError):
@@ -163,6 +187,16 @@ class TestCli:
         assert rc in (0, 1)
         assert "index=1 " in out and "bound=invalid" in out and "status=" in out
 
+    @pytest.mark.parametrize("value, text", [
+        (float("nan"), "undefined"), (float("inf"), "overflow"),
+        (float("-inf"), "-overflow"), (None, "invalid"), (True, "true"),
+        (0.25, "0.25"), (LogScalar(0), "0"),
+    ])
+    def test_report_renders_every_value(self, value, text):
+        report = RunReport("demo")
+        report.add(x=value)
+        assert report.render().splitlines()[1] == f"x={text}"
+
     def test_calls_in_a_row_match_fresh_calls(self, capsys):
         # main builds its parser once per process; later calls reuse it
         def run(argv):
@@ -183,6 +217,60 @@ class TestCli:
         assert cli.build_parser() is cli.build_parser()
         for _ in range(2):
             assert [run(argv) for argv in cases] == fresh
+
+
+def _block_pair(quad_shape):
+    """A and E of order 6 for bound-block --k 2; in the quad shape A is
+    block diagonal and E has zero diagonal blocks."""
+    rng = np.random.default_rng(63)
+    a = random_hermitian(rng, 6).entries + np.diag(np.arange(6) * 4.0)
+    e = random_hermitian(rng, 6, scale=0.01).entries.copy()
+    if quad_shape:
+        a[4:, :4] = a[:4, 4:] = 0.0
+        e[:4, :4] = e[4:, 4:] = 0.0
+    return a, e
+
+
+def _verdicts(a, e, s):
+    """The bound-block --verify checks of 2^s A and 2^s E."""
+    report = cli.cmd_bound_block(DenseHermitian.from_array(np.ldexp(a, s)),
+                                 DenseHermitian.from_array(np.ldexp(e, s)), 2,
+                                 verify=True)
+    return [(r["check"], r["verdict"]) for r in report.records if "check" in r]
+
+
+def _zeroed(bounds):
+    """bounds with every bound, and the Weyl bound, replaced by 0."""
+    def run(*args, **kwargs):
+        return [dataclasses.replace(r, bound=LogScalar(0),
+                                    components={**r.components, "weyl": 0.0})
+                for r in bounds(*args, **kwargs)]
+    return run
+
+
+class TestBoundBlockVerdictsAtEveryScale:
+    """The slack of bound-block --verify is relative to ||A||, so a power of
+    two scaling of A and E moves no verdict."""
+
+    @pytest.mark.parametrize("quad_shape", [False, True])
+    def test_sound_bounds_pass(self, quad_shape):
+        a, e = _block_pair(quad_shape)
+        unit = _verdicts(a, e, 0)
+        assert unit and all(v == "PASS" for _, v in unit)
+        assert any("quad-residual" in c for c, _ in unit) == quad_shape
+        for s in (-600, 600):
+            assert _verdicts(a, e, s) == unit
+
+    @pytest.mark.parametrize("quad_shape", [False, True])
+    def test_zero_bounds_fail(self, quad_shape, monkeypatch):
+        monkeypatch.setattr(cli, "theorem1_bounds", _zeroed(cli.theorem1_bounds))
+        monkeypatch.setattr(cli, "quadratic_residual_bounds",
+                            _zeroed(cli.quadratic_residual_bounds))
+        a, e = _block_pair(quad_shape)
+        unit = _verdicts(a, e, 0)
+        assert unit and all(v == "FAIL" for _, v in unit)
+        for s in (-600, 600):
+            assert _verdicts(a, e, s) == unit
 
 
 class TestCliInputErrors:
@@ -237,7 +325,10 @@ class TestCliInputErrors:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [["wilkinson", "--n", "3"],
-                                      ["wilkinson", "--n", "6", "--ell-range", "9"]])
+                                      ["wilkinson", "--n", "6", "--ell-range", "9"],
+                                      ["wilkinson", "--n", "6", "--ell-range", "5:3"],
+                                      ["wilkinson", "--n", "6", "--ell-range", ","],
+                                      ["wilkinson", "--n", "6", "--ell-range", "0"]])
     def test_wilkinson_arguments(self, argv, capsys):
         assert self._exit_code(argv, capsys)[0] == 2
 
@@ -254,7 +345,8 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "6"],
                                        ["--k", "2", "--indices", "0"],
-                                       ["--k", "2", "--indices", "1,7"]])
+                                       ["--k", "2", "--indices", "1,7"],
+                                       ["--k", "2", "--indices", ","]])
     def test_bound_block_arguments(self, matrix_files, flags, capsys):
         code, _ = self._exit_code(["bound-block", "--matrix", matrix_files["A"],
                                    "--perturbation", matrix_files["E"]] + flags,

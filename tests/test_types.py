@@ -156,5 +156,15 @@ class TestLogScalar:
         s = LogScalar.from_log10(-271.5).format(digits=4)
         assert "272" in s or "271" in s
 
+    @pytest.mark.parametrize("x, text", [
+        (LogScalar(0), "0"),
+        (LogScalar.from_float(2.5e-3), "2.500e-3"),
+        # a mantissa that rounds up to 10 moves to the next decade
+        (LogScalar.from_float(9.9996), "1.000e+1"),
+        (LogScalar.from_float(-9.99996e-5), "-1.000e-4"),
+    ])
+    def test_format(self, x, text):
+        assert x.format(digits=4) == text
+
     def test_underflow_threshold_constant(self):
         assert UNDERFLOW_LOG10 == -300.0
