@@ -9,6 +9,7 @@ eigenvalue of a diagonal block against the spectrum of the other block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,35 @@ def weyl_bound(E: DenseHermitian) -> float:
     return spectral_norm(E)
 
 
+class _SubBlocks(NamedTuple):
+    """The sub-blocks of A and E whose spectra and norms the bounds solve,
+    each as they pass it to the engine (_sub_blocks)."""
+
+    a22: DenseHermitian
+    a21: np.ndarray
+    e11: DenseHermitian
+    e21: np.ndarray
+    e22: DenseHermitian
+    a11: DenseHermitian | None      # the quadratic residual bound's only
+
+    @property
+    def norms(self) -> list:
+        """Theorem 1's norms: ||A21||, ||E11||, ||E21|| and ||E22||."""
+        return [self.a21, self.e11, self.e21, self.e22]
+
+
+def _sub_blocks(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
+                quad: bool = False) -> _SubBlocks:
+    """The sub-blocks theorem1_bounds solves, and with quad A11 for
+    quadratic_residual_bounds.  Both bounds and the CLI's request of their
+    inputs (solvers._solved, which finds them by value) take them from
+    here, so the request holds exactly what the bounds ask for."""
+    return _SubBlocks(DenseHermitian.from_array(A.block(split, "22")), A.block(split, "21"),
+                      DenseHermitian.from_array(E.block(split, "11")), E.block(split, "21"),
+                      DenseHermitian.from_array(E.block(split, "22")),
+                      DenseHermitian.from_array(A.block(split, "11")) if quad else None)
+
+
 def _check_index(i: int, n: int) -> None:
     if not 1 <= i <= n:
         raise IndexError(f"eigenvalue index {i} out of range 1..{n}")
@@ -64,15 +94,15 @@ def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
     split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
-    if np.any(A.block(split, "21")):
+    blocks = _sub_blocks(A, E, split, quad=True)
+    if np.any(blocks.a21):
         raise ValueError("A must be block diagonal (zero off-diagonal blocks)")
-    if np.any(E.block(split, "11")) or np.any(E.block(split, "22")):
+    if np.any(blocks.e11.entries) or np.any(blocks.e22.entries):
         raise ValueError("perturbation must have zero diagonal blocks")
     norm_e = spectral_norm(E)
     # far from unit scale ||E||^2 underflows or overflows
     normal = np.finfo(float).tiny <= norm_e * norm_e < np.inf
-    (a1_vals, a2_vals), _ = _dense_batch([DenseHermitian.from_array(A.block(split, "11")),
-                                          DenseHermitian.from_array(A.block(split, "22"))])
+    (a1_vals, a2_vals), _ = _dense_batch([blocks.a11, blocks.a22])
     dist = np.abs(np.subtract.outer(a1_vals, a2_vals))
     gaps = np.concatenate([dist.min(axis=1), dist.min(axis=0)])
     # ascending eigenvalues of A, each with its gap to the other block
@@ -131,10 +161,9 @@ def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
         if vals.shape != (A.n,):
             raise ValueError(f"values must have shape ({A.n},), got {vals.shape}")
     weyl = weyl_bound(E)
-    a22 = DenseHermitian.from_array(A.block(split, "22"))
-    spectra, (a21n, e11, e21, e22) = _dense_batch([a22] if values is not None else [a22, A], [
-        A.block(split, "21"), DenseHermitian.from_array(E.block(split, "11")),
-        E.block(split, "21"), DenseHermitian.from_array(E.block(split, "22"))])
+    blocks = _sub_blocks(A, E, split)
+    spectra, (a21n, e11, e21, e22) = _dense_batch(
+        [blocks.a22] if values is not None else [blocks.a22, A], blocks.norms)
     a22_vals = spectra[0]
     if values is None:
         vals = spectra[1]

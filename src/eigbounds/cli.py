@@ -17,11 +17,12 @@ import numpy as np
 
 from . import generators
 from .aed import aed_transform, deflation_soundness_check, run_qr_with_aed
-from .blocks import quadratic_residual_bounds, theorem1_bounds
+from .blocks import _sub_blocks, quadratic_residual_bounds, theorem1_bounds
 from .io import load_matrix
 from .multiplicity import detect_multiple, expansion_order
 from .report import RunReport
-from .solvers import _dense_batch, eig_dense, eig_tridiag, spectral_norm
+from .solvers import (_dense_batch, _solved, _tridiagonal_values, eig_dense, eig_tridiag,
+                      spectral_norm)
 from .tridiag import aed_window_bounds, wilkinson_gap_bound, wilkinson_pair_gap_bound
 from .types import BlockSplit, DenseHermitian, LogScalar, SymTridiagonal
 
@@ -66,17 +67,25 @@ def cmd_bound_block(A: DenseHermitian, E: DenseHermitian, k: int,
     quad_shape = (not np.any(A.block(split, "21"))
                   and not np.any(E.block(split, "11"))
                   and not np.any(E.block(split, "22")))
-    shifts = base = None
-    if verify:
-        (base, moved), _ = _dense_batch([A, DenseHermitian.from_array(A.entries + E.entries)])
-        shifts = np.abs(base - moved)
-        # spectral_norm(A) from the ascending spectrum already computed
-        slack = _slack(max(abs(float(base[0])), abs(float(base[-1]))))
     indices = sorted(indices)
-    reports = theorem1_bounds(A, E, split, indices, refined=refined, values=base)
+    # every spectrum and norm the bounds and the check take, from one engine
+    # call: within the block the bounds' own solves are served from it
+    blocks = _sub_blocks(A, E, split, quad=quad_shape)
+    spectra = [A, blocks.a22] + ([blocks.a11] if quad_shape else [])
+    if verify:
+        AE = DenseHermitian.from_array(A.entries + E.entries)
+        spectra.append(AE)
+    with _solved(spectra, [E, *blocks.norms]):
+        reports = theorem1_bounds(A, E, split, indices, refined=refined)
+        quads = quadratic_residual_bounds(A, split, E, indices) if quad_shape else None
+        shifts = None
+        if verify:
+            (base, moved), _ = _dense_batch([A, AE])
+            shifts = np.abs(base - moved)
+            # spectral_norm(A) from the ascending spectrum already computed
+            slack = _slack(max(abs(float(base[0])), abs(float(base[-1]))))
     weyl = reports[0].components["weyl"]
     report.summary["weyl"] = weyl
-    quads = quadratic_residual_bounds(A, split, E, indices) if quad_shape else None
     for pos, i in enumerate(indices):
         rep = reports[pos]
         rec = {"index": i, "formula": rep.formula, "valid": rep.valid,
@@ -106,10 +115,9 @@ def cmd_wilkinson(n: int, ell_range=None) -> RunReport:
     if n <= 4:
         raise InputError("wilkinson requires n > 4")
     report = RunReport("wilkinson")
-    w = generators.wilkinson_plus(n)
-    vals = eig_tridiag(w).values
-    a_part, _ = generators.wilkinson_split(n)
-    a_vals = eig_tridiag(a_part).values
+    # W+ and its split part A from one engine call
+    vals, a_vals = _tridiagonal_values([generators.wilkinson_plus(n),
+                                        generators.wilkinson_split(n)[0]])
     top_gap = float(vals[-1] - vals[-2])
     top_shift = float(abs(vals[-1] - a_vals[-1]))
     fact = wilkinson_gap_bound(n)
@@ -270,9 +278,12 @@ def _claim_quad_residual(report: RunReport) -> None:
     """Quadratic residual bound of a 2x2 example in closed form."""
     A = DenseHermitian.from_array(np.diag([0.0, 2.0]))
     E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
-    q = quadratic_residual_bounds(A, BlockSplit(1), E, [1])[0]
-    shift = float(abs(eig_dense(DenseHermitian.from_array(A.entries + E.entries))
-                      .values[0] - 0.0))
+    split = BlockSplit(1)
+    blocks = _sub_blocks(A, E, split, quad=True)
+    AE = DenseHermitian.from_array(A.entries + E.entries)
+    with _solved([blocks.a11, blocks.a22, AE], [E]):
+        q = quadratic_residual_bounds(A, split, E, [1])[0]
+        shift = float(abs(eig_dense(AE).values[0] - 0.0))
     report.add(case="quad-residual-2x2", bound=q.bound.float_or_zero(),
                observed=shift)
     report.check("quad-residual-2x2",

@@ -56,9 +56,10 @@ def _content_lines(text: str) -> list[tuple[str, str]]:
     return out
 
 
-def _number(text: str, kind=float):
+def _numbers(texts, kind=float) -> list:
+    """The numbers of a line, converted by one map call."""
     try:
-        return kind(text)
+        return list(map(kind, texts))
     except ValueError as exc:
         raise MatrixFormatError(f"malformed number: {exc}") from exc
 
@@ -73,15 +74,14 @@ def parse_matrix(text: str) -> DenseHermitian | SymTridiagonal:
         fields = dict(body)
         if set(fields) - {"diag", "offdiag"} or "diag" not in fields:
             raise MatrixFormatError("tridiagonal needs 'diag' and 'offdiag' lines")
-        diag = [_number(v) for v in fields["diag"].split()]
-        off = [_number(v) for v in fields.get("offdiag", "").split()]
+        diag = _numbers(fields["diag"].split())
+        off = _numbers(fields.get("offdiag", "").split())
         try:
             return SymTridiagonal(np.array(diag), np.array(off))
         except ValueError as exc:
             raise MatrixFormatError(str(exc)) from exc
     if tag == "dense-hermitian":
-        rows = [[_number(v, complex) for v in rest.split()] for key, rest in body
-                if key == "row"]
+        rows = [_numbers(rest.split(), complex) for key, rest in body if key == "row"]
         if not rows or any(key != "row" for key, _ in body):
             raise MatrixFormatError("dense-hermitian expects only 'row' lines")
         if any(len(r) != len(rows) for r in rows):
@@ -101,7 +101,7 @@ def parse_matrix(text: str) -> DenseHermitian | SymTridiagonal:
         for key, value in fields.items():
             if key not in param_names:
                 raise MatrixFormatError(f"generator {name} takes no parameter {key!r}")
-            params[key] = _number(value, int)
+            params[key] = _numbers([value], int)[0]
         missing = set(param_names) - set(params)
         if missing:
             raise MatrixFormatError(f"generator {name} missing parameters {sorted(missing)}")

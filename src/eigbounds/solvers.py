@@ -19,12 +19,13 @@ rows, so every row loop runs once for all members (the Sturm counts once
 per member order), and each member's results are bit for bit those of a
 call with it alone.  Zero couplings split a tridiagonal into members, and
 the spectra and norms of several dense matrices are one call
-(_dense_batch).  The Sturm counts, their guarded recount and Laguerre's
-derivatives read one pivot loop (_pivot_blocks), in row blocks with one
-division and one subtraction per row; a count runs it without the pivot
-guard, and the guard of LAPACK dstebz is applied afterwards, by recounting
-only the shifts whose pivots came below pivmin (Demmel, Dhillon & Ren
-1995).  Every solver
+(_dense_batch); within a _solved block, the inputs it solved on entry are
+served to every such call by value.  The Sturm counts, their guarded
+recount and Laguerre's derivatives read one pivot loop (_pivot_blocks), in
+row blocks with one division and one subtraction per row; a count runs it
+without the pivot guard, and the guard of LAPACK dstebz is applied
+afterwards, by recounting only the shifts whose pivots came below pivmin
+(Demmel, Dhillon & Ren 1995).  Every solver
 first scales its input by the power of two that brings the largest |entry|
 into [0.5, 1), so pivmin = eps^2 and the tolerances are relative to the
 matrix, and scales the results back exactly: 2^k A gives 2^k times the
@@ -46,6 +47,8 @@ code path.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
@@ -1020,6 +1023,14 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     return Spectrum(np.ldexp(vals, e), vecs)
 
 
+def _tridiagonal_values(Ts) -> list[np.ndarray]:
+    """The values-only eig_tridiag of each tridiagonal in Ts, from one
+    engine call (_tridiagonal_batch): each is bit for bit its eig_tridiag."""
+    scaled = [_unit_scaled(T) for T in Ts]
+    values, _ = _tridiagonal_batch([S for S, _ in scaled], [])
+    return [np.ldexp(vals, e) for (vals, _), (_, e) in zip(values, scaled)]
+
+
 def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and subdiagonal of a tridiagonal matrix unitarily similar to
     the Hermitian array B, which is overwritten.
@@ -1094,19 +1105,71 @@ def _norm_input(A) -> tuple[SymTridiagonal, Callable[[float], float]]:
     return S, lambda top: math.ldexp(top, e)
 
 
-def _dense_batch(spectra=(), norms=()) -> tuple[list[np.ndarray], list[float]]:
-    """The values-only eig_dense of each DenseHermitian in spectra and the
-    spectral_norm of each matrix in norms, from one engine call
-    (_tridiagonal_batch) after a Householder reduction of each dense input
-    (_norm_input).  A Sturm count whose shift met the pivot guard above the
-    last row may be one short (see _sturm_counts), so a spectrum in which
-    any count met it is redone by Jacobi (_jacobi), that one alone."""
+def _solve_dense(spectra, norms) -> tuple[list[np.ndarray], list[float]]:
+    """_dense_batch outside a _solved block."""
     reduced = [_dense_tridiagonal(A.entries) for A in spectra]
     inputs = [_norm_input(A) for A in norms]
     values, tops = _tridiagonal_batch([T for T, _ in reduced], [S for S, _ in inputs])
     return ([_jacobi(A, False).values if guarded else np.ldexp(vals, e)
              for A, (_, e), (vals, guarded) in zip(spectra, reduced, values)],
             [finish(top) for (_, finish), top in zip(inputs, tops)])
+
+
+# the results of the open _solved blocks by _solved_key, None outside them
+_served: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_served", default=None)
+
+
+def _solved_key(kind: str, A) -> tuple:
+    """What a result of _solved is found by: its kind (spectrum or norm),
+    the input's type, and the dtype, shape and bytes of its arrays.  The
+    value, not the object: the bound layer rebuilds its sub-blocks on every
+    call."""
+    arrays = ((A.diag, A.offdiag) if isinstance(A, SymTridiagonal) else
+              (A.entries,) if isinstance(A, DenseHermitian) else (np.asarray(A),))
+    return (kind, type(A), *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+
+@contextlib.contextmanager
+def _solved(spectra=(), norms=()):
+    """Solve the spectra and norms of _dense_batch in one call on entry, and
+    within the block let _dense_batch (so eig_dense values and
+    spectral_norm) serve these inputs from its results; any other input is
+    solved as outside.  No result outlives the block."""
+    values, tops = _dense_batch(spectra, norms)
+    served = dict(_served.get() or {})
+    served.update(zip([_solved_key("spectrum", A) for A in spectra], values))
+    served.update(zip([_solved_key("norm", A) for A in norms], tops))
+    token = _served.set(served)
+    try:
+        yield
+    finally:
+        _served.reset(token)
+
+
+def _dense_batch(spectra=(), norms=()) -> tuple[list[np.ndarray], list[float]]:
+    """The values-only eig_dense of each DenseHermitian in spectra and the
+    spectral_norm of each matrix in norms, from one engine call
+    (_tridiagonal_batch) after a Householder reduction of each dense input
+    (_norm_input).  A Sturm count whose shift met the pivot guard above the
+    last row may be one short (see _sturm_counts), so a spectrum in which
+    any count met it is redone by Jacobi (_jacobi), that one alone.  Within
+    a _solved block the inputs it solved are served from there, and the
+    call solves only the others."""
+    served = _served.get()
+    if served is None:
+        return _solve_dense(spectra, norms)
+    keys = ([_solved_key("spectrum", A) for A in spectra]
+            + [_solved_key("norm", A) for A in norms])
+    todo = [i for i, key in enumerate(keys) if key not in served]
+    if todo:
+        inputs = [*spectra, *norms]
+        values, tops = _solve_dense([inputs[i] for i in todo if i < len(spectra)],
+                                    [inputs[i] for i in todo if i >= len(spectra)])
+        served = {**served, **dict(zip([keys[i] for i in todo], values + tops))}
+    out = [served[key] for key in keys]
+    # copies, so that no caller can change what a later one is served
+    return [v.copy() for v in out[:len(spectra)]], out[len(spectra):]
 
 
 def spectral_norm(A) -> float:

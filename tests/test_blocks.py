@@ -272,9 +272,9 @@ class TestEngineCalls:
         assert engine_calls[-1] >= 6
         assert len(reports) == 12
 
-    def test_bound_block_verify_makes_five_calls(self, engine_calls):
-        # quad shape: the spectra of A and A + E, then theorem 1 (two
-        # calls), then ||E|| and the A11, A22 spectra of the quadratic bound
+    def test_bound_block_verify_makes_one_call(self, engine_calls):
+        # quad shape: the spectra of A, A22, A + E and A11 and the norms of
+        # E, A21, E11, E21 and E22 in one call, which serves the bounds
         from eigbounds import cli
         rng = np.random.default_rng(2301)
         m, k = 14, 6
@@ -285,4 +285,27 @@ class TestEngineCalls:
         report = cli.cmd_bound_block(A, E, k, verify=True)
         assert report.sound
         assert any("quad-residual" in r.get("check", "") for r in report.records)
-        assert len(engine_calls) <= 5
+        assert len(engine_calls) == 1
+
+    def test_quad_residual_claim_makes_one_call(self, engine_calls):
+        # ||E|| and the spectrum of A + E; the 1x1 blocks need no engine
+        from eigbounds import RunReport, cli
+        report = RunReport("verify-all")
+        cli._claim_quad_residual(report)
+        assert report.sound
+        assert engine_calls == [2]
+
+    def test_plain_bound_block_makes_one_call(self, engine_calls):
+        # the spectra of A and A22 and the norms of E, A21, E11, E21, E22
+        from eigbounds import cli
+        rng = np.random.default_rng(2302)
+        A = random_hermitian(rng, 12, complex_entries=True)
+        A = DenseHermitian.from_array(A.entries + np.diag(4.0 * np.arange(12)))
+        E = random_hermitian(rng, 12, scale=0.02)
+        report = cli.cmd_bound_block(A, E, 3)
+        assert not any("quad_residual" in r for r in report.records)
+        assert engine_calls == [7]
+        # outside the command every solve reaches the engine again
+        engine_calls.clear()
+        assert report.summary["weyl"] == weyl_bound(E)
+        assert engine_calls == [1]

@@ -65,6 +65,11 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFormatError):
             parse_matrix("format sparse\nrow 1\n")
 
+    def test_malformed_dense_entry_rejected(self):
+        with pytest.raises(MatrixFormatError,
+                           match=r"^malformed number: complex\(\) arg is a malformed string$"):
+            parse_matrix("format dense-hermitian\nrow 1 2\nrow 2 1+\n")
+
     def test_malformed_dense_rejected(self):
         with pytest.raises(MatrixFormatError):
             parse_matrix("format dense-hermitian\nrow 1.0 2.0\nrow 3.0\n")

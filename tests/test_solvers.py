@@ -212,6 +212,131 @@ class TestDenseValues:
         assert np.max(np.abs(vals - full)) <= 1e-13 * np.max(np.abs(full))
 
 
+def _engine_spy(monkeypatch):
+    """The member count of each _block_eigenvalues call, and the number of
+    _jacobi calls, from here on."""
+    engine_calls, jacobi_calls = [], []
+    engine, jacobi = solvers._block_eigenvalues, solvers._jacobi
+
+    def engine_spy(members):
+        engine_calls.append(len(members))
+        return engine(members)
+
+    def jacobi_spy(*args):
+        jacobi_calls.append(args[0].n)
+        return jacobi(*args)
+
+    monkeypatch.setattr(solvers, "_block_eigenvalues", engine_spy)
+    monkeypatch.setattr(solvers, "_jacobi", jacobi_spy)
+    return engine_calls, jacobi_calls
+
+
+def _copy(M):
+    """An equal input that is another object, as the bound layer rebuilds
+    its sub-blocks on every call."""
+    if isinstance(M, DenseHermitian):
+        return DenseHermitian.from_array(M.entries.copy())
+    if isinstance(M, SymTridiagonal):
+        return SymTridiagonal(M.diag.copy(), M.offdiag.copy())
+    return M.copy()
+
+
+class TestSolvedScope:
+    """solvers._solved solves the listed spectra and norms in one engine call
+    on entry; within the block _dense_batch serves them bit for bit as it
+    would solve them, finds them by value, solves anything else, and keeps
+    nothing after the block."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(2500)
+        spectra = [random_hermitian(rng, 12), random_hermitian(rng, 9, complex_entries=True),
+                   # its Sturm counts meet the pivot guard: redone by Jacobi
+                   DenseHermitian.from_array(wilkinson_plus(5).to_dense().entries)]
+        norms = [random_hermitian(rng, 7, complex_entries=True),
+                 rng.standard_normal((4, 9)),
+                 rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)),
+                 random_tridiagonal(rng, 15), spectra[0]]
+        return spectra, norms
+
+    def test_served_results_are_the_unscoped_ones(self, monkeypatch):
+        spectra, norms = self._inputs()
+        values, tops = solvers._dense_batch(spectra, norms)
+        engine_calls, jacobi_calls = _engine_spy(monkeypatch)
+        with solvers._solved(spectra, norms):
+            assert len(engine_calls) == 1 and jacobi_calls == [11]
+            copies = ([_copy(A) for A in spectra], [_copy(M) for M in norms])
+            for got_values, got_tops in (solvers._dense_batch(spectra, norms),
+                                         solvers._dense_batch(*copies),
+                                         ([eig_dense(A).values for A in copies[0]],
+                                          [spectral_norm(M) for M in copies[1]])):
+                for got, ref in zip(got_values, values):
+                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+                assert [float(t).hex() for t in got_tops] == [t.hex() for t in tops]
+        # served from the block: no engine call and no Jacobi redo after entry
+        assert len(engine_calls) == 1 and jacobi_calls == [11]
+
+    def test_served_values_are_copies(self):
+        spectra, _ = self._inputs()
+        with solvers._solved(spectra[:1]):
+            first = solvers._dense_batch(spectra[:1])[0][0]
+            ref = first.copy()
+            first[:] = 0.0
+            assert np.array_equal(solvers._dense_batch(spectra[:1])[0][0], ref)
+
+    def test_nothing_outlives_the_block(self, monkeypatch):
+        spectra, norms = self._inputs()
+        engine_calls, _ = _engine_spy(monkeypatch)
+        with solvers._solved(spectra, norms):
+            pass
+        assert solvers._served.get() is None
+        solvers._dense_batch(spectra[:1], norms[:1])
+        assert len(engine_calls) == 2
+
+    def test_an_unlisted_input_is_solved(self, monkeypatch):
+        spectra, norms = self._inputs()
+        ref = solvers._dense_batch(spectra[1:2], norms[1:2])
+        engine_calls, _ = _engine_spy(monkeypatch)
+        with solvers._solved(spectra[:1], norms[:1]):
+            # the listed inputs are served, the others solved in one call
+            values, tops = solvers._dense_batch(spectra[:2], norms[:2])
+            assert engine_calls[1:] == [2]
+            # the same entries as another kind of input are not listed
+            solvers._dense_batch(norms=[spectra[0].entries])
+            assert len(engine_calls) == 3
+        assert np.array_equal(values[1], ref[0][0]) and tops[1] == ref[1][0]
+
+    def test_blocks_nest(self, monkeypatch):
+        spectra, norms = self._inputs()
+        engine_calls, _ = _engine_spy(monkeypatch)
+        with solvers._solved(spectra[:1]):
+            with solvers._solved(spectra[:2]):
+                # the inner request asks the engine only for what is new
+                assert engine_calls == [1, 1]
+                solvers._dense_batch(spectra[:2])
+            assert solvers._served.get() is not None
+            solvers._dense_batch(spectra[1:2])
+        assert engine_calls == [1, 1, 1]
+
+
+class TestTridiagonalValues:
+    """Several tridiagonal spectra from one engine call, each bit for bit
+    its eig_tridiag: cmd_wilkinson solves W+ and its split part so."""
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_wilkinson_pair_in_one_call(self, n, monkeypatch):
+        from eigbounds import cli
+        W, A = wilkinson_plus(n), wilkinson_split(n)[0]
+        refs = [eig_tridiag(W).values, eig_tridiag(A).values]
+        engine_calls, _ = _engine_spy(monkeypatch)
+        for got, ref in zip(solvers._tridiagonal_values([W, A]), refs):
+            assert np.array_equal(got, ref)
+        assert len(engine_calls) == 1
+        engine_calls.clear()
+        cli.cmd_wilkinson(n)
+        assert len(engine_calls) == 1
+
+
 def _counts_below(T, xs):
     """Counts of eigenvalues of T strictly below each x in xs, as the solvers
     take them: on unit-scaled T (_unit_scaled), at the shifts scaled alike."""
