@@ -138,8 +138,7 @@ def eigvec_tail_bound(A: DenseHermitian, split: BlockSplit, lam: float) -> float
 
 
 def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
-                    indices=None, refined: bool = False,
-                    values=None) -> list[BoundReport]:
+                    indices=None, refined: bool = False) -> list[BoundReport]:
     """Three-term eigenvalue movement bound
     ||E11|| + 2 ||E21|| tau_i + ||E22|| tau_i^2, reported as its minimum
     against the Weyl bound (formula tag min_of).
@@ -149,24 +148,16 @@ def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
     the distance from the i-th eigenvalue of A to the spectrum of A22; the
     refined variant subtracts ||E|| + ||E22|| instead.  When that
     denominator is not positive the report falls back to the Weyl bound,
-    flagged invalid, with tau None.  Callers that already hold the
-    ascending eigenvalues of A can pass them as `values` to skip that
-    decomposition.  The spectra and the norms of the blocks come from one
-    engine call (_dense_batch); ||E|| is weyl_bound's."""
+    flagged invalid, with tau None.  The spectra and the norms of the
+    blocks come from one engine call (_dense_batch); ||E|| is
+    weyl_bound's."""
     split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
-    if values is not None:
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (A.n,):
-            raise ValueError(f"values must have shape ({A.n},), got {vals.shape}")
     weyl = weyl_bound(E)
     blocks = _sub_blocks(A, E, split)
-    spectra, (a21n, e11, e21, e22) = _dense_batch(
-        [blocks.a22] if values is not None else [blocks.a22, A], blocks.norms)
-    a22_vals = spectra[0]
-    if values is None:
-        vals = spectra[1]
+    (a22_vals, vals), (a21n, e11, e21, e22) = _dense_batch([blocks.a22, A],
+                                                          blocks.norms)
     slack = (weyl + e22) if refined else 2.0 * weyl
     out = []
     for i in indices:

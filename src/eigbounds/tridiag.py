@@ -16,6 +16,11 @@ the bound is small when they are.  Depth j needs the gap condition
 denominator on rows n-k..n-k+j.  The feasible depth F of lam is the largest
 j in 1..k-1 that meets both, and 0 (no bound) when none does; a window of
 one row always has F = 0.
+
+The chain.  _log_chain is the one place where decay factors become log10
+products and where a chain stops: the window bound and decay_profile both
+hand it their log10 factors, 0 giving -inf and a row that reaches the
+value +inf.
 """
 
 from __future__ import annotations
@@ -43,6 +48,17 @@ _LN10 = math.log(10.0)
 def _log_factorial10(m: int) -> float:
     """log10(m!) via lgamma; exact enough for thousands of terms."""
     return math.lgamma(m + 1) / _LN10
+
+
+def _log_chain(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chain a (value x row) array of log10 decay factors, a zero factor
+    being -inf and a row that reaches the value +inf.  Returns the prefix
+    sums along the rows, and per value the number of leading factors
+    before the first +inf, where its chain stops; prefix sums from there
+    on carry no bound."""
+    length = np.logical_and.accumulate(logs != np.inf, axis=1).sum(axis=1)
+    with np.errstate(invalid="ignore"):     # -inf + inf past a stop
+        return np.cumsum(logs, axis=1), length
 
 
 def decay_step_bound(T: SymTridiagonal, lam: float, k: int) -> float | None:
@@ -85,22 +101,15 @@ def decay_profile(T: SymTridiagonal, lam: float, row_from: int,
     rows = ks[:m]
     ratios = _decay_ratio(_gersch_radii(T.offdiag)[rows - 1],
                           np.abs(lam - T.diag[rows - 1]))
-    reach = np.flatnonzero(ratios == np.inf)
-    truncated_at = None
-    if reach.size:
-        m = int(reach[0])
-        truncated_at = int(rows[m])
-    elif m < ks.size:
+    with np.errstate(divide="ignore"):
+        (prefix,), (stop,) = _log_chain(np.log10(ratios)[None, :])
+    truncated_at = int(rows[stop]) if stop < m else None
+    if truncated_at is None and m < ks.size:
         raise IndexError(f"row {int(ks[m])} out of range 1..{T.n}")
-    cumulative = []
-    acc = LogScalar.from_float(1.0)
-    for r in ratios[:m]:
-        acc = acc * LogScalar.from_float(float(r))
-        cumulative.append(acc)
     return DecayProfile(start=row_from, direction=direction,
-                        rows=tuple(int(k) for k in rows[:m]),
-                        ratios=tuple(float(r) for r in ratios[:m]),
-                        cumulative=tuple(cumulative),
+                        rows=tuple(int(k) for k in rows[:stop]),
+                        ratios=tuple(float(r) for r in ratios[:stop]),
+                        cumulative=tuple(LogScalar(1, v) for v in prefix[:stop].tolist()),
                         truncated_at=truncated_at)
 
 
@@ -122,11 +131,6 @@ def wilkinson_pair_gap_bound(n: int, ell: int) -> LogScalar:
         raise ValueError(f"ell={ell} out of range for n={n}")
     log10 = -math.log10(n - ell + 1) - 2.0 * _log_factorial10(n - ell - 1)
     return LogScalar.from_log10(log10)
-
-
-def _log10(x: float) -> float:
-    """math.log10 as LogScalar.from_float takes it, with log10(0) = -inf."""
-    return math.log10(x) if x > 0.0 else -math.inf
 
 
 def aed_window_bounds(T: SymTridiagonal, k: int, j: int | None = None,
@@ -177,16 +181,15 @@ def _window_block(T: SymTridiagonal, b: np.ndarray, k: int, j: int | None,
     tail = slice(n - k - 1, n - 1)
     denom = gap[:, tail] - alpha - np.maximum(b, b_prev)[tail]
     ok = (margin[:, tail] > 0.0) & (denom > 0.0)
+    with np.errstate(divide="ignore"):
+        logs = np.log10(np.divide(b[tail], denom, out=np.zeros_like(denom), where=ok))
+        terms = 2.0 * logs
+        terms[:, 0] = np.log10(b[n - k - 1] / 2.0) + logs[:, 0]
+    # prefix[:, d]: log10 bound at depth d; a row that fails ok ends the chain
+    prefix, run = _log_chain(np.where(ok, terms, np.inf))
     # F = (leading run of ok tail rows) - 1, and 0 when a head row fails
-    run = np.argmin(np.column_stack([ok, np.zeros(lams.size, dtype=bool)]), axis=1)
     head_ok = np.all(margin[:, :n - k - 1] > 0.0, axis=1)
     feasible = np.where(head_ok, np.maximum(run - 1, 0), 0)
-
-    eta = np.divide(b[tail], denom, out=np.zeros_like(denom), where=ok)
-    logs = np.array([_log10(x) for x in eta.ravel().tolist()]).reshape(eta.shape)
-    terms = 2.0 * logs
-    terms[:, 0] = _log10(float(b[n - k - 1]) / 2.0) + logs[:, 0]
-    prefix = np.cumsum(terms, axis=1)     # prefix[:, d]: log10 bound at depth d
     if j is None:
         depths = np.arange(k)
         reachable = (depths >= 1) & (depths <= feasible[:, None])
@@ -199,6 +202,5 @@ def _window_block(T: SymTridiagonal, b: np.ndarray, k: int, j: int | None,
         if not 1 <= d <= f:
             out.append((lam, None, None))
         else:
-            bound = LogScalar(1, row[d]) if row[d] > -math.inf else LogScalar(0)
-            out.append((lam, bound, d))
+            out.append((lam, LogScalar(1, row[d]), d))
     return out

@@ -38,8 +38,10 @@ def _canonical_hermitian(entries: np.ndarray) -> np.ndarray:
         raise HermitianError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise HermitianError("matrix has NaN or infinite entries")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-8 * scale:
+    # relative to the largest entry, so the verdict is the same at any scale
+    # down to the subnormals, whose roundoff is absolute
+    tol = max(1e-8 * float(np.max(np.abs(a))), np.finfo(float).tiny)
+    if float(np.max(np.abs(a - a.conj().T))) > tol:
         raise HermitianError("matrix deviates from Hermitian beyond tolerance")
     # stored real unless the strictly lower triangle, the only imaginary
     # parts kept, has a nonzero one
@@ -178,8 +180,10 @@ class LogScalar:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.sign == 0:
-            object.__setattr__(self, "log10", float("-inf"))
+        # a zero is one value, whether built from sign 0 or log10 -inf
+        if self.sign == 0 or self.log10 == -math.inf:
+            object.__setattr__(self, "sign", 0)
+            object.__setattr__(self, "log10", -math.inf)
 
     @classmethod
     def from_float(cls, x: float) -> "LogScalar":

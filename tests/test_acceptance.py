@@ -52,7 +52,7 @@ def test_criterion_5_structured_bound_soundness():
         before = eig_dense(A).values
         after = eig_dense(DenseHermitian.from_array(A.entries + E.entries)).values
         shifts = np.abs(before - after)
-        for rep in theorem1_bounds(A, E, BlockSplit(k), values=before):
+        for rep in theorem1_bounds(A, E, BlockSplit(k)):
             if shifts[rep.index - 1] > rep.bound.float_or_zero() + 1e-12:
                 violations += 1
             if rep.bound.float_or_zero() > rep.components["weyl"] * (1 + 1e-14):

@@ -212,14 +212,12 @@ class TestTheorem1:
     @pytest.mark.parametrize("kwargs, error", [
         ({"indices": [0]}, IndexError),
         ({"indices": [1, 5]}, IndexError),
-        ({"values": np.zeros(3)}, ValueError),
-        ({"values": np.zeros((4, 1))}, ValueError),
     ])
     def test_rejects_bad_indices_and_values(self, kwargs, error):
         rng = np.random.default_rng(29)
         A = random_hermitian(rng, 4)
         E = random_hermitian(rng, 4, scale=0.1)
-        with pytest.raises(error, match="index|values"):
+        with pytest.raises(error, match="index"):
             theorem1_bounds(A, E, BlockSplit(2), **kwargs)
 
     def test_invalid_tau_reports_weyl_fallback(self):

@@ -107,6 +107,19 @@ class TestDecayProfile:
                 cum = prof.cumulative[m].float_or_zero()
                 assert x[0] <= cum * x[k] + 1e-14
 
+    def test_zero_ratio_gives_zero_cumulatives(self):
+        # b_1 = 0 makes row 1's ratio exactly 0: every cumulative from there
+        # on is zero, and the disk of row 3 still ends the chain
+        lam = 0.5
+        prof = decay_profile(SymTridiagonal([100.0, 50.0, 0.0, -50.0],
+                                            [0.0, 1.0, 1.0]), lam, 1, 4)
+        assert prof.ratios[0] == 0.0
+        assert all(c.sign == 0 for c in prof.cumulative)
+        coupled = decay_profile(SymTridiagonal([100.0, 50.0, 0.0, -50.0],
+                                               [1.0, 1.0, 1.0]), lam, 1, 4)
+        assert prof.rows == coupled.rows == (1, 2)
+        assert prof.truncated_at == coupled.truncated_at == 3
+
     def test_log_space_matches_plain_product(self):
         rng = np.random.default_rng(78)
         for _ in range(20):
@@ -176,7 +189,7 @@ def reference_window_bounds(T, k, j=None, alpha=None, window_values=None):
     n, a = T.n, T.diag.tolist()
     b = [0.0] + np.abs(T.offdiag).tolist() + [0.0]       # b[i] = |b_i|
     alpha = b[n - k] if alpha is None else alpha
-    log10 = lambda x: math.log10(x) if x > 0.0 else -math.inf
+    log10 = lambda x: np.log10(x) if x > 0.0 else -math.inf
     denom = lambda i, lam: abs(a[i - 1] - lam) - alpha - max(b[i], b[i - 1])
     fixed_gap = lambda i, lam: abs(a[i - 1] - lam) - b[i] - b[i - 1] - alpha > 0.0
     scan_gap = lambda i, lam: abs(a[i - 1] - lam) > b[i] + b[i - 1] + alpha
@@ -296,6 +309,18 @@ class TestAedWindowBoundsReference:
         T = SymTridiagonal([80.0, 70.0, 60.0, 10.0], [1.0, 1.0, 0.1])
         for j in (None, 1):
             assert aed_window_bounds(T, 1, j=j) == [(10.0, None, None)]
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+    def test_scaled_copies_shift_only_the_log10(self, scale):
+        # eta is scale-free and |b_{n-k}| / 2 carries the scale
+        T = aed_example(200)
+        base = aed_window_bounds(T, 20)
+        got = aed_window_bounds(SymTridiagonal(T.diag * scale, T.offdiag * scale), 20)
+        assert [jj for *_, jj in got] == [jj for *_, jj in base]
+        assert sum(1 for _, b, _ in base if b is not None) > 10
+        for (_, g, _), (_, b, _) in zip(got, base):
+            if b is not None:
+                assert g.log10 - b.log10 == pytest.approx(math.log10(scale), abs=1e-9)
 
     @pytest.mark.parametrize("j", [None, 30])
     def test_eigenvalue_blocks_give_the_same_bounds(self, j, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,24 @@ class TestDenseHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermitianError):
             DenseHermitian.from_array([[1.0, 5.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 1.0, 2.0 ** 600],
+                             ids=["2^-600", "1", "2^600"])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        with pytest.raises(HermitianError):
+            DenseHermitian.from_array(np.array([[1.0, 1.0], [-1.0, 1.0]]) * scale)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1060, 2.0 ** -600, 1.0, 2.0 ** 600],
+                             ids=["2^-1060", "2^-600", "1", "2^600"])
+    def test_accepts_roundoff_asymmetry_at_any_scale(self, scale):
+        # at 2^-1060 the entries are subnormal and the asymmetry is 2e-4 of
+        # the largest
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        a = q @ np.diag(rng.standard_normal(8) * scale) @ q.T
+        assert np.any(a != a.T)
+        lower = np.tril_indices(8)
+        assert np.array_equal(DenseHermitian.from_array(a).entries[lower], a[lower])
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(HermitianError, match="infinite"):
@@ -129,6 +149,16 @@ class TestLogScalar:
     def test_zero(self):
         z = LogScalar.from_float(0.0)
         assert z.sign == 0 and z.float_or_zero() == 0.0
+
+    def test_zero_is_one_value(self):
+        # log10 -inf is a zero however it is built
+        for z in (LogScalar.from_log10(-math.inf), LogScalar(1, -math.inf),
+                  LogScalar(-1, -math.inf)):
+            assert z == LogScalar(0) and z.sign == 0
+            assert z <= LogScalar(0) <= z and not z < LogScalar(0)
+            assert LogScalar.from_float(-1.0) < z < LogScalar.from_float(1e-300)
+            assert z.to_float() == 0.0
+            assert z.format() == "0" and str(z) == "0"
 
     def test_products_below_underflow(self):
         tiny = LogScalar.from_float(1e-200)
