@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solvers import (_counts_within, _householder_tridiagonal, _scale_exponent,
-                      _unit_scaled, eig_tridiag, spectral_norm)
+from .solvers import (_counts_within, _dense_tridiagonal, _unit_scaled, eig_tridiag,
+                      spectral_norm)
 from .types import Spectrum, SymTridiagonal
 
 __all__ = [
@@ -61,8 +61,8 @@ def aed_transform(T: SymTridiagonal, k: int, tol: float,
     n = T.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"window size k={k} out of range for order {n}")
-    if tol <= 0.0 or scale < 0.0:
-        raise ValueError("tol must be positive and scale nonnegative")
+    if not (0.0 < tol < math.inf and 0.0 <= scale < math.inf):
+        raise ValueError("tol must be positive and scale nonnegative, both finite")
     spec = eig_tridiag(T.window(k), want_vectors=True)
     order = np.argsort(-np.abs(spec.values), kind="stable")
     spike = float(T.offdiag[n - k - 1]) * spec.vectors[0, order]
@@ -127,17 +127,15 @@ def _tridiagonalize_bordered(head: float, spike: np.ndarray,
     """Householder reduction of the bordered block [[head, t^T], [t, D]]
     back to tridiagonal form.  The first coordinate stays fixed, so the
     coupling of the head row to the rest of the matrix survives.  The block
-    is reduced unit-scaled, B = 2^e S, so that its column norms neither
-    overflow nor underflow, and the result scaled back exactly."""
+    is reduced unit-scaled (_dense_tridiagonal) and scaled back exactly."""
     m = spike.size
     B = np.zeros((m + 1, m + 1))
     B[0, 0] = head
     B[0, 1:] = spike
     B[1:, 0] = spike
     B[1:, 1:] = np.diag(window_vals)
-    e = _scale_exponent(float(np.max(np.abs(B))))
-    d, sub = _householder_tridiagonal(np.ldexp(B, -e))
-    return SymTridiagonal(np.ldexp(d, e), np.ldexp(sub, e))
+    S, e = _dense_tridiagonal(B)
+    return SymTridiagonal(np.ldexp(S.diag, e), np.ldexp(S.offdiag, e))
 
 
 @dataclass
@@ -181,8 +179,8 @@ def run_qr_with_aed(T: SymTridiagonal, window: int,
     2^-p T (as the solvers do), so that the sweeps' squares and differences
     neither overflow nor underflow, and scales the values back exactly.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if window < 1:
         raise ValueError(f"window={window} must be >= 1")
     scale = spectral_norm(T)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .blocks import _sub_blocks, quadratic_residual_bounds, theorem1_bounds
 from .io import load_matrix
 from .multiplicity import detect_multiple, expansion_order
 from .report import RunReport
-from .solvers import (_dense_batch, _solved, _tridiagonal_values, eig_dense, eig_tridiag,
+from .solvers import (_dense_batch, _scale_exponent, _solved, eig_dense, eig_tridiag,
                       spectral_norm)
 from .tridiag import aed_window_bounds, wilkinson_gap_bound, wilkinson_pair_gap_bound
 from .types import BlockSplit, DenseHermitian, LogScalar, SymTridiagonal
@@ -116,8 +117,8 @@ def cmd_wilkinson(n: int, ell_range=None) -> RunReport:
         raise InputError("wilkinson requires n > 4")
     report = RunReport("wilkinson")
     # W+ and its split part A from one engine call
-    vals, a_vals = _tridiagonal_values([generators.wilkinson_plus(n),
-                                        generators.wilkinson_split(n)[0]])
+    (vals, a_vals), _ = _dense_batch([generators.wilkinson_plus(n),
+                                      generators.wilkinson_split(n)[0]])
     top_gap = float(vals[-1] - vals[-2])
     top_shift = float(abs(vals[-1] - a_vals[-1]))
     fact = wilkinson_gap_bound(n)
@@ -146,8 +147,8 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
             simulate: bool = False, verify: bool = False) -> RunReport:
     if not 1 <= k <= T.n - 1:
         raise InputError(f"window size k={k} out of range 1..{T.n - 1}")
-    if alpha is not None and alpha < 0:
-        raise InputError(f"alpha={alpha} must be nonnegative")
+    if alpha is not None and not 0 <= alpha < math.inf:
+        raise InputError(f"alpha={alpha} must be finite and nonnegative")
     report = RunReport("aed")
     if simulate:
         spec, stats = run_qr_with_aed(T, window=k, tol=tol)
@@ -171,7 +172,10 @@ def cmd_aed(T: SymTridiagonal, k: int, tol: float = 1e-16,
     scale = spectral_norm(T)
     report.summary["norm"] = scale
     outcome = aed_transform(T, k, tol, scale)
-    report.summary["spike_norm"] = float(np.linalg.norm(outcome.spike))
+    # on a copy scaled by a power of two, so that its squares stay in range
+    e = _scale_exponent(float(np.max(np.abs(outcome.spike))))
+    report.summary["spike_norm"] = math.ldexp(
+        float(np.linalg.norm(np.ldexp(outcome.spike, -e))), e)
     report.summary["deflation_count"] = outcome.deflation_count
     bounds = aed_window_bounds(T, k, j=j, alpha=alpha,
                                window_values=outcome.values)

@@ -41,8 +41,8 @@ def detect_multiple(A: DenseHermitian,
                     cluster_tol: float = 1e-8) -> list[MultipleEigContext]:
     """Group the oracle spectrum into clusters of diameter
     <= cluster_tol * ||A||_2 and emit a context per cluster of size >= 2."""
-    if cluster_tol <= 0.0:
-        raise ValueError("cluster_tol must be positive")
+    if not 0.0 < cluster_tol < math.inf:
+        raise ValueError("cluster_tol must be positive and finite")
     spec = eig_dense(A, want_vectors=True)
     vals = spec.values
     scale = max(abs(float(vals[0])), abs(float(vals[-1])), 1e-300)
@@ -126,9 +126,13 @@ def expansion_order(contexts, E: DenseHermitian, eps_grid) -> list[OrderFit]:
         predictions = first_order_eigs(ctx, E, eps_grid)
         observed = spectra[:, list(ctx.ranks)]
         errors = np.max(np.abs(observed - predictions), axis=1)
-        gap_bounds = np.array([
-            2.0 * en * en / (ctx.gap + math.hypot(ctx.gap, 2.0 * en))
-            for en in eps_grid * norm_e])
+        gap_bounds = []
+        for en in (eps_grid * norm_e).tolist():
+            d = ctx.gap + math.hypot(ctx.gap, 2.0 * en)
+            # far from unit scale en^2 underflows or overflows
+            normal = np.finfo(float).tiny <= en * en < math.inf
+            gap_bounds.append(2.0 * en * en / d if normal else 2.0 * en * (en / d))
+        gap_bounds = np.array(gap_bounds)
         scale = max(abs(ctx.lambda0), 1.0)
         exact = bool(np.all(errors <= 64.0 * np.finfo(float).eps * scale))
         slope = None if exact else float(np.polyfit(

@@ -17,10 +17,11 @@ engine call solves many tridiagonals, its members (_block_eigenvalues):
 they are stacked along the shift axis, each shift carrying its member's
 rows, so every row loop runs once for all members (the Sturm counts once
 per member order), and each member's results are bit for bit those of a
-call with it alone.  Zero couplings split a tridiagonal into members, and
-the spectra and norms of several dense matrices are one call
-(_dense_batch); within a _solved block, the inputs it solved on entry are
-served to every such call by value.  The Sturm counts, their guarded
+call with it alone.  Zero couplings split a tridiagonal into members.
+Every spectrum and norm, of tridiagonal and dense input alike, enters the
+engine through _dense_batch, several in one call; within a _solved block
+a call that names only the inputs solved on entry is served from there by
+value, and any other call is solved whole.  The Sturm counts, their guarded
 recount and Laguerre's derivatives read one pivot loop (_pivot_blocks), in
 row blocks with one division and one subtraction per row; a count runs it
 without the pivot guard, and the guard of LAPACK dstebz is applied
@@ -39,7 +40,8 @@ it (_counts_within).  Counted from below, as for a whole spectrum, a count
 on an exactly zero pivot may read one short, so a dense values-only solve
 in which a count met the pivot guard above the last row is redone by
 round-robin Jacobi sweeps, which also give every dense spectrum with
-vectors.
+vectors; a tridiagonal spectrum is returned as counted, and may be wrong
+there (the zero-pivot fault).
 These are deliberately independent of any library eigensolver so that every
 bound in the package is checked against an implementation with no shared
 code path.
@@ -860,11 +862,6 @@ def _tridiagonal_batch(spectra, norms):
     return values, [max(abs(float(x[0])), abs(float(x[-1]))) for x in ends]
 
 
-def _eigenvalues(T: SymTridiagonal) -> tuple[np.ndarray, bool]:
-    """The spectrum of unit-scaled T and its guard flag (_tridiagonal_batch)."""
-    return _tridiagonal_batch([T], [])[0][0]
-
-
 def _counts_within(T: SymTridiagonal, centres, radii) -> np.ndarray:
     """Number of eigenvalues of T strictly inside each (c - r, c + r), from
     one _sturm_counts call over the 2m unit-scaled ends: the lower ends
@@ -997,7 +994,7 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     """Spectrum of a symmetric tridiagonal matrix.
 
     Eigenvalues are isolated by Sturm bisection, refined by Laguerre's
-    iteration and certified by two Sturm counts (_eigenvalues); each is
+    iteration and certified by two Sturm counts (_dense_batch); each is
     within 2 eps times the larger end of the Gerschgorin interval of the
     eigenvalue its rank has by the counts, as a bisection to 4 eps would
     be.  Eigenvectors, when requested, come from one batched
@@ -1007,7 +1004,7 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     """
     n = T.n
     T, e = _unit_scaled(T)
-    vals = _eigenvalues(T)[0]
+    vals = _dense_batch([T])[0][0]
     if not want_vectors:
         return Spectrum(np.ldexp(vals, e))
     glo, ghi = _gersch_bounds(T)
@@ -1021,14 +1018,6 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
         dense = eig_dense(T.to_dense(), want_vectors=True)
         return Spectrum(np.ldexp(dense.values, e), dense.vectors)
     return Spectrum(np.ldexp(vals, e), vecs)
-
-
-def _tridiagonal_values(Ts) -> list[np.ndarray]:
-    """The values-only eig_tridiag of each tridiagonal in Ts, from one
-    engine call (_tridiagonal_batch): each is bit for bit its eig_tridiag."""
-    scaled = [_unit_scaled(T) for T in Ts]
-    values, _ = _tridiagonal_batch([S for S, _ in scaled], [])
-    return [np.ldexp(vals, e) for (vals, _), (_, e) in zip(values, scaled)]
 
 
 def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1105,17 +1094,7 @@ def _norm_input(A) -> tuple[SymTridiagonal, Callable[[float], float]]:
     return S, lambda top: math.ldexp(top, e)
 
 
-def _solve_dense(spectra, norms) -> tuple[list[np.ndarray], list[float]]:
-    """_dense_batch outside a _solved block."""
-    reduced = [_dense_tridiagonal(A.entries) for A in spectra]
-    inputs = [_norm_input(A) for A in norms]
-    values, tops = _tridiagonal_batch([T for T, _ in reduced], [S for S, _ in inputs])
-    return ([_jacobi(A, False).values if guarded else np.ldexp(vals, e)
-             for A, (_, e), (vals, guarded) in zip(spectra, reduced, values)],
-            [finish(top) for (_, finish), top in zip(inputs, tops)])
-
-
-# the results of the open _solved blocks by _solved_key, None outside them
+# the results of the open _solved block by _solved_key, None outside one
 _served: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_served", default=None)
 
@@ -1133,14 +1112,13 @@ def _solved_key(kind: str, A) -> tuple:
 @contextlib.contextmanager
 def _solved(spectra=(), norms=()):
     """Solve the spectra and norms of _dense_batch in one call on entry, and
-    within the block let _dense_batch (so eig_dense values and
-    spectral_norm) serve these inputs from its results; any other input is
-    solved as outside.  No result outlives the block."""
+    within the block let a _dense_batch call (so eig_dense values and
+    spectral_norm) that names only these inputs be served from its results;
+    a call that names any other input is solved whole, as outside.  No
+    result outlives the block."""
     values, tops = _dense_batch(spectra, norms)
-    served = dict(_served.get() or {})
-    served.update(zip([_solved_key("spectrum", A) for A in spectra], values))
-    served.update(zip([_solved_key("norm", A) for A in norms], tops))
-    token = _served.set(served)
+    keys = [_solved_key("spectrum", A) for A in spectra] + [_solved_key("norm", A) for A in norms]
+    token = _served.set(dict(zip(keys, values + tops)))
     try:
         yield
     finally:
@@ -1148,28 +1126,32 @@ def _solved(spectra=(), norms=()):
 
 
 def _dense_batch(spectra=(), norms=()) -> tuple[list[np.ndarray], list[float]]:
-    """The values-only eig_dense of each DenseHermitian in spectra and the
-    spectral_norm of each matrix in norms, from one engine call
-    (_tridiagonal_batch) after a Householder reduction of each dense input
-    (_norm_input).  A Sturm count whose shift met the pivot guard above the
-    last row may be one short (see _sturm_counts), so a spectrum in which
-    any count met it is redone by Jacobi (_jacobi), that one alone.  Within
-    a _solved block the inputs it solved are served from there, and the
-    call solves only the others."""
+    """The eigenvalues, ascending, of each SymTridiagonal or DenseHermitian
+    in spectra and the spectral_norm of each matrix in norms, from one
+    engine call (_tridiagonal_batch): the only way into it.  A tridiagonal
+    is solved unit-scaled (_unit_scaled), a dense input after a Householder
+    reduction (_dense_tridiagonal, _norm_input).  A Sturm count whose shift
+    met the pivot guard above the last row may be one short (see
+    _sturm_counts), so a dense spectrum in which any count met it is redone
+    by Jacobi (_jacobi), that one alone; a tridiagonal spectrum is returned
+    as counted.  Within a _solved block a call that names only the inputs
+    it solved is served from there, with copies of its values."""
     served = _served.get()
-    if served is None:
-        return _solve_dense(spectra, norms)
-    keys = ([_solved_key("spectrum", A) for A in spectra]
-            + [_solved_key("norm", A) for A in norms])
-    todo = [i for i, key in enumerate(keys) if key not in served]
-    if todo:
-        inputs = [*spectra, *norms]
-        values, tops = _solve_dense([inputs[i] for i in todo if i < len(spectra)],
-                                    [inputs[i] for i in todo if i >= len(spectra)])
-        served = {**served, **dict(zip([keys[i] for i in todo], values + tops))}
-    out = [served[key] for key in keys]
-    # copies, so that no caller can change what a later one is served
-    return [v.copy() for v in out[:len(spectra)]], out[len(spectra):]
+    if served is not None:
+        keys = ([_solved_key("spectrum", A) for A in spectra]
+                + [_solved_key("norm", A) for A in norms])
+        if all(key in served for key in keys):
+            out = [served[key] for key in keys]
+            # copies, so that no caller can change what a later one is served
+            return [v.copy() for v in out[:len(spectra)]], out[len(spectra):]
+    reduced = [_unit_scaled(A) if isinstance(A, SymTridiagonal) else _dense_tridiagonal(A.entries)
+               for A in spectra]
+    inputs = [_norm_input(A) for A in norms]
+    values, tops = _tridiagonal_batch([T for T, _ in reduced], [S for S, _ in inputs])
+    return ([_jacobi(A, False).values if guarded and isinstance(A, DenseHermitian)
+             else np.ldexp(vals, e)
+             for A, (_, e), (vals, guarded) in zip(spectra, reduced, values)],
+            [finish(top) for (_, finish), top in zip(inputs, tops)])
 
 
 def spectral_norm(A) -> float:

@@ -65,6 +65,8 @@ def decay_step_bound(T: SymTridiagonal, lam: float, k: int) -> float | None:
     """Per-row decay ratio (|b_{k-1}| + |b_k|) / |lam - a_k| at row k
     (1-based); None when the Gerschgorin disk at row k contains lam."""
     n = T.n
+    if math.isnan(lam):
+        raise ValueError("lam is NaN")
     if not 1 <= k <= n:
         raise IndexError(f"row {k} out of range 1..{n}")
     radius = _gersch_radii(T.offdiag)[k - 1]
@@ -94,6 +96,8 @@ def decay_profile(T: SymTridiagonal, lam: float, row_from: int,
     """Chain decay_step_bound from row_from to row_to (inclusive, 1-based)."""
     if row_from == row_to:
         raise ValueError("profile needs at least two distinct rows")
+    if math.isnan(lam):
+        raise ValueError("lam is NaN")
     direction = 1 if row_to > row_from else -1
     ks = np.arange(row_from, row_to + direction, direction)
     inside = (ks >= 1) & (ks <= T.n)
@@ -155,8 +159,8 @@ def aed_window_bounds(T: SymTridiagonal, k: int, j: int | None = None,
     b_nk = float(b[n - k - 1])
     if alpha is None:
         alpha = b_nk
-    if alpha < 0:
-        raise ValueError(f"alpha={alpha} must be nonnegative")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha={alpha} must be finite and nonnegative")
     if window_values is None:
         window_values = eig_tridiag(T.window(k)).values
     lams = np.asarray(window_values, dtype=float).reshape(-1)

@@ -180,6 +180,8 @@ class LogScalar:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
+        if math.isnan(self.log10):
+            raise ValueError("log10 is NaN")
         # a zero is one value, whether built from sign 0 or log10 -inf
         if self.sign == 0 or self.log10 == -math.inf:
             object.__setattr__(self, "sign", 0)

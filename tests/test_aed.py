@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,19 @@ class TestDeflationDecide:
             aed_transform(T, 3, 0.0, 1.0)
         with pytest.raises(ValueError):
             aed_transform(T, 3, 1e-16, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, bad, monkeypatch):
+        # NaN passes every <= 0 test, and a driver with a NaN tol never
+        # deflates: a few sweeps, should it get through
+        monkeypatch.setattr(eigbounds.aed, "_MAX_SWEEPS", 5)
+        T = graded_example(np.random.default_rng(36), 8)
+        with pytest.raises(ValueError):
+            aed_transform(T, 3, bad, 1.0)
+        with pytest.raises(ValueError):
+            aed_transform(T, 3, 1e-16, bad)
+        with pytest.raises(ValueError):
+            run_qr_with_aed(T, 3, tol=bad)
 
     @pytest.mark.parametrize("k", [0, 8, -1])
     def test_window_size_out_of_range_rejected(self, k):

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_hermitian, random_tridiagonal
 from eigbounds import (DenseHermitian, LogScalar, RunReport, SymTridiagonal,
                        load_matrix, parse_matrix, serialize_matrix, wilkinson_plus)
-from eigbounds import cli
+from eigbounds import aed, cli
 from eigbounds.cli import main
 from eigbounds.io import GENERATORS, MatrixFormatError
 
@@ -348,6 +348,18 @@ class TestCliInputErrors:
                                      capsys)
         assert code == 2 and any(w in line for w in ("window size", "alpha", "tol"))
 
+    @pytest.mark.parametrize("flags", [["--k", "3", "--simulate", "--tol", "nan"],
+                                       ["--k", "3", "--tol", "nan"],
+                                       ["--k", "3", "--alpha", "nan"],
+                                       ["--k", "3", "--j", "1", "--alpha", "inf"]])
+    def test_aed_non_finite_tolerances(self, matrix_files, flags, capsys, monkeypatch):
+        # NaN passes every <= 0 test; a run with a NaN tol never deflates, so
+        # it would sweep to the cap and fail verification
+        monkeypatch.setattr(aed, "_MAX_SWEEPS", 5)
+        code, line = self._exit_code(["aed", "--matrix", matrix_files["T"]] + flags,
+                                     capsys)
+        assert code == 2 and ("alpha" in line or "tol" in line)
+
     @pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "6"],
                                        ["--k", "2", "--indices", "0"],
                                        ["--k", "2", "--indices", "1,7"],
@@ -360,7 +372,8 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("flags", [["--eps-grid", "1e-2"],
                                        ["--eps-grid", "100,1e-3"],
-                                       ["--cluster-tol", "0"]])
+                                       ["--cluster-tol", "0"],
+                                       ["--cluster-tol", "nan"]])
     def test_multieig_arguments(self, matrix_files, flags, capsys):
         code, line = self._exit_code(
             ["multieig", "--matrix", matrix_files["Adouble"],

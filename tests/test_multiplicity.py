@@ -30,6 +30,11 @@ class TestDetectMultiple:
         assert ctxs[0].multiplicity == 3
         assert np.isinf(ctxs[0].gap)
 
+    @pytest.mark.parametrize("cluster_tol", [0.0, float("nan"), float("inf")])
+    def test_cluster_tol_must_be_positive_and_finite(self, cluster_tol):
+        with pytest.raises(ValueError, match="cluster_tol"):
+            detect_multiple(DenseHermitian.from_array(np.eye(3)), cluster_tol)
+
     def test_simple_spectrum_has_no_clusters(self):
         A = DenseHermitian.from_array(np.diag([1.0, 2.0, 3.0]))
         assert detect_multiple(A) == []

@@ -243,9 +243,10 @@ def _copy(M):
 
 class TestSolvedScope:
     """solvers._solved solves the listed spectra and norms in one engine call
-    on entry; within the block _dense_batch serves them bit for bit as it
-    would solve them, finds them by value, solves anything else, and keeps
-    nothing after the block."""
+    on entry; within the block _dense_batch serves a call that names only
+    those bit for bit as it would solve them, finds them by value, solves a
+    call that names anything else whole, and keeps nothing after the
+    block."""
 
     @staticmethod
     def _inputs():
@@ -293,35 +294,45 @@ class TestSolvedScope:
         solvers._dense_batch(spectra[:1], norms[:1])
         assert len(engine_calls) == 2
 
+    @staticmethod
+    def _assert_same(got, ref):
+        (got_values, got_tops), (values, tops) = got, ref
+        assert len(got_values) == len(values)
+        for v, r in zip(got_values, values):
+            assert np.array_equal(v.view(np.int64), r.view(np.int64))
+        assert [float(t).hex() for t in got_tops] == [t.hex() for t in tops]
+
     def test_an_unlisted_input_is_solved(self, monkeypatch):
         spectra, norms = self._inputs()
-        ref = solvers._dense_batch(spectra[1:2], norms[1:2])
+        ref = solvers._dense_batch(spectra[:2], norms[:2])
         engine_calls, _ = _engine_spy(monkeypatch)
         with solvers._solved(spectra[:1], norms[:1]):
-            # the listed inputs are served, the others solved in one call
-            values, tops = solvers._dense_batch(spectra[:2], norms[:2])
-            assert engine_calls[1:] == [2]
+            # one input is unlisted, so the call is solved whole: all four
+            # inputs, one member each, in one engine call
+            got = solvers._dense_batch(spectra[:2], norms[:2])
+            assert engine_calls[1:] == [4]
             # the same entries as another kind of input are not listed
             solvers._dense_batch(norms=[spectra[0].entries])
             assert len(engine_calls) == 3
-        assert np.array_equal(values[1], ref[0][0]) and tops[1] == ref[1][0]
+        self._assert_same(got, ref)
 
-    def test_blocks_nest(self, monkeypatch):
+    def test_a_call_with_one_unlisted_input_is_the_unscoped_call(self, monkeypatch):
         spectra, norms = self._inputs()
-        engine_calls, _ = _engine_spy(monkeypatch)
-        with solvers._solved(spectra[:1]):
-            with solvers._solved(spectra[:2]):
-                # the inner request asks the engine only for what is new
-                assert engine_calls == [1, 1]
-                solvers._dense_batch(spectra[:2])
-            assert solvers._served.get() is not None
-            solvers._dense_batch(spectra[1:2])
-        assert engine_calls == [1, 1, 1]
+        ref = solvers._dense_batch(spectra, norms)
+        engine_calls, jacobi_calls = _engine_spy(monkeypatch)
+        with solvers._solved(spectra, norms[1:]):
+            engine_calls.clear()
+            jacobi_calls.clear()
+            got = solvers._dense_batch(spectra, norms)
+        assert len(engine_calls) == 1 and jacobi_calls == [11]
+        self._assert_same(got, ref)
 
 
 class TestTridiagonalValues:
-    """Several tridiagonal spectra from one engine call, each bit for bit
-    its eig_tridiag: cmd_wilkinson solves W+ and its split part so."""
+    """Several tridiagonal spectra from one engine call (_dense_batch), each
+    bit for bit its eig_tridiag: cmd_wilkinson solves W+ and its split part
+    so.  A tridiagonal spectrum is returned as counted, never redone by
+    Jacobi, where the same matrix in dense form is."""
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_wilkinson_pair_in_one_call(self, n, monkeypatch):
@@ -329,12 +340,41 @@ class TestTridiagonalValues:
         W, A = wilkinson_plus(n), wilkinson_split(n)[0]
         refs = [eig_tridiag(W).values, eig_tridiag(A).values]
         engine_calls, _ = _engine_spy(monkeypatch)
-        for got, ref in zip(solvers._tridiagonal_values([W, A]), refs):
+        values, tops = solvers._dense_batch([W, A])
+        assert len(values) == 2 and tops == []
+        for got, ref in zip(values, refs):
             assert np.array_equal(got, ref)
         assert len(engine_calls) == 1
         engine_calls.clear()
         cli.cmd_wilkinson(n)
         assert len(engine_calls) == 1
+
+    _SPECTRA = {
+        "random": random_tridiagonal(np.random.default_rng(2800), 25),
+        "graded": graded_tridiagonal(np.random.default_rng(2801), 30),
+        "split": SymTridiagonal(np.random.default_rng(2802).standard_normal(12),
+                                [0.5, 1.0, 0.0, 2.0, 0.3, 0.0, 0.0, 1.5, 0.7, 0.0, 1.0]),
+        # its Sturm counts meet the pivot guard
+        "wilkinson5": wilkinson_plus(5),
+    }
+
+    def test_tridiagonal_spectra_are_eig_tridiag(self, monkeypatch):
+        refs = [eig_tridiag(T).values for T in self._SPECTRA.values()]
+        engine_calls, jacobi_calls = _engine_spy(monkeypatch)
+        together = solvers._dense_batch(list(self._SPECTRA.values()))[0]
+        alone = [solvers._dense_batch([T])[0][0] for T in self._SPECTRA.values()]
+        for got, one, ref in zip(together, alone, refs):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(one.view(np.int64), ref.view(np.int64))
+        assert len(engine_calls) == 1 + len(refs) and jacobi_calls == []
+
+    def test_only_the_dense_form_is_redone_by_jacobi(self, monkeypatch):
+        T = self._SPECTRA["wilkinson5"]
+        _, jacobi_calls = _engine_spy(monkeypatch)
+        solvers._dense_batch([T])
+        assert jacobi_calls == []
+        solvers._dense_batch([T.to_dense()])
+        assert jacobi_calls == [T.n]
 
 
 def _counts_below(T, xs):
@@ -1606,15 +1646,18 @@ class TestTwistedVectors:
         # rounds: the dense solver answers, with its own values
         calls = []
         dense = solvers.eig_dense
-        values = solvers._eigenvalues
+        batch = solvers._dense_batch
 
         def counting(*args, **kwargs):
             calls.append(args[0].n)
             return dense(*args, **kwargs)
 
+        def shifted(spectra=(), norms=()):
+            values, tops = batch(spectra, norms)
+            return [v + 1e-6 for v in values], tops
+
         monkeypatch.setattr(solvers, "eig_dense", counting)
-        monkeypatch.setattr(solvers, "_eigenvalues",
-                            lambda T: (values(T)[0] + 1e-6, False))
+        monkeypatch.setattr(solvers, "_dense_batch", shifted)
         T = random_tridiagonal(np.random.default_rng(800), 12)
         spec = eig_tridiag(T, want_vectors=True)
         assert calls == [12]

@@ -32,13 +32,15 @@ class TestDecayStep:
         with pytest.raises(IndexError):
             decay_step_bound(T, 0.0, 3)
 
-    def test_nan_shift_gives_nan(self):
-        # no disk is known to contain a NaN shift, so the ratio is NaN, not None
+    def test_nan_shift_is_rejected(self):
+        # no disk is known to contain a NaN shift, and a NaN ratio or bound
+        # has no place in an ordering of bounds
         T = SymTridiagonal([10.0, 0.0, -10.0], [0.5, 0.25])
-        assert all(math.isnan(decay_step_bound(T, math.nan, k)) for k in (1, 2, 3))
-        prof = decay_profile(T, math.nan, 3, 1)
-        assert prof.rows == (3, 2, 1) and prof.truncated_at is None
-        assert all(math.isnan(r) for r in prof.ratios)
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError):
+                decay_step_bound(T, math.nan, k)
+        with pytest.raises(ValueError):
+            decay_profile(T, math.nan, 3, 1)
 
 
 class TestDecayProfile:
@@ -333,8 +335,9 @@ class TestAedWindowBoundsReference:
     @pytest.mark.parametrize("j", [None, 2])
     def test_invalid_arguments_raise(self, j):
         T = aed_example(50)
-        with pytest.raises(ValueError, match="alpha"):
-            aed_window_bounds(T, 5, j=j, alpha=-1.0)
+        for alpha in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                aed_window_bounds(T, 5, j=j, alpha=alpha)
         for k in (0, 50):
             with pytest.raises(ValueError, match="window size"):
                 aed_window_bounds(T, k, j=j)

@@ -160,6 +160,12 @@ class TestLogScalar:
             assert z.to_float() == 0.0
             assert z.format() == "0" and str(z) == "0"
 
+    def test_nan_log10_rejected(self):
+        with pytest.raises(ValueError):
+            LogScalar(1, math.nan)
+        with pytest.raises(ValueError):
+            LogScalar.from_float(math.nan)
+
     def test_products_below_underflow(self):
         tiny = LogScalar.from_float(1e-200)
         prod = tiny * tiny * tiny
