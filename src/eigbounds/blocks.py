@@ -52,7 +52,7 @@ class _SubBlocks(NamedTuple):
     e11: DenseHermitian
     e21: np.ndarray
     e22: DenseHermitian
-    a11: DenseHermitian | None      # the quadratic residual bound's only
+    a11: DenseHermitian | None      # only in the quadratic residual bound's shape
 
     @property
     def norms(self) -> list:
@@ -60,15 +60,18 @@ class _SubBlocks(NamedTuple):
         return [self.a21, self.e11, self.e21, self.e22]
 
 
-def _sub_blocks(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
-                quad: bool = False) -> _SubBlocks:
-    """The sub-blocks theorem1_bounds solves, and with quad A11 for
-    quadratic_residual_bounds.  Both bounds and the CLI's request of their
-    inputs (solvers._solved, which finds them by value) take them from
-    here, so the request holds exactly what the bounds ask for."""
-    return _SubBlocks(DenseHermitian.from_array(A.block(split, "22")), A.block(split, "21"),
-                      DenseHermitian.from_array(E.block(split, "11")), E.block(split, "21"),
-                      DenseHermitian.from_array(E.block(split, "22")),
+def _sub_blocks(A: DenseHermitian, E: DenseHermitian, split: BlockSplit) -> _SubBlocks:
+    """The sub-blocks theorem1_bounds solves, and A11 exactly when A21, E11
+    and E22 are all zero, the shape quadratic_residual_bounds takes.  Both
+    bounds and the CLI's request of their inputs (solvers._solved, which
+    finds them by value) take them from here, so the request holds exactly
+    what the bounds ask for."""
+    a21 = A.block(split, "21")
+    e11 = DenseHermitian.from_array(E.block(split, "11"))
+    e22 = DenseHermitian.from_array(E.block(split, "22"))
+    quad = not (np.any(a21) or np.any(e11.entries) or np.any(e22.entries))
+    return _SubBlocks(DenseHermitian.from_array(A.block(split, "22")), a21,
+                      e11, E.block(split, "21"), e22,
                       DenseHermitian.from_array(A.block(split, "11")) if quad else None)
 
 
@@ -94,11 +97,9 @@ def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
     split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
-    blocks = _sub_blocks(A, E, split, quad=True)
-    if np.any(blocks.a21):
-        raise ValueError("A must be block diagonal (zero off-diagonal blocks)")
-    if np.any(blocks.e11.entries) or np.any(blocks.e22.entries):
-        raise ValueError("perturbation must have zero diagonal blocks")
+    blocks = _sub_blocks(A, E, split)
+    if blocks.a11 is None:
+        raise ValueError("A must be block diagonal and E must have zero diagonal blocks")
     norm_e = spectral_norm(E)
     # far from unit scale ||E||^2 underflows or overflows
     normal = np.finfo(float).tiny <= norm_e * norm_e < np.inf

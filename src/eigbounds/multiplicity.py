@@ -73,8 +73,8 @@ def first_order_eigs(ctx: MultipleEigContext, E: DenseHermitian,
     mu_i the ascending eigenvalues of Q1^H E Q1.  A scalar eps gives one
     value per mu_i; an array of eps gives one row of them per eps."""
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 0.0):
-        raise ValueError("eps must be nonnegative")
+    if not np.all((eps >= 0.0) & (eps < math.inf)):
+        raise ValueError("eps must be finite and nonnegative")
     q1 = ctx.basis
     # Hermitian up to roundoff: keep the lower triangle, as DenseHermitian does
     c = q1.conj().T @ E.entries @ q1
@@ -110,8 +110,8 @@ def expansion_order(contexts, E: DenseHermitian, eps_grid) -> list[OrderFit]:
     if len({id(ctx.matrix) for ctx in contexts}) != 1:
         raise ValueError("contexts must be clusters of one matrix")
     eps_grid = np.asarray(sorted(map(float, eps_grid), reverse=True))
-    if eps_grid.size < 2 or eps_grid[-1] <= 0.0:
-        raise ValueError("eps grid must hold at least two positive values")
+    if eps_grid.size < 2 or not np.all((eps_grid > 0.0) & (eps_grid < math.inf)):
+        raise ValueError("eps grid must hold at least two positive finite values")
     if eps_grid[0] / eps_grid[-1] < 100.0:
         raise ValueError("eps grid must span at least two decades")
     A = contexts[0].matrix

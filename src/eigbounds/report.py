@@ -20,7 +20,10 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, LogScalar):
-        return value.format(digits=6)
+        if value.log10 < math.inf:
+            return value.format(digits=6)
+        # rendered as the float it overflows to
+        value = value.sign * math.inf
     if value is None:
         return "invalid"
     if isinstance(value, float):

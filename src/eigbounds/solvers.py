@@ -39,9 +39,9 @@ deflation check needs no eigenvalue: two Sturm counts per deflated value
 it (_counts_within).  Counted from below, as for a whole spectrum, a count
 on an exactly zero pivot may read one short, so a dense values-only solve
 in which a count met the pivot guard above the last row is redone by
-round-robin Jacobi sweeps, which also give every dense spectrum with
-vectors; a tridiagonal spectrum is returned as counted, and may be wrong
-there (the zero-pivot fault).
+round-robin Jacobi sweeps, whose vectors it drops, and which also give
+every dense spectrum with vectors; a tridiagonal spectrum is returned as
+counted, and may be wrong there (the zero-pivot fault).
 These are deliberately independent of any library eigensolver so that every
 bound in the package is checked against an implementation with no shared
 code path.
@@ -132,12 +132,12 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False) -> Spectrum:
     """
     if not want_vectors:
         return Spectrum(_dense_batch([A])[0][0])
-    return _jacobi(A, want_vectors)
+    return _jacobi(A)
 
 
-def _jacobi(A: DenseHermitian, want_vectors: bool) -> Spectrum:
-    """Full spectrum of a Hermitian matrix by round-robin Jacobi sweeps, at
-    most JACOBI_MAX_SWEEPS of them.
+def _jacobi(A: DenseHermitian) -> Spectrum:
+    """Full spectrum, with vectors, of a Hermitian matrix by round-robin
+    Jacobi sweeps, at most JACOBI_MAX_SWEEPS of them.
 
     Each sweep is the rounds of a round-robin ordering (Brent & Luk 1985);
     the rotations of a round act on disjoint (p, q) planes, so they commute
@@ -150,7 +150,7 @@ def _jacobi(A: DenseHermitian, want_vectors: bool) -> Spectrum:
     # H = 2^e S, solved as unit-scaled S and the values scaled back exactly
     e = _scale_exponent(float(np.max(np.abs(A.entries))))
     H = _ldexp(A.entries, -e)
-    V = np.eye(n, dtype=H.dtype) if want_vectors else None
+    V = np.eye(n, dtype=H.dtype)
     scale = math.sqrt(float(np.sum(np.abs(H) ** 2)))
     off_target = 0.5 * n * _EPS * scale
     skip = _EPS * scale * 1e-3
@@ -199,11 +199,10 @@ def _jacobi(A: DenseHermitian, want_vectors: bool) -> Spectrum:
             H[Q, P] = 0.0
             H[P, P] = H[P, P].real
             H[Q, Q] = H[Q, Q].real
-            if want_vectors:
-                vp = V[:, P]
-                vq = V[:, Q]
-                V[:, P] = c * vp + sph * vq
-                V[:, Q] = -s * vp + cphc * vq
+            vp = V[:, P]
+            vq = V[:, Q]
+            V[:, P] = c * vp + sph * vq
+            V[:, Q] = -s * vp + cphc * vq
         if not rotated or off_norm() <= off_target:
             converged = True
     if not converged and off_norm() > 10 * off_target:
@@ -212,7 +211,7 @@ def _jacobi(A: DenseHermitian, want_vectors: bool) -> Spectrum:
             f"{JACOBI_MAX_SWEEPS} sweeps")
     vals = np.ldexp(H.diagonal().real, e)
     order = np.argsort(vals, kind="stable")
-    return Spectrum(vals[order], V[:, order] if want_vectors else None)
+    return Spectrum(vals[order], V[:, order])
 
 
 def _pivot_blocks(diag, off_sq, x, ts, guard=False):
@@ -412,7 +411,7 @@ def _top_block(diag: np.ndarray, off: np.ndarray) -> tuple[int, int] | None:
     block extends the core on each side up to the first row where that
     product falls to eps; the block's own top eigenvector decays in the
     same way, so it is a Ritz vector of T with residual below eps |b| at
-    the cut.  The certificate in _tridiagonal_batch decides, not this."""
+    the cut.  The certificate in _dense_batch decides, not this."""
     half = 0.5 * (diag[:-1] - diag[1:])
     L = float(np.max(0.5 * (diag[:-1] + diag[1:]) + np.hypot(half, off)))
     ratio = _decay_ratio(_gersch_radii(off), L - diag)
@@ -430,7 +429,7 @@ def _top_block(diag: np.ndarray, off: np.ndarray) -> tuple[int, int] | None:
 
 def _norm_blocks(T: SymTridiagonal):
     """The blocks of _top_block for lambda_n (on T) and lambda_1 (on -T)
-    on which _tridiagonal_batch solves those two ranks, or None, and T is
+    on which _dense_batch solves those two ranks, or None, and T is
     solved whole, below _NORM_BLOCK_MIN_ORDER rows or where either block
     is all of T.
 
@@ -798,70 +797,6 @@ def _block_eigenvalues(members):
     return [solved[order.index(j)] for j in range(len(members))]
 
 
-def _tridiagonal_batch(spectra, norms):
-    """From one _block_eigenvalues call: for each unit-scaled tridiagonal
-    in spectra, its eigenvalues, ascending, and whether a count met the
-    pivot guard above the last row, so that a value may be wrong; and for
-    each in norms, max(|lambda_1|, |lambda_n|).  Each value is within tol
-    / 2 of the eigenvalue of its rank as Sturm counts see it
-    (_bisection_start).
-
-    Zero couplings split a spectrum's T into blocks whose spectra make up
-    T's: each block is a member of its own, so an eigenvalue two blocks
-    share needs no telling apart, but from T's Gerschgorin interval and
-    tol, so that its shifts are those a bisection of T would take.  A block
-    of one row is its diagonal entry.
-
-    A norm computes only ranks 1 and n, rank 1 counted from above so that a
-    zero pivot cannot mislead it (see _sturm_counts).  Where _norm_blocks
-    gives a principal block for each rank, each is a member on its block,
-    from T's Gerschgorin interval and tol, certified on T: one Sturm count
-    of T at x - tol/2 and x + tol/2 for each, with the same counting
-    directions, must bracket its rank, which is the contract of the whole
-    solve.  The norms that fail are solved whole, together, in one more
-    call.
-    """
-    members, splits, paths = [], [], []
-    for T in spectra:
-        off_sq, glo, ghi, tol = _bisection_start(T)
-        edges = [0, *(np.flatnonzero(off_sq == 0.0) + 1).tolist(), T.n]
-        splits.append(list(zip(edges, edges[1:])))
-        members += [_Member(T.diag[a:b], off_sq[a:b - 1], glo, ghi, tol)
-                    for a, b in splits[-1] if b - a > 1]
-    for S in norms:
-        off_sq, glo, ghi, tol = _bisection_start(S)
-        blocks = _norm_blocks(S)
-        whole = _Member(S.diag, off_sq, glo, ghi, tol, (1, S.n), (True, False))
-        paths.append((blocks, off_sq, tol, whole))
-        if blocks:
-            (a, b), (c, d) = blocks
-            members += [_Member(S.diag[a:b], off_sq[a:b - 1], glo, ghi, tol, (b - a,)),
-                        _Member(S.diag[c:d], off_sq[c:d - 1], glo, ghi, tol, (1,), (True,))]
-        else:
-            members.append(whole)
-    solved = iter(_block_eigenvalues(members) if members else ())
-    values = []
-    for T, blocks in zip(spectra, splits):
-        parts = [(T.diag[a:b], False) if b - a == 1 else next(solved) for a, b in blocks]
-        vals = parts[0][0] if len(parts) == 1 else np.sort(np.concatenate([v for v, _ in parts]))
-        values.append((vals, any(met for _, met in parts)))
-    ends, refused = [], []
-    for S, (blocks, off_sq, tol, whole) in zip(norms, paths):
-        x = next(solved)[0]
-        if blocks:
-            xn, x1 = x[0], next(solved)[0][0]
-            h = 0.5 * tol
-            cnt = _sturm_counts(S.diag, off_sq, np.array([x1 - h, x1 + h, xn - h, xn + h]),
-                                np.array([True, True, False, False]))
-            x = (x1, xn) if cnt[0] < 1 <= cnt[1] and cnt[2] < S.n <= cnt[3] else None
-        if x is None:
-            refused.append(whole)
-        ends.append(x)
-    solved = iter(_block_eigenvalues(refused) if refused else ())
-    ends = [next(solved)[0] if x is None else x for x in ends]
-    return values, [max(abs(float(x[0])), abs(float(x[-1]))) for x in ends]
-
-
 def _counts_within(T: SymTridiagonal, centres, radii) -> np.ndarray:
     """Number of eigenvalues of T strictly inside each (c - r, c + r), from
     one _sturm_counts call over the 2m unit-scaled ends: the lower ends
@@ -1128,14 +1063,32 @@ def _solved(spectra=(), norms=()):
 def _dense_batch(spectra=(), norms=()) -> tuple[list[np.ndarray], list[float]]:
     """The eigenvalues, ascending, of each SymTridiagonal or DenseHermitian
     in spectra and the spectral_norm of each matrix in norms, from one
-    engine call (_tridiagonal_batch): the only way into it.  A tridiagonal
+    _block_eigenvalues call: the only way into the engine.  A tridiagonal
     is solved unit-scaled (_unit_scaled), a dense input after a Householder
-    reduction (_dense_tridiagonal, _norm_input).  A Sturm count whose shift
-    met the pivot guard above the last row may be one short (see
-    _sturm_counts), so a dense spectrum in which any count met it is redone
-    by Jacobi (_jacobi), that one alone; a tridiagonal spectrum is returned
-    as counted.  Within a _solved block a call that names only the inputs
-    it solved is served from there, with copies of its values."""
+    reduction (_dense_tridiagonal, _norm_input).  Each value is within tol
+    / 2 of the eigenvalue of its rank as Sturm counts see it
+    (_bisection_start).  Within a _solved block a call that names only the
+    inputs it solved is served from there, with copies of its values.
+
+    Zero couplings split a spectrum's T into blocks whose spectra make up
+    T's: each block is a member of its own, so an eigenvalue two blocks
+    share needs no telling apart, but from T's Gerschgorin interval and
+    tol, so that its shifts are those a bisection of T would take.  A block
+    of one row is its diagonal entry.  A Sturm count whose shift met the
+    pivot guard above the last row may be one short (see _sturm_counts), so
+    a dense spectrum in which any count met it is redone by Jacobi
+    (_jacobi), that one alone; a tridiagonal spectrum is returned as
+    counted.
+
+    A norm computes only ranks 1 and n, rank 1 counted from above so that a
+    zero pivot cannot mislead it (see _sturm_counts).  Where _norm_blocks
+    gives a principal block for each rank, each is a member on its block,
+    from T's Gerschgorin interval and tol, certified on T: one Sturm count
+    of T at x - tol/2 and x + tol/2 for each, with the same counting
+    directions, must bracket its rank, which is the contract of the whole
+    solve.  The norms that fail are solved whole, together, in one more
+    call.
+    """
     served = _served.get()
     if served is not None:
         keys = ([_solved_key("spectrum", A) for A in spectra]
@@ -1147,11 +1100,50 @@ def _dense_batch(spectra=(), norms=()) -> tuple[list[np.ndarray], list[float]]:
     reduced = [_unit_scaled(A) if isinstance(A, SymTridiagonal) else _dense_tridiagonal(A.entries)
                for A in spectra]
     inputs = [_norm_input(A) for A in norms]
-    values, tops = _tridiagonal_batch([T for T, _ in reduced], [S for S, _ in inputs])
-    return ([_jacobi(A, False).values if guarded and isinstance(A, DenseHermitian)
-             else np.ldexp(vals, e)
-             for A, (_, e), (vals, guarded) in zip(spectra, reduced, values)],
-            [finish(top) for (_, finish), top in zip(inputs, tops)])
+    members, splits, paths = [], [], []
+    for T, _ in reduced:
+        off_sq, glo, ghi, tol = _bisection_start(T)
+        edges = [0, *(np.flatnonzero(off_sq == 0.0) + 1).tolist(), T.n]
+        splits.append(list(zip(edges, edges[1:])))
+        members += [_Member(T.diag[a:b], off_sq[a:b - 1], glo, ghi, tol)
+                    for a, b in splits[-1] if b - a > 1]
+    for S, _ in inputs:
+        off_sq, glo, ghi, tol = _bisection_start(S)
+        blocks = _norm_blocks(S)
+        whole = _Member(S.diag, off_sq, glo, ghi, tol, (1, S.n), (True, False))
+        paths.append((blocks, off_sq, tol, whole))
+        if blocks:
+            (a, b), (c, d) = blocks
+            members += [_Member(S.diag[a:b], off_sq[a:b - 1], glo, ghi, tol, (b - a,)),
+                        _Member(S.diag[c:d], off_sq[c:d - 1], glo, ghi, tol, (1,), (True,))]
+        else:
+            members.append(whole)
+    solved = iter(_block_eigenvalues(members) if members else ())
+    values = []
+    for A, (T, e), blocks in zip(spectra, reduced, splits):
+        parts = [(T.diag[a:b], False) if b - a == 1 else next(solved) for a, b in blocks]
+        if isinstance(A, DenseHermitian) and any(met for _, met in parts):
+            values.append(_jacobi(A).values)
+        else:
+            vals = (parts[0][0] if len(parts) == 1
+                    else np.sort(np.concatenate([v for v, _ in parts])))
+            values.append(np.ldexp(vals, e))
+    ends, refused = [], []
+    for (S, _), (blocks, off_sq, tol, whole) in zip(inputs, paths):
+        x = next(solved)[0]
+        if blocks:
+            xn, x1 = x[0], next(solved)[0][0]
+            h = 0.5 * tol
+            cnt = _sturm_counts(S.diag, off_sq, np.array([x1 - h, x1 + h, xn - h, xn + h]),
+                                np.array([True, True, False, False]))
+            x = (x1, xn) if cnt[0] < 1 <= cnt[1] and cnt[2] < S.n <= cnt[3] else None
+        if x is None:
+            refused.append(whole)
+        ends.append(x)
+    solved = iter(_block_eigenvalues(refused) if refused else ())
+    ends = [next(solved)[0] if x is None else x for x in ends]
+    return values, [finish(max(abs(float(x[0])), abs(float(x[-1]))))
+                    for (_, finish), x in zip(inputs, ends)]
 
 
 def spectral_norm(A) -> float:

@@ -237,13 +237,15 @@ class LogScalar:
     def format(self, digits: int = 4) -> str:
         if self.sign == 0:
             return "0"
+        s = "-" if self.sign < 0 else ""
+        if self.log10 == math.inf:
+            return f"{s}inf"
         exp = math.floor(self.log10)
         mant = 10.0 ** (self.log10 - exp)
         # guard against mantissa rounding up to 10
         if mant >= 10.0 - 0.5 * 10.0 ** (1 - digits):
             mant /= 10.0
             exp += 1
-        s = "-" if self.sign < 0 else ""
         return f"{s}{mant:.{digits - 1}f}e{exp:+d}"
 
     def __str__(self) -> str:

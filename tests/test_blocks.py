@@ -100,6 +100,18 @@ class TestQuadraticResidual:
         with pytest.raises(ValueError):
             quadratic_residual_bounds(A, BlockSplit(1), E, [1])
 
+    def test_an_overflowed_bound_renders_as_overflow(self):
+        # ||E||^2 / gap is 1e400 * 2^40: valid, with log10 inf
+        from eigbounds import RunReport
+        A = DenseHermitian.from_array(np.diag([1.0, 1.0 + 2.0 ** -40]))
+        E = DenseHermitian.from_array([[0.0, 1e200], [1e200, 0.0]])
+        rep = quadratic_residual_bounds(A, BlockSplit(1), E, [1])[0]
+        assert rep.valid and rep.bound.log10 == np.inf
+        assert str(rep.bound) == "inf"
+        report = RunReport("demo")
+        report.add(bound=rep.bound, log10=rep.bound.log10)
+        assert report.render().splitlines()[1] == "bound=overflow log10=overflow"
+
     def test_zero_gap_falls_back_to_weyl(self):
         A = DenseHermitian.from_array(np.diag([2.0, 2.0]))
         E = DenseHermitian.from_array([[0.0, 0.1], [0.1, 0.0]])
@@ -240,6 +252,40 @@ class TestTheorem1:
                 assert float(np.max(move[1:])) <= 10.0 * eps * delta * delta
 
 
+class TestSubBlocks:
+    """_sub_blocks builds A11 exactly in the quadratic residual bound's
+    shape, A21, E11 and E22 all zero, and bound-block reports the bound
+    exactly then."""
+
+    @pytest.mark.parametrize("nonzero", [None, "a21", "e11", "e22"])
+    def test_a11_exactly_in_the_quad_shape(self, nonzero):
+        from eigbounds import cli
+        from eigbounds.blocks import _sub_blocks
+        rng = np.random.default_rng(2310)
+        m, k = 4, 2
+        a = np.diag(4.0 * np.arange(m + k))
+        a[:m, :m] += random_hermitian(rng, m).entries
+        e = off_diagonal_perturbation(rng, m, k, 0.01).entries.copy()
+        if nonzero == "a21":
+            a[m, 0] = a[0, m] = 0.01
+        elif nonzero == "e11":
+            e[1, 1] = 0.01
+        elif nonzero == "e22":
+            e[m + 1, m + 1] = 0.01
+        A, E = DenseHermitian.from_array(a), DenseHermitian.from_array(e)
+        quad = nonzero is None
+        blocks = _sub_blocks(A, E, BlockSplit(k))
+        assert (blocks.a11 is not None) == quad
+        if quad:
+            assert np.array_equal(blocks.a11.entries, a[:m, :m])
+        else:
+            with pytest.raises(ValueError):
+                quadratic_residual_bounds(A, BlockSplit(k), E)
+        rows = [r for r in cli.cmd_bound_block(A, E, k).records if "index" in r]
+        assert len(rows) == m + k
+        assert all(("quad_residual" in r) == quad for r in rows)
+
+
 @pytest.fixture
 def engine_calls(monkeypatch):
     """The member count of each _block_eigenvalues call from here on."""
@@ -285,13 +331,13 @@ class TestEngineCalls:
         assert any("quad-residual" in r.get("check", "") for r in report.records)
         assert len(engine_calls) == 1
 
-    def test_quad_residual_claim_makes_one_call(self, engine_calls):
-        # ||E|| and the spectrum of A + E; the 1x1 blocks need no engine
+    def test_quad_residual_claim_makes_two_one_member_calls(self, engine_calls):
+        # ||E||, then the spectrum of A + E; the 1x1 blocks need no engine
         from eigbounds import RunReport, cli
         report = RunReport("verify-all")
         cli._claim_quad_residual(report)
         assert report.sound
-        assert engine_calls == [2]
+        assert engine_calls == [1, 1]
 
     def test_plain_bound_block_makes_one_call(self, engine_calls):
         # the spectra of A and A22 and the norms of E, A21, E11, E21, E22

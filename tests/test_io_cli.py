@@ -178,6 +178,24 @@ class TestCli:
         assert "verdict=FAIL" not in out
         assert "status=sound" in out
 
+    def test_wilkinson_claim_fails_with_its_command(self, monkeypatch):
+        # a failed cmd_wilkinson check fails the claim, which then records
+        # no pair-bounds PASS
+        real = cli.cmd_wilkinson
+
+        def failing(n, ell_range=None):
+            sub = real(n, ell_range)
+            sub.check("forced", False)
+            return sub
+
+        monkeypatch.setattr(cli, "cmd_wilkinson", failing)
+        report = RunReport("verify-all")
+        cli._claim_wilkinson(report)
+        checks = {r["check"]: r["verdict"] for r in report.records if "check" in r}
+        assert checks["wilkinson/forced"] == "FAIL"
+        assert "wilkinson-pair-bounds" not in checks
+        assert report.failures == ["wilkinson/forced"]
+
     def test_wilkinson_bounds_below_float_range_are_compared(self, capsys):
         # the top-pair bound at n = 100 is about 10^-310, below the float range
         rc = main(["wilkinson", "--n", "100"])
@@ -196,6 +214,8 @@ class TestCli:
         (float("nan"), "undefined"), (float("inf"), "overflow"),
         (float("-inf"), "-overflow"), (None, "invalid"), (True, "true"),
         (0.25, "0.25"), (LogScalar(0), "0"),
+        (LogScalar.from_float(float("inf")), "overflow"),
+        (LogScalar.from_float(float("-inf")), "-overflow"),
     ])
     def test_report_renders_every_value(self, value, text):
         report = RunReport("demo")
@@ -372,6 +392,8 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("flags", [["--eps-grid", "1e-2"],
                                        ["--eps-grid", "100,1e-3"],
+                                       ["--eps-grid", "nan,1e-2,1e-4"],
+                                       ["--eps-grid", "inf,1e-2,1e-4"],
                                        ["--cluster-tol", "0"],
                                        ["--cluster-tol", "nan"]])
     def test_multieig_arguments(self, matrix_files, flags, capsys):
@@ -379,6 +401,12 @@ class TestCliInputErrors:
             ["multieig", "--matrix", matrix_files["Adouble"],
              "--perturbation", matrix_files["Esmall"]] + flags, capsys)
         assert code == 2 and ("eps" in line or "cluster_tol" in line)
+
+    def test_multieig_shape_mismatch(self, matrix_files, capsys):
+        code, line = self._exit_code(
+            ["multieig", "--matrix", matrix_files["Adouble"],
+             "--perturbation", matrix_files["E"]], capsys)
+        assert code == 2 and "shape mismatch" in line
 
     def test_no_cluster_found(self, matrix_files, capsys):
         code, line = self._exit_code(

@@ -95,6 +95,14 @@ class TestFirstOrderEigs:
         with pytest.raises(ValueError):
             first_order_eigs(ctx, E, [1e-2, -1e-3])
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        ctx = detect_multiple(DenseHermitian.from_array(np.diag([1.0, 1.0, 5.0])))[0]
+        E = DenseHermitian.from_array(np.eye(3))
+        for grid in (eps, [1e-2, eps]):
+            with pytest.raises(ValueError, match="finite"):
+                first_order_eigs(ctx, E, grid)
+
 
 class TestExpansionOrder:
     def test_trailing_term_is_quadratic(self):
@@ -120,6 +128,14 @@ class TestExpansionOrder:
         E = DenseHermitian.from_array(np.eye(3))
         with pytest.raises(ValueError):
             expansion_order([ctx], E, (1e-2, 5e-3))
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_grid_rejected(self, eps):
+        # before any A + eps E is built, which would reject its entries
+        ctx = detect_multiple(DenseHermitian.from_array(np.diag([1.0, 1.0, 5.0])))[0]
+        E = DenseHermitian.from_array(np.eye(3))
+        with pytest.raises(ValueError, match="eps grid"):
+            expansion_order([ctx], E, (eps, 1e-2, 1e-4))
 
     def test_large_eps_rejected(self):
         rng = np.random.default_rng(54)

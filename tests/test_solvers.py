@@ -1274,11 +1274,24 @@ class TestCertificateFailure:
         # members, and each value within tol of its own bisection
         per_call = self._failing_laguerre(monkeypatch)
         mats = [solvers._unit_scaled(T)[0] for T in self._INPUTS]
-        spectra, _ = solvers._tridiagonal_batch(mats, [])
+        spectra, _ = solvers._dense_batch(mats)
         assert per_call == [[4, 1]]
-        for S, (vals, _) in zip(mats, spectra):
+        for S, vals in zip(mats, spectra):
             assert np.max(np.abs(vals - _one_midpoint_bisection(S))) <= _bisection_tol(S)
             _assert_certified(S, vals, np.arange(1, S.n + 1))
+
+    def test_the_step_cap_ends_a_double_eigenvalue(self, monkeypatch):
+        # one member with an exactly double eigenvalue, which never isolates
+        # (through _dense_batch the zero coupling would split it): with the
+        # cap at 5 steps the call still returns, each value within the
+        # width of five bisection steps of the Gerschgorin interval
+        monkeypatch.setattr(solvers, "_MAX_BISECT_STEPS", 5)
+        T = SymTridiagonal([2.0, 1.0, 3.0, 2.0, 1.0, 3.0], [0.5, 0.5, 0.0, 0.5, 0.5])
+        off_sq, glo, ghi, tol = solvers._bisection_start(T)
+        [(vals, _)] = solvers._block_eigenvalues(
+            [solvers._Member(T.diag, off_sq, glo, ghi, tol)])
+        ref = eigvalsh_tridiagonal(T.diag, T.offdiag)
+        assert np.max(np.abs(vals - ref)) <= (ghi - glo) / 2 ** 5
 
     def test_guard_still_reaches_jacobi(self, monkeypatch):
         # W+(5)'s tridiagonal meets exactly zero pivots: the flag from the

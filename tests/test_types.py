@@ -198,6 +198,9 @@ class TestLogScalar:
         # a mantissa that rounds up to 10 moves to the next decade
         (LogScalar.from_float(9.9996), "1.000e+1"),
         (LogScalar.from_float(-9.99996e-5), "-1.000e-4"),
+        # an overflowed magnitude, as quadratic_residual_bounds can return
+        (LogScalar.from_float(math.inf), "inf"),
+        (LogScalar.from_float(-math.inf), "-inf"),
     ])
     def test_format(self, x, text):
         assert x.format(digits=4) == text
