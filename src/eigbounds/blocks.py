@@ -66,6 +66,8 @@ def _sub_blocks(A: DenseHermitian, E: DenseHermitian, split: BlockSplit) -> _Sub
     bounds and the CLI's request of their inputs (solvers._solved, which
     finds them by value) take them from here, so the request holds exactly
     what the bounds ask for."""
+    if E.n != A.n:
+        raise ValueError(f"E has order {E.n}, A has order {A.n}")
     a21 = A.block(split, "21")
     e11 = DenseHermitian.from_array(E.block(split, "11"))
     e22 = DenseHermitian.from_array(E.block(split, "22"))
@@ -155,8 +157,8 @@ def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
     split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
-    weyl = weyl_bound(E)
     blocks = _sub_blocks(A, E, split)
+    weyl = weyl_bound(E)
     (a22_vals, vals), (a21n, e11, e21, e22) = _dense_batch([blocks.a22, A],
                                                           blocks.norms)
     slack = (weyl + e22) if refined else 2.0 * weyl

@@ -6,10 +6,11 @@ dlar1v).  A dense Hermitian matrix is reduced to a tridiagonal with the
 same spectrum by Householder reflections (Golub & Van Loan, section 8.3),
 so its values and its spectral norm come from the same tridiagonal engine.
 The eigenvalues of a tridiagonal come in three stages: subtree passes of
-bisection (each counts a whole subtree of midpoints of every interval and
-replays several steps) until each eigenvalue is alone in its interval by
-the counts; Laguerre's iteration on det(T - xI) from there, for all
-isolated eigenvalues at once (Li & Zeng 1994); and a certificate, two
+bisection (each counts a whole subtree of midpoints of every interval, up
+to _SHIFTS_PER_MEMBER shifts a member, and replays several steps, fewer
+the more intervals a member has) until each eigenvalue is alone in its
+interval by the counts; Laguerre's iteration on det(T - xI) from there, for
+all isolated eigenvalues at once (Li & Zeng 1994); and a certificate, two
 Sturm counts half a tolerance either side of each iterate.  An eigenvalue
 that fails the certificate, or never isolates, is bisected to the
 tolerance, so a wrong iterate costs time but is never returned.  One
@@ -73,8 +74,11 @@ JACOBI_MAX_SWEEPS = 30
 TOL_RESID = 1e-12
 TOL_ORTH = 1e-12
 
-# Sturm bisection: shifts counted per pass, and the cap on bisection steps
+# Sturm bisection: the certificate's shifts per count, the shifts a subtree
+# pass budgets for each member (the depth rule of _block_eigenvalues), and
+# the cap on bisection steps
 _SHIFTS_PER_PASS = 1024
+_SHIFTS_PER_MEMBER = 256
 _MAX_BISECT_STEPS = 120
 # the cap on Laguerre iterations, before the certificate (_block_eigenvalues)
 _MAX_LAGUERRE_STEPS = 10
@@ -734,14 +738,14 @@ def _block_eigenvalues(members):
                      | (key[todo[1:]] != key[todo[:-1]]))
         heads = todo[fresh]
         hm = mem[heads]
-        # each member's depth: about _SHIFTS_PER_PASS shifts over its own
-        # intervals (10 levels for one, 6 for 10, 1 from 342 on), within the
+        # each member's depth: about _SHIFTS_PER_MEMBER shifts over its own
+        # intervals (8 levels for one, 4 for 10, 1 from 86 on), within the
         # steps it has left
         runs, a = [], 0
         for jj, u in enumerate(np.bincount(hm, minlength=len(members)).tolist()):
             if u:
                 L = min(_MAX_BISECT_STEPS - steps[jj],
-                        max(1, int(math.log2(_SHIFTS_PER_PASS / u + 1))))
+                        max(1, int(math.log2(_SHIFTS_PER_MEMBER / u + 1))))
                 steps[jj] += L
                 # members of one depth side by side make one run
                 if runs and runs[-1][2] == L:

@@ -285,6 +285,18 @@ class TestSubBlocks:
         assert len(rows) == m + k
         assert all(("quad_residual" in r) == quad for r in rows)
 
+    @pytest.mark.parametrize("bound", ["theorem1", "quad_residual"])
+    def test_e_of_another_order_is_refused(self, bound, engine_calls):
+        # E's own order would slice blocks of another matrix than A + E
+        A = DenseHermitian.from_array(np.diag([0.0, 2.0]))
+        E = DenseHermitian.from_array(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="E has order 3, A has order 2"):
+            if bound == "theorem1":
+                theorem1_bounds(A, E, BlockSplit(1))
+            else:
+                quadratic_residual_bounds(A, BlockSplit(1), E)
+        assert engine_calls == []
+
 
 @pytest.fixture
 def engine_calls(monkeypatch):

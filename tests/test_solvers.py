@@ -10,10 +10,11 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 import eigbounds.aed
 from conftest import graded_tridiagonal, random_hermitian, random_tridiagonal
-from eigbounds import (DenseHermitian, SymTridiagonal, aed_example, eig_dense,
-                       eig_tridiag, run_qr_with_aed, spectral_norm,
+from eigbounds import (BlockSplit, DenseHermitian, SymTridiagonal, aed_example,
+                       eig_dense, eig_tridiag, run_qr_with_aed, spectral_norm,
                        wilkinson_plus, wilkinson_split)
 from eigbounds import solvers
+from eigbounds.blocks import _sub_blocks
 from eigbounds.solvers import (JacobiConvergenceError, _counts_within,
                                _round_robin_pairs)
 
@@ -330,9 +331,10 @@ class TestSolvedScope:
 
 class TestTridiagonalValues:
     """Several tridiagonal spectra from one engine call (_dense_batch), each
-    bit for bit its eig_tridiag: cmd_wilkinson solves W+ and its split part
-    so.  A tridiagonal spectrum is returned as counted, never redone by
-    Jacobi, where the same matrix in dense form is."""
+    bit for bit its eig_tridiag; cmd_wilkinson solves W+ in one call with
+    the norm of a half of its split part.  A tridiagonal spectrum is
+    returned as counted, never redone by Jacobi, where the same matrix in
+    dense form is."""
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_wilkinson_pair_in_one_call(self, n, monkeypatch):
@@ -348,6 +350,29 @@ class TestTridiagonalValues:
         engine_calls.clear()
         cli.cmd_wilkinson(n)
         assert len(engine_calls) == 1
+
+    @pytest.mark.parametrize("n", [*range(5, 14), 20, 27, 50])
+    def test_wilkinson_takes_the_split_top_from_a_half_norm(self, n, monkeypatch):
+        # the split part is two copies of a positive semidefinite order-n
+        # block around a zero, so its top eigenvalue is that block's norm
+        from eigbounds import cli
+        members = []
+        engine = solvers._block_eigenvalues
+
+        def spy(mbs):
+            members.extend(mbs)
+            return engine(mbs)
+
+        monkeypatch.setattr(solvers, "_block_eigenvalues", spy)
+        shift = cli.cmd_wilkinson(n).records[0]["split_shift"]
+        monkeypatch.undo()
+        W, A = wilkinson_plus(n), wilkinson_split(n)[0]
+        assert [(mb.diag.size, mb.ranks, mb.above) for mb in members] == [
+            (2 * n + 1, None, None), (n, (1, n), (True, False))]
+        S, e = solvers._unit_scaled(A)
+        tol = math.ldexp(solvers._bisection_start(S)[3], e)
+        ref = abs(eig_tridiag(W).values[-1] - eig_tridiag(A).values[-1])
+        assert abs(shift - ref) <= tol
 
     _SPECTRA = {
         "random": random_tridiagonal(np.random.default_rng(2800), 25),
@@ -829,11 +854,13 @@ def _one_row_sturm_counts(diag, off_sq, xs):
 
 
 def _depth(n):
-    return max(1, int(math.log2(solvers._SHIFTS_PER_PASS / n + 1)))
+    return max(1, int(math.log2(solvers._SHIFTS_PER_MEMBER / n + 1)))
 
 
-# one order per subtree depth the rule picks, 10 (n = 1) down to 1
-_DEPTH_ORDERS = [1, 2, 3, 5, 9, 17, 34, 69, 147, 342, 1100]
+# the least order of each subtree depth the rule picks, 8 (n = 1) down to 1
+# (1, 2, 3, 5, 9, 18, 37, 86), and further orders up to 1100, across the
+# row-block edges of the Sturm counts
+_DEPTH_ORDERS = [1, 2, 3, 5, 9, 17, 18, 34, 37, 69, 86, 147, 342, 1100]
 
 
 def _assert_bit_identical(T, monkeypatch):
@@ -866,7 +893,7 @@ def _assert_bit_identical(T, monkeypatch):
 
 class TestSubtreeBisection:
     def test_orders_cover_every_depth(self):
-        assert sorted({_depth(n) for n in _DEPTH_ORDERS}) == list(range(1, 11))
+        assert sorted({_depth(n) for n in _DEPTH_ORDERS}) == list(range(1, 9))
 
     @pytest.mark.parametrize("n", _DEPTH_ORDERS)
     def test_random_bit_identical(self, n, monkeypatch):
@@ -963,6 +990,34 @@ class TestSubtreeBisection:
         _one_midpoint_bisection(T)
         assert len(calls) >= 40  # one pass per bisection step
 
+    def test_a_lone_interval_counts_255_shifts(self, monkeypatch):
+        # depth 8 for the one Gerschgorin interval of a dense spectrum
+        calls = self._count_passes(monkeypatch)
+        eig_dense(random_hermitian(np.random.default_rng(620), 12))
+        assert calls[0] == 255
+
+    def test_stacked_members_keep_their_own_budget(self, monkeypatch):
+        # the seven inputs of a bound-block request in one call: every count
+        # takes at most 256 shifts of any one member, 255 in the first pass
+        rng = np.random.default_rng(621)
+        n, k = 12, 3
+        A = DenseHermitian.from_array(random_hermitian(rng, n).entries
+                                      + np.diag(np.arange(n) * 4.0))
+        E = random_hermitian(rng, n, scale=0.02)
+        blocks = _sub_blocks(A, E, BlockSplit(k))
+        per_member = []
+        stacked = solvers._stacked_counts
+
+        def counting(diag, off_sq, at, xs, above, guarded):
+            per_member.append(np.bincount(at).max())
+            return stacked(diag, off_sq, at, xs, above, guarded)
+
+        monkeypatch.setattr(solvers, "_stacked_counts", counting)
+        engine_calls, _ = _engine_spy(monkeypatch)
+        solvers._dense_batch([A, blocks.a22], [E, *blocks.norms])
+        assert engine_calls == [7]
+        assert per_member[0] == 255 and max(per_member) <= solvers._SHIFTS_PER_MEMBER
+
     @pytest.mark.parametrize("n", [1024, 1100])
     def test_large_order_needs_no_more_passes(self, monkeypatch, n):
         T = aed_example(n)
@@ -1051,6 +1106,27 @@ class TestStackedMembers:
             [(alone, alone_met)] = solvers._block_eigenvalues([member])
             assert np.array_equal(vals.view(np.int64), alone.view(np.int64))
             assert met == alone_met
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(1, 20), st.booleans(), st.integers(-8, 8)),
+                    min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_dense_inputs_stacked_as_if_alone(self, shapes, seed):
+        # random dense Hermitian inputs of orders 1-20 in one _dense_batch
+        # call: each spectrum is bit for bit that of a call with it alone,
+        # and meets the library to the oracle's 1e-13 gate; not to tol,
+        # since the certificate brackets the eigenvalue that the rounded
+        # Sturm counts see, which lay up to 2.4 tol from scipy's values of
+        # the same tridiagonal on 3,000 random inputs
+        rng = np.random.default_rng(seed)
+        inputs = [random_hermitian(rng, n, scale=2.0 ** e, complex_entries=c)
+                  for n, c, e in shapes]
+        together = solvers._dense_batch(inputs)[0]
+        for A, got in zip(inputs, together):
+            alone = solvers._dense_batch([A])[0][0]
+            assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+            ref = np.linalg.eigvalsh(A.entries)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_the_guard_flag_is_each_members_own(self):
         # W+(5) meets exactly zero pivots above its last row; the 3-row
