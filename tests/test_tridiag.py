@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,13 +36,15 @@ class TestDecayStep:
 
     def test_nan_shift_is_rejected(self):
         # no disk is known to contain a NaN shift, and a NaN ratio or bound
-        # has no place in an ordering of bounds
+        # has no place in an ordering of bounds; an infinite shift would
+        # read as ratio 0, a decay no eigenvector shows
         T = SymTridiagonal([10.0, 0.0, -10.0], [0.5, 0.25])
-        for k in (1, 2, 3):
+        for lam in (math.nan, math.inf, -math.inf):
+            for k in (1, 2, 3):
+                with pytest.raises(ValueError):
+                    decay_step_bound(T, lam, k)
             with pytest.raises(ValueError):
-                decay_step_bound(T, math.nan, k)
-        with pytest.raises(ValueError):
-            decay_profile(T, math.nan, 3, 1)
+                decay_profile(T, lam, 3, 1)
 
 
 class TestDecayProfile:
@@ -341,6 +345,97 @@ class TestAedWindowBoundsReference:
         for k in (0, 50):
             with pytest.raises(ValueError, match="window size"):
                 aed_window_bounds(T, k, j=j)
+        # an infinite value would read as bound 0, a NaN as no bound
+        for lam in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="window values"):
+                aed_window_bounds(T, 5, j=j, window_values=[1.5, lam])
+
+
+    # the head rows' gap condition is decided from the union of their
+    # disks: the cases below put values on, beside and inside its edges
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("j", [None, 3])
+    def test_values_on_exact_disk_edges(self, alpha, j):
+        # integer diagonal 4 apart, couplings 1/2: a_i -+ (|b_i| + |b_{i-1}|
+        # + alpha) is exact, where the float test reads 0 and fails; one
+        # ulp outward it passes, one ulp inward it fails
+        n, k = 40, 8
+        T = SymTridiagonal(np.arange(4.0 * n, 0.0, -4.0), np.full(n - 1, 0.5))
+        on, outward, inward = [], [], []
+        for row in (1, 2, 17, n - k - 1):
+            radius = (0.5 if row == 1 else 1.0) + alpha
+            for edge, out in ((T.diag[row - 1] - radius, -math.inf),
+                              (T.diag[row - 1] + radius, math.inf)):
+                on.append(edge)
+                outward.append(np.nextafter(edge, out))
+                inward.append(np.nextafter(edge, -out))
+        got = assert_matches_reference(T, k, j, alpha, window_values=on + outward + inward)
+        bounded = [lg is not None for _, lg, _ in got]
+        assert bounded == [False] * len(on) + [True] * len(outward) + [False] * len(inward)
+
+    @pytest.mark.parametrize("j", [None, 3])
+    def test_values_at_rounded_disk_edges(self, j):
+        # diagonal about 6 apart and radii up to 3, so most disks stand
+        # alone; their ends a_i -+ (|b_i| + |b_{i-1}| + alpha) are rounded
+        rng = np.random.default_rng(7)
+        n, k = 300, 30
+        T = SymTridiagonal(6.0 * np.arange(n, 0, -1) + rng.uniform(-0.25, 0.25, n),
+                           rng.uniform(0.5, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1))
+        b = np.abs(T.offdiag)
+        values = list(eig_tridiag(T.window(k)).values)
+        for h in rng.choice(n - k - 1, 40, replace=False):
+            radius = b[h] + (b[h - 1] if h else 0.0) + b[n - k - 1]
+            for edge in (T.diag[h] - radius, T.diag[h] + radius):
+                values += [np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf)]
+        got = assert_matches_reference(T, k, j, window_values=values)
+        assert 0 < sum(1 for _, lg, _ in got[k:] if lg is not None) < len(values) - k
+
+    @pytest.mark.parametrize("j", [None, 10])
+    def test_alpha_beyond_every_gap(self, j):
+        # every value lies inside every head row's disk: no bound anywhere
+        T = aed_example(200)
+        got = assert_matches_reference(T, 20, j, alpha=1e3)
+        assert all(lg is None for _, lg, _ in got)
+
+    @pytest.mark.parametrize("j", [None, 10])
+    def test_window_of_all_but_one_row(self, j):
+        # k = n - 1 leaves no head rows
+        for T in (aed_example(50), jittered_tridiagonal(np.random.default_rng(3), 60)):
+            got = assert_matches_reference(T, T.n - 1, j)
+            assert any(lg is not None for _, lg, _ in got)
+
+    @pytest.mark.parametrize("j", [None, 5])
+    def test_random_tridiagonal(self, j, monkeypatch):
+        # no grading: the head disks overlap into a few wide components;
+        # the values inside them are tested a few at a time too
+        rng = np.random.default_rng(11)
+        T = SymTridiagonal(rng.normal(0.0, 10.0, 120), rng.normal(0.0, 1.0, 119))
+        values = np.concatenate([eig_tridiag(T.window(20)).values,
+                                 rng.uniform(-40.0, 40.0, 200)])
+        got = assert_matches_reference(T, 20, j, window_values=values)
+        assert 0 < sum(1 for _, lg, _ in got if lg is not None) < values.size
+        monkeypatch.setattr(tridiag, "_BLOCK_ELEMENTS", 3 * T.n)
+        assert_matches_reference(T, 20, j, window_values=values)
+
+
+class TestAedWindowBoundsScaling:
+    def test_long_head_is_one_sort(self):
+        # 400,000 rows and a 1,000-row window: testing the gap condition
+        # per (value, row) pair took 3.4-4.7 s on this input and a traced
+        # peak of 24.6-25.8 MB
+        T = jittered_tridiagonal(np.random.default_rng(0), 400_000)
+        values = eig_tridiag(T.window(1000)).values
+        start = time.perf_counter()
+        got = aed_window_bounds(T, 1000, window_values=values)
+        assert time.perf_counter() - start <= 1.0
+        tracemalloc.start()
+        try:
+            assert aed_window_bounds(T, 1000, window_values=values) == got
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24.6e6
+        assert sum(1 for _, lg, _ in got if lg is not None) >= 990
 
 
 class TestAedEta:
