@@ -12,7 +12,11 @@ part of each window to tridiagonal form with the solvers' Householder
 reduction (a pass that deflates nothing keeps its window as it is), takes
 the norm that scales its deflation test once, from the two extreme
 eigenvalues alone (spectral_norm), and sweeps a unit-scaled copy of the
-matrix.
+matrix.  The sweep is the oracle's own (solvers._qr_sweep), which also
+gives the dense eigenvectors and the dense values-only redo; the driver's
+spectrum-match check compares its values with the Sturm-count engine of
+eig_tridiag, never with QR, so sharing the sweep lets nothing check
+itself.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solvers import (_counts_within, _dense_tridiagonal, _unit_scaled, eig_tridiag,
-                      spectral_norm)
+from .solvers import (_counts_within, _dense_tridiagonal, _qr_sweep, _unit_scaled,
+                      eig_tridiag, spectral_norm)
 from .types import Spectrum, SymTridiagonal
 
 __all__ = [
@@ -84,41 +88,13 @@ def deflation_soundness_check(T: SymTridiagonal, outcome: AedOutcome,
                           np.abs(outcome.spike[mask]) + slack)
 
 
-def _wilkinson_shift(d1: float, d2: float, b: float) -> float:
-    """Eigenvalue of [[d1, b], [b, d2]] closest to d2."""
-    delta = 0.5 * (d1 - d2)
-    if delta == 0.0 and b == 0.0:
-        return d2
-    sgn = 1.0 if delta >= 0.0 else -1.0
-    return d2 - b * b / (delta + sgn * math.hypot(delta, b))
-
-
 def qr_sweep(T: SymTridiagonal) -> SymTridiagonal:
-    """One implicit symmetric QR sweep with Wilkinson shift."""
-    n = T.n
-    if n < 2:
+    """One implicit symmetric QR sweep with Wilkinson shift, the oracle's
+    own (solvers._qr_sweep)."""
+    if T.n < 2:
         return T
-    d = [float(v) for v in T.diag]
-    e = [float(v) for v in T.offdiag]
-    mu = _wilkinson_shift(d[n - 2], d[n - 1], e[n - 2])
-    x = d[0] - mu
-    z = e[0]
-    for kk in range(n - 1):
-        r = math.hypot(x, z)
-        if r == 0.0:
-            c, s = 1.0, 0.0
-        else:
-            c, s = x / r, z / r
-        if kk > 0:
-            e[kk - 1] = r
-        d1, ek, d2 = d[kk], e[kk], d[kk + 1]
-        d[kk] = c * c * d1 + 2.0 * c * s * ek + s * s * d2
-        d[kk + 1] = s * s * d1 - 2.0 * c * s * ek + c * c * d2
-        e[kk] = c * s * (d2 - d1) + (c * c - s * s) * ek
-        x = e[kk]
-        if kk < n - 2:
-            z = s * e[kk + 1]
-            e[kk + 1] = c * e[kk + 1]
+    d, e = T.diag.tolist(), T.offdiag.tolist()
+    _qr_sweep(d, e, 0, T.n - 1)
     return SymTridiagonal(np.array(d), np.array(e))
 
 

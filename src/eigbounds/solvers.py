@@ -40,9 +40,12 @@ deflation check needs no eigenvalue: two Sturm counts per deflated value
 it (_counts_within).  Counted from below, as for a whole spectrum, a count
 on an exactly zero pivot may read one short, so a dense values-only solve
 in which a count met the pivot guard above the last row is redone by
-round-robin Jacobi sweeps, whose vectors it drops, and which also give
-every dense spectrum with vectors; a tridiagonal spectrum is returned as
-counted, and may be wrong there (the zero-pivot fault).
+implicit QR sweeps with Wilkinson shift on its Householder tridiagonal
+(_qr_spectrum, Golub & Van Loan section 8.3, LAPACK dsteqr); a
+tridiagonal spectrum is returned as counted, and may be wrong there (the
+zero-pivot fault).  The same sweeps, rotating the reduction's
+reflections, give every dense spectrum with vectors, and the AED driver
+sweeps with them too (aed.qr_sweep).
 These are deliberately independent of any library eigensolver so that every
 bound in the package is checked against an implementation with no shared
 code path.
@@ -64,13 +67,12 @@ __all__ = [
     "eig_dense",
     "eig_tridiag",
     "spectral_norm",
-    "JacobiConvergenceError",
+    "QRConvergenceError",
     "InverseIterationError",
 ]
 
 _EPS = np.finfo(float).eps
 
-JACOBI_MAX_SWEEPS = 30
 TOL_RESID = 1e-12
 TOL_ORTH = 1e-12
 
@@ -82,6 +84,8 @@ _SHIFTS_PER_MEMBER = 256
 _MAX_BISECT_STEPS = 120
 # the cap on Laguerre iterations, before the certificate (_block_eigenvalues)
 _MAX_LAGUERRE_STEPS = 10
+# the cap on implicit QR sweeps per eigenvalue (_qr_spectrum), as in LAPACK dsteqr
+_MAX_QR_SWEEPS = 30
 # rows per block of the pivot recurrence (_pivot_blocks)
 _STURM_ROWS = 64
 # pivot guard of the Sturm recurrences: every input is unit-scaled first,
@@ -92,37 +96,17 @@ _PIVMIN = _EPS ** 2
 _NORM_BLOCK_MIN_ORDER = 64
 
 # (eigenvalue x row) arrays, here and in tridiag.aed_window_bounds, take the
-# eigenvalues in blocks of _BLOCK_ELEMENTS / n so each stays near 8 MB;
+# eigenvalues in blocks of _BLOCK_ELEMENTS / rows so each stays near 8 MB;
 # clustered eigenvectors start from fixed-seed random vectors, as in LAPACK
 _BLOCK_ELEMENTS = 1 << 20
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted without meeting the off-diagonal target."""
+class QRConvergenceError(RuntimeError):
+    """QR sweeps exhausted (_MAX_QR_SWEEPS per eigenvalue) before deflation."""
 
 
 class InverseIterationError(RuntimeError):
     """An eigenvector missed the residual or orthogonality contract."""
-
-
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Index pairs (P, Q), P < Q, of each round of a round-robin sweep.
-
-    Circle method on n padded to even m, with m - 1 rounds: in round r,
-    index m - 1 meets r and (r + k) mod (m - 1) meets (r - k) mod (m - 1).
-    Every pair occurs in exactly one round and no index occurs twice in a
-    round; pairs with the padding index m - 1 = n (odd n) are dropped.
-    """
-    m = n + n % 2
-    k = np.arange(1, m // 2)
-    rounds = []
-    for r in range(m - 1):
-        a = np.concatenate(([r], (r + k) % (m - 1)))
-        b = np.concatenate(([m - 1], (r - k) % (m - 1)))
-        keep = b < n
-        a, b = a[keep], b[keep]
-        rounds.append((np.minimum(a, b), np.maximum(a, b)))
-    return rounds
 
 
 def eig_dense(A: DenseHermitian, want_vectors: bool = False) -> Spectrum:
@@ -131,91 +115,86 @@ def eig_dense(A: DenseHermitian, want_vectors: bool = False) -> Spectrum:
     The values alone come from the Householder tridiagonal of A
     (_dense_tridiagonal) through the engine of eig_tridiag: isolate,
     refine, certify, as the one-matrix case of _dense_batch, which redoes
-    a solve in which a Sturm count met the pivot guard by Jacobi (_jacobi).
-    Jacobi also computes every spectrum with vectors.
+    a solve in which a Sturm count met the pivot guard by QR sweeps on the
+    same tridiagonal (_qr_spectrum).  With vectors the reduction keeps its
+    reflections, and QR sweeps on the tridiagonal rotate them into the
+    eigenvectors.
     """
     if not want_vectors:
         return Spectrum(_dense_batch([A])[0][0])
-    return _jacobi(A)
+    W = np.eye(A.n, dtype=A.entries.dtype)
+    T, e = _dense_tridiagonal(A.entries, W)
+    vals = _qr_spectrum(T, W)
+    return Spectrum(np.ldexp(vals, e), W.T)
 
 
-def _jacobi(A: DenseHermitian) -> Spectrum:
-    """Full spectrum, with vectors, of a Hermitian matrix by round-robin
-    Jacobi sweeps, at most JACOBI_MAX_SWEEPS of them.
+def _qr_sweep(d: list, e: list, lo: int, hi: int, W=None) -> None:
+    """One implicit symmetric QR sweep on rows lo..hi of the tridiagonal
+    with diagonal d and couplings e, lists updated in place: the package's
+    one QR sweep, also the AED driver's (aed.qr_sweep).  The shift mu is
+    Wilkinson's, the eigenvalue of the trailing 2x2 block closest to d[hi].
+    Each rotation acts on rows kk and kk + 1, and on those rows of the array
+    W, if given, so that W = V^T of T = V^H A V stays so."""
+    delta, b = 0.5 * (d[hi - 1] - d[hi]), e[hi - 1]
+    if delta == 0.0 and b == 0.0:
+        mu = d[hi]
+    else:
+        sgn = 1.0 if delta >= 0.0 else -1.0
+        mu = d[hi] - b * b / (delta + sgn * math.hypot(delta, b))
+    x = d[lo] - mu
+    z = e[lo]
+    for kk in range(lo, hi):
+        r = math.hypot(x, z)
+        if r == 0.0:
+            c, s = 1.0, 0.0
+        else:
+            c, s = x / r, z / r
+        if kk > lo:
+            e[kk - 1] = r
+        d1, ek, d2 = d[kk], e[kk], d[kk + 1]
+        d[kk] = c * c * d1 + 2.0 * c * s * ek + s * s * d2
+        d[kk + 1] = s * s * d1 - 2.0 * c * s * ek + c * c * d2
+        e[kk] = c * s * (d2 - d1) + (c * c - s * s) * ek
+        x = e[kk]
+        if kk < hi - 1:
+            z = s * e[kk + 1]
+            e[kk + 1] = c * e[kk + 1]
+        if W is not None:
+            w0, w1 = W[kk], W[kk + 1]
+            W[kk], W[kk + 1] = c * w0 + s * w1, c * w1 - s * w0
 
-    Each sweep is the rounds of a round-robin ordering (Brent & Luk 1985);
-    the rotations of a round act on disjoint (p, q) planes, so they commute
-    and are applied together as one array update.
+
+def _qr_spectrum(T: SymTridiagonal, W=None) -> np.ndarray:
+    """The eigenvalues of the unit-scaled tridiagonal T, ascending, by
+    implicit QR sweeps (_qr_sweep; Golub & Van Loan, section 8.3; LAPACK
+    dsteqr), which are backward stable: each is within a small multiple of
+    eps ||T|| of an eigenvalue.  A coupling at or below eps (|d_k| +
+    |d_{k+1}|) deflates, as in the AED driver, so exact zeros and one row
+    need no sweep, and so does one at or below _PIVMIN = eps^2 ||T||, which
+    a sweep between two zero diagonal entries would never shrink; each
+    sweep runs on the lowest block of rows with no such coupling, at most
+    _MAX_QR_SWEEPS sweeps per eigenvalue.  The rows of W, if given, are
+    rotated alike and put in the order of the values.
     """
-    n = A.n
-    # a real matrix is held as a real array (DenseHermitian), so it stays in
-    # real arithmetic: the rotation formulas below are dtype-generic (the
-    # phase ph degenerates to +-1) and run much faster
-    # H = 2^e S, solved as unit-scaled S and the values scaled back exactly
-    e = _scale_exponent(float(np.max(np.abs(A.entries))))
-    H = _ldexp(A.entries, -e)
-    V = np.eye(n, dtype=H.dtype)
-    scale = math.sqrt(float(np.sum(np.abs(H) ** 2)))
-    off_target = 0.5 * n * _EPS * scale
-    skip = _EPS * scale * 1e-3
-
-    diag_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm() -> float:
-        # summed directly over off-diagonal entries: subtracting the diagonal
-        # from the total cancels catastrophically once the off-part is tiny
-        return math.sqrt(float(np.sum(np.abs(H[diag_mask]) ** 2)))
-
-    rounds = _round_robin_pairs(n)
-    converged = off_norm() <= off_target
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        rotated = False
-        for P, Q in rounds:
-            apq = H[P, Q]
-            absb = np.abs(apq)
-            big = absb > skip
-            if not big.all():
-                if not big.any():
-                    continue
-                P, Q, apq, absb = P[big], Q[big], apq[big], absb[big]
-            rotated = True
-            app = H[P, P].real
-            aqq = H[Q, Q].real
-            ph = apq / absb
-            tau = (aqq - app) / (2.0 * absb)
-            t = np.where(tau >= 0, -1.0, 1.0) / (np.abs(tau) + np.hypot(tau, 1.0))
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            sph = s * ph.conjugate()
-            cphc = c * ph.conjugate()
-            # columns, then rows, of the unitary acting in the (p, q) planes
-            hp = H[:, P]
-            hq = H[:, Q]
-            H[:, P] = c * hp + sph * hq
-            H[:, Q] = -s * hp + cphc * hq
-            hp = H[P, :]
-            hq = H[Q, :]
-            H[P, :] = c[:, None] * hp + (s * ph)[:, None] * hq
-            H[Q, :] = -s[:, None] * hp + (c * ph)[:, None] * hq
-            H[P, Q] = 0.0
-            H[Q, P] = 0.0
-            H[P, P] = H[P, P].real
-            H[Q, Q] = H[Q, Q].real
-            vp = V[:, P]
-            vq = V[:, Q]
-            V[:, P] = c * vp + sph * vq
-            V[:, Q] = -s * vp + cphc * vq
-        if not rotated or off_norm() <= off_target:
-            converged = True
-    if not converged and off_norm() > 10 * off_target:
-        raise JacobiConvergenceError(
-            f"off-diagonal norm {off_norm():.3e} above target after "
-            f"{JACOBI_MAX_SWEEPS} sweeps")
-    vals = np.ldexp(H.diagonal().real, e)
+    d, e = T.diag.tolist(), T.offdiag.tolist()
+    n = len(d)
+    sweeps, hi = 0, n - 1
+    while hi > 0:
+        lo = hi
+        while lo > 0 and abs(e[lo - 1]) > max(_EPS * (abs(d[lo - 1]) + abs(d[lo])), _PIVMIN):
+            lo -= 1
+        if lo == hi:
+            hi -= 1
+            continue
+        if sweeps == _MAX_QR_SWEEPS * n:
+            raise QRConvergenceError(f"{sweeps} QR sweeps left rows {lo}..{hi} coupled")
+        _qr_sweep(d, e, lo, hi, W)
+        sweeps += 1
+    vals = np.array(d)
     order = np.argsort(vals, kind="stable")
-    return Spectrum(vals[order], V[:, order])
+    if W is not None:
+        W[:] = W[order]
+    return vals[order]
 
 
 def _pivot_blocks(diag, off_sq, x, ts, guard=False):
@@ -778,7 +757,12 @@ def _block_eigenvalues(members):
         i = np.flatnonzero(isolated & (hi - lo > tol))
         if not i.size:
             break
-        x = _laguerre(*_rows_of(diag, off_sq, mem[i]), rank[i], lo[i], hi[i], tol[i])
+        # each rank carries a copy of a stacked member's rows (_rows_of), so
+        # they go _BLOCK_ELEMENTS at a time, as in _stacked_counts
+        step = i.size if diag.ndim == 1 else max(1, _BLOCK_ELEMENTS // diag.shape[0])
+        parts = [i[s:s + step] for s in range(0, i.size, step)]
+        x = np.concatenate([_laguerre(*_rows_of(diag, off_sq, mem[p]), rank[p], lo[p], hi[p],
+                                      tol[p]) for p in parts])
         # each rank's two shifts side by side, so members stay in order
         shifts = np.empty(2 * i.size)
         shifts[0::2], shifts[1::2] = x - 0.5 * tol[i], x + 0.5 * tol[i]
@@ -937,9 +921,9 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     within 2 eps times the larger end of the Gerschgorin interval of the
     eigenvalue its rank has by the counts, as a bisection to 4 eps would
     be.  Eigenvectors, when requested, come from one batched
-    twisted-factorisation pass (_chunk_vectors).  Dense Jacobi steps in
-    only for vectors that miss the contract.  T is solved unit-scaled
-    (_unit_scaled), and the values scaled back exactly.
+    twisted-factorisation pass (_chunk_vectors).  The dense QR solver
+    (eig_dense) steps in only for vectors that miss the contract.  T is
+    solved unit-scaled (_unit_scaled), and the values scaled back exactly.
     """
     n = T.n
     T, e = _unit_scaled(T)
@@ -959,9 +943,10 @@ def eig_tridiag(T: SymTridiagonal, want_vectors: bool = False) -> Spectrum:
     return Spectrum(np.ldexp(vals, e), vecs)
 
 
-def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and subdiagonal of a tridiagonal matrix unitarily similar to
-    the Hermitian array B, which is overwritten.
+def _householder_tridiagonal(B: np.ndarray, W=None) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and subdiagonal of a tridiagonal matrix T = Q^H B Q unitarily
+    similar to the Hermitian array B, which is overwritten; the rows of the
+    array W, if given, are reflected alike, W <- Q^T W.
 
     Step k applies the reflection I - 2 v v^H to rows and columns k+1..,
     mapping B[k+1:, k] to alpha e_1 (Golub & Van Loan, section 8.3).  alpha
@@ -996,16 +981,28 @@ def _householder_tridiagonal(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w -= (vh @ w) * v
         sub -= 2.0 * (v[:, None] * w.conj()) + 2.0 * (w[:, None] * vh)
         B[kk + 1, kk] = alpha
+        if W is not None:
+            # H^T = I - 2 conj(v) v^T
+            W[kk + 1:] -= 2.0 * (vh[:, None] * (v @ W[kk + 1:]))
     return np.diagonal(B).real.copy(), np.diagonal(B, offset=-1).copy()
 
 
-def _dense_tridiagonal(H: np.ndarray) -> tuple[SymTridiagonal, int]:
+def _dense_tridiagonal(H: np.ndarray, W=None) -> tuple[SymTridiagonal, int]:
     """(T, e): a unit-scaled real tridiagonal T whose spectrum times 2^e is
     that of the Hermitian array H, which is left as it is.  H is reduced
     unit-scaled (_householder_tridiagonal), so that the column norms of the
-    reduction neither overflow nor underflow."""
+    reduction neither overflow nor underflow.  With the array W the
+    reduction's Q is kept, W <- (Q D)^T W, D the unimodular diagonal with
+    D_0 = 1 and D_{k+1} = D_k sub_k / |sub_k| (D_k where sub_k = 0) that
+    turns each coupling sub_k of T_c = Q^H H Q into |sub_k| = conj(D_{k+1})
+    sub_k D_k: for W = I on entry, H = V (2^e T) V^H with V = W^T."""
     e = _scale_exponent(float(np.max(np.abs(H))))
-    d, sub = _householder_tridiagonal(_ldexp(H, -e))
+    d, sub = _householder_tridiagonal(_ldexp(H, -e), W)
+    if W is not None:
+        phase = np.ones(d.size, dtype=sub.dtype)
+        nz = sub != 0.0
+        phase[1:][nz] = sub[nz] / np.abs(sub[nz])
+        W *= np.cumprod(phase)[:, None]
     T, f = _unit_scaled(SymTridiagonal(d, np.abs(sub)))
     return T, e + f
 
@@ -1080,9 +1077,9 @@ def _dense_batch(spectra=(), norms=()) -> tuple[list[np.ndarray], list[float]]:
     tol, so that its shifts are those a bisection of T would take.  A block
     of one row is its diagonal entry.  A Sturm count whose shift met the
     pivot guard above the last row may be one short (see _sturm_counts), so
-    a dense spectrum in which any count met it is redone by Jacobi
-    (_jacobi), that one alone; a tridiagonal spectrum is returned as
-    counted.
+    a dense spectrum in which any count met it is redone by QR sweeps on
+    the tridiagonal it was reduced to (_qr_spectrum), that one alone; a
+    tridiagonal spectrum is returned as counted.
 
     A norm computes only ranks 1 and n, rank 1 counted from above so that a
     zero pivot cannot mislead it (see _sturm_counts).  Where _norm_blocks
@@ -1127,7 +1124,7 @@ def _dense_batch(spectra=(), norms=()) -> tuple[list[np.ndarray], list[float]]:
     for A, (T, e), blocks in zip(spectra, reduced, splits):
         parts = [(T.diag[a:b], False) if b - a == 1 else next(solved) for a, b in blocks]
         if isinstance(A, DenseHermitian) and any(met for _, met in parts):
-            values.append(_jacobi(A).values)
+            values.append(np.ldexp(_qr_spectrum(T), e))
         else:
             vals = (parts[0][0] if len(parts) == 1
                     else np.sort(np.concatenate([v for v, _ in parts])))

@@ -60,10 +60,10 @@ def _log_chain(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     being -inf and a row that reaches the value +inf.  Returns the prefix
     sums along the rows, and per value the number of leading factors
     before the first +inf, where its chain stops; prefix sums from there
-    on carry no bound."""
+    on carry no bound.  The prefix sums overwrite logs."""
     length = np.logical_and.accumulate(logs != np.inf, axis=1).sum(axis=1)
     with np.errstate(invalid="ignore"):     # -inf + inf past a stop
-        return np.cumsum(logs, axis=1), length
+        return np.cumsum(logs, axis=1, out=logs), length
 
 
 def decay_step_bound(T: SymTridiagonal, lam: float, k: int) -> float | None:
@@ -194,12 +194,13 @@ def aed_window_bounds(T: SymTridiagonal, k: int, j: int | None = None,
         return [(lam, None, None) for lam in lams.tolist()]
     if j is not None and b_nk == 0.0:
         return [(lam, LogScalar(0), j) for lam in lams.tolist()]
-    step = max(1, _BLOCK_ELEMENTS // n)
-    head_ok = _head_gap_ok(T, b, k, alpha, lams, step)
+    head_ok = _head_gap_ok(T, b, k, alpha, lams, max(1, _BLOCK_ELEMENTS // n))
     # the tail rows n-k..n-1, whose eta factors enter the bound
     tail = slice(n - k - 1, n - 1)
-    b_prev = np.concatenate([[0.0], b[:-1]])[tail]
+    # a copy, since a view would keep all n rows alive through the blocks
+    b_prev = np.concatenate([[0.0], b[:-1]])[tail].copy()
     rows = (T.diag[tail], b[tail], b_prev, np.maximum(b[tail], b_prev))
+    step = max(1, _BLOCK_ELEMENTS // k)
     return [triple for start in range(0, lams.size, step)
             for triple in _window_block(rows, j, alpha, lams[start:start + step],
                                         head_ok[start:start + step])]
@@ -250,21 +251,36 @@ def _window_block(rows: tuple, j: int | None, alpha: float, lams: np.ndarray,
     whether the head rows pass the gap condition; rows = (a_i, |b_i|,
     |b_{i-1}|, max of the two) over the tail rows n-k..n-1."""
     a, b, b_prev, b_max = rows
-    gap = np.abs(a - lams[:, None])
-    denom = gap - alpha - b_max
-    ok = (gap - b - b_prev - alpha > 0.0) & (denom > 0.0)
+    # one (value x row) array, updated in place: the gap test, then the
+    # denominator, then the log10 terms of the chain
+    terms = np.subtract(a, lams[:, None])
+    np.abs(terms, out=terms)
+    terms -= b
+    terms -= b_prev
+    terms -= alpha
+    ok = terms > 0.0
+    np.subtract(a, lams[:, None], out=terms)
+    np.abs(terms, out=terms)
+    terms -= alpha
+    terms -= b_max
+    ok &= terms > 0.0
+    np.divide(b, terms, out=terms, where=ok)
     with np.errstate(divide="ignore"):
-        logs = np.log10(np.divide(b, denom, out=np.zeros_like(denom), where=ok))
-        terms = 2.0 * logs
-        terms[:, 0] = np.log10(b[0] / 2.0) + logs[:, 0]
-    # prefix[:, d]: log10 bound at depth d; a row that fails ok ends the chain
-    prefix, run = _log_chain(np.where(ok, terms, np.inf))
+        np.log10(terms, out=terms, where=ok)
+        first = np.log10(b[0] / 2.0) + terms[:, 0]
+    # a row that fails ok ends the chain
+    np.copyto(terms, np.inf, where=~ok)
+    terms *= 2.0
+    terms[:, 0] = np.where(ok[:, 0], first, np.inf)
+    # prefix[:, d]: log10 bound at depth d
+    prefix, run = _log_chain(terms)
     # F = (leading run of ok tail rows) - 1, and 0 when a head row fails
     feasible = np.where(head_ok, np.maximum(run - 1, 0), 0)
     if j is None:
         depths = np.arange(b.size)
-        reachable = (depths >= 1) & (depths <= feasible[:, None])
-        used = np.argmin(np.where(reachable, prefix, np.inf), axis=1)
+        # the depths out of reach read inf; no bound is taken from them
+        np.copyto(prefix, np.inf, where=(depths < 1) | (depths > feasible[:, None]))
+        used = np.argmin(prefix, axis=1)
     else:
         used = np.full(lams.size, j)
     bound = prefix[np.arange(lams.size), used]

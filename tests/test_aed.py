@@ -256,7 +256,66 @@ class TestDeflationSoundnessCheck:
         assert deflation_soundness_check(T, out, 1e-12).shape == (0,)
 
 
+def reference_qr_sweep(T):
+    """The AED driver's sweep as it was written before it moved into the
+    solvers (solvers._qr_sweep): a test-only reference for its bits."""
+    n = T.n
+    if n < 2:
+        return T
+    d = [float(v) for v in T.diag]
+    e = [float(v) for v in T.offdiag]
+    d1, d2, b = d[n - 2], d[n - 1], e[n - 2]
+    delta = 0.5 * (d1 - d2)
+    if delta == 0.0 and b == 0.0:
+        mu = d2
+    else:
+        sgn = 1.0 if delta >= 0.0 else -1.0
+        mu = d2 - b * b / (delta + sgn * math.hypot(delta, b))
+    x = d[0] - mu
+    z = e[0]
+    for kk in range(n - 1):
+        r = math.hypot(x, z)
+        if r == 0.0:
+            c, s = 1.0, 0.0
+        else:
+            c, s = x / r, z / r
+        if kk > 0:
+            e[kk - 1] = r
+        d1, ek, d2 = d[kk], e[kk], d[kk + 1]
+        d[kk] = c * c * d1 + 2.0 * c * s * ek + s * s * d2
+        d[kk + 1] = s * s * d1 - 2.0 * c * s * ek + c * c * d2
+        e[kk] = c * s * (d2 - d1) + (c * c - s * s) * ek
+        x = e[kk]
+        if kk < n - 2:
+            z = s * e[kk + 1]
+            e[kk + 1] = c * e[kk + 1]
+    return SymTridiagonal(np.array(d), np.array(e))
+
+
+def _sweep_inputs():
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3, 10, 40):
+        yield f"random{n}", random_tridiagonal(rng, n)
+        yield f"graded{n}", graded_example(rng, n, b_scale=0.2)
+    d, e = rng.standard_normal(12), rng.standard_normal(11)
+    e[[0, 5, 10]] = 0.0
+    yield "zero-couplings", SymTridiagonal(d, e)
+    yield "zero-last-coupling", SymTridiagonal([1.0, 2.0, 3.0], [0.5, 0.0])
+    # delta == 0 and b == 0: the shift is d2
+    yield "equal-diagonal", SymTridiagonal([1.5, 1.5], [0.0])
+    yield "aed60", aed_example(60)
+
+
 class TestQrSweep:
+    @pytest.mark.parametrize("T", [T for _, T in _sweep_inputs()],
+                             ids=[name for name, _ in _sweep_inputs()])
+    def test_bits_of_the_sweep_before_it_moved(self, T):
+        got, ref = qr_sweep(T), reference_qr_sweep(T)
+        for _ in range(4):
+            assert np.array_equal(got.diag.view(np.int64), ref.diag.view(np.int64))
+            assert np.array_equal(got.offdiag.view(np.int64), ref.offdiag.view(np.int64))
+            got, ref = qr_sweep(got), reference_qr_sweep(ref)
+
     def test_preserves_spectrum(self):
         rng = np.random.default_rng(38)
         for _ in range(10):

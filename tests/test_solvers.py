@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -15,8 +16,7 @@ from eigbounds import (BlockSplit, DenseHermitian, SymTridiagonal, aed_example,
                        wilkinson_plus, wilkinson_split)
 from eigbounds import solvers
 from eigbounds.blocks import _sub_blocks
-from eigbounds.solvers import (JacobiConvergenceError, _counts_within,
-                               _round_robin_pairs)
+from eigbounds.solvers import QRConvergenceError, _counts_within
 
 
 def _assert_eigenpairs(T, spec):
@@ -68,7 +68,7 @@ class TestEigDense:
         np.zeros((4, 4)), np.zeros((4, 4), dtype=complex),
     ])
     def test_no_rotation_gives_diagonal_and_identity(self, a):
-        # Jacobi starts converged: one row, or no off-diagonal mass at all
+        # no QR sweep: one row, or no coupling in the tridiagonal at all
         spec = eig_dense(DenseHermitian.from_array(a), want_vectors=True)
         assert np.array_equal(spec.values, np.diagonal(a).real)
         assert np.array_equal(spec.vectors, np.eye(len(a)))
@@ -93,28 +93,22 @@ def _check_against_library(M, values_only=False):
 
 
 class TestRoundRobinJacobi:
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 10])
-    def test_rounds_pair_every_index_pair_once(self, n):
-        rounds = _round_robin_pairs(n)
-        assert len(rounds) == n - 1 + n % 2
-        seen = []
-        for P, Q in rounds:
-            assert np.all(P < Q)
-            assert len(set(P) | set(Q)) == 2 * P.size  # disjoint planes
-            seen += list(zip(P.tolist(), Q.tolist()))
-        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    """Dense eigenvectors: implicit QR sweeps (solvers._qr_spectrum) on the
+    Householder tridiagonal, rotating the reduction's reflections.  These
+    cases tested round-robin Jacobi, which the QR solver replaced; they keep
+    their names and test the QR solver against numpy."""
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 40])
     def test_random_matches_library(self, n, complex_entries):
-        # odd n pads the round-robin schedule with an index that never rotates
         rng = np.random.default_rng(100 + n)
         A = random_hermitian(rng, n, complex_entries=complex_entries)
         _check_against_library(A.entries)
 
     def test_block_diagonal_rounds_mix_skipped_and_rotated_pairs(self):
-        # cross-block pairs are exactly zero and drop out of their round
-        # while the within-block pairs of the same round still rotate
+        # the reflections of one block leave the other's rows exactly as
+        # they are, so the tridiagonal has an exactly zero coupling between
+        # the blocks, which deflates, while each block still sweeps
         rng = np.random.default_rng(101)
         M = np.zeros((11, 11), dtype=complex)
         M[:5, :5] = random_hermitian(rng, 5, complex_entries=True).entries
@@ -132,7 +126,7 @@ class TestRoundRobinJacobi:
 
     def test_diagonal_input_needs_no_sweep(self, monkeypatch):
         # with no sweep allowed any off-diagonal mass would raise
-        monkeypatch.setattr(solvers, "JACOBI_MAX_SWEEPS", 0)
+        monkeypatch.setattr(solvers, "_MAX_QR_SWEEPS", 0)
         A = DenseHermitian.from_array(np.diag([3.0, -1.0, 2.0, 0.5]))
         spec = eig_dense(A, want_vectors=True)
         assert np.array_equal(spec.values, [-1.0, 0.5, 2.0, 3.0])
@@ -140,9 +134,9 @@ class TestRoundRobinJacobi:
 
     def test_sweep_budget_exhausted_raises(self, monkeypatch):
         # values alone come from the tridiagonal, so only vectors sweep
-        monkeypatch.setattr(solvers, "JACOBI_MAX_SWEEPS", 0)
+        monkeypatch.setattr(solvers, "_MAX_QR_SWEEPS", 0)
         rng = np.random.default_rng(103)
-        with pytest.raises(JacobiConvergenceError):
+        with pytest.raises(QRConvergenceError):
             eig_dense(random_hermitian(rng, 6), want_vectors=True)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -151,6 +145,50 @@ class TestRoundRobinJacobi:
         A = random_hermitian(rng, 9, complex_entries=complex_entries)
         spec = _check_against_library(A.entries, values_only=True)
         assert spec.vectors is None
+
+    @pytest.mark.parametrize("M", [
+        [[0.0, 3.0], [3.0, 0.0]], [[0.0, 1 - 2j], [1 + 2j, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 1e-320], [0.0, 1e-320, 0.0]]],
+        ids=["antidiagonal", "antidiagonal-complex", "subnormal-coupling"])
+    def test_deflation_edge_cases(self, M):
+        # (the zero matrix and one row: test_no_rotation_gives_diagonal_and_identity)
+        # [[0, b], [b, 0]] has a zero-difference Wilkinson shift and takes
+        # one sweep; a sweep between zero diagonal entries only swaps them,
+        # so a subnormal coupling there deflates by the eps^2 floor
+        _check_against_library(np.asarray(M))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_planted_triple(self, complex_entries):
+        # an exactly triple eigenvalue: any orthonormal basis of its space
+        rng = np.random.default_rng(105)
+        Q, _ = np.linalg.qr(random_hermitian(rng, 12, complex_entries=complex_entries).entries)
+        lam = np.array([-2.0, -1.0, 0.5, 0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0])
+        M = (Q * lam) @ Q.conj().T
+        V = _check_against_library((M + M.conj().T) / 2.0).vectors[:, 2:5]
+        # the triple's vectors span the planted space
+        P = Q[:, 2:5]
+        assert np.max(np.abs(V - P @ (P.conj().T @ V))) <= 1e-12
+
+    def test_tridiagonal_fallback_meets_the_contract(self, monkeypatch):
+        # a near-equal chain with the twisted vectors refused: eig_tridiag
+        # falls back to the dense QR solver, through one public eig_dense
+        def refuse(*args):
+            raise solvers.InverseIterationError("refused")
+
+        calls = []
+        dense = solvers.eig_dense
+
+        def counting(A, want_vectors=False):
+            calls.append((A.n, want_vectors))
+            return dense(A, want_vectors)
+
+        monkeypatch.setattr(solvers, "_twisted_vectors", refuse)
+        monkeypatch.setattr(solvers, "eig_dense", counting)
+        i = np.arange(200)
+        T = SymTridiagonal(1.0 + 1e-12 * np.cos(i), 1e-12 * (1.5 + np.sin(i[:-1])))
+        spec = eig_tridiag(T, want_vectors=True)
+        assert calls == [(200, True)]
+        _assert_eigenpairs(T, spec)
 
 
 def _dense_input(seed, n, kind, complex_entries):
@@ -176,8 +214,10 @@ def _dense_input(seed, n, kind, complex_entries):
 
 class TestDenseValues:
     """eig_dense values come from the Householder tridiagonal through the
-    isolate-refine-certify engine; Jacobi answers only for vectors and for
-    solves in which a Sturm count met the pivot guard."""
+    isolate-refine-certify engine; QR sweeps on that tridiagonal
+    (_qr_spectrum) answer only for vectors and for solves in which a Sturm
+    count met the pivot guard.  Test names that say Jacobi predate the QR
+    solver, which took over Jacobi's calls."""
 
     @pytest.mark.parametrize("M", [
         wilkinson_plus(5).to_dense().entries,
@@ -193,9 +233,9 @@ class TestDenseValues:
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_values_never_reach_jacobi(self, complex_entries, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("eig_dense values reached Jacobi")
+            raise AssertionError("eig_dense values reached the QR sweeps")
 
-        monkeypatch.setattr(solvers, "_jacobi", refuse)
+        monkeypatch.setattr(solvers, "_qr_spectrum", refuse)
         rng = np.random.default_rng(120)
         for n in range(2, 41):
             A = random_hermitian(rng, n, complex_entries=complex_entries)
@@ -214,22 +254,22 @@ class TestDenseValues:
 
 
 def _engine_spy(monkeypatch):
-    """The member count of each _block_eigenvalues call, and the number of
-    _jacobi calls, from here on."""
-    engine_calls, jacobi_calls = [], []
-    engine, jacobi = solvers._block_eigenvalues, solvers._jacobi
+    """The member count of each _block_eigenvalues call, and the order of
+    each _qr_spectrum call, from here on."""
+    engine_calls, qr_calls = [], []
+    engine, qr = solvers._block_eigenvalues, solvers._qr_spectrum
 
     def engine_spy(members):
         engine_calls.append(len(members))
         return engine(members)
 
-    def jacobi_spy(*args):
-        jacobi_calls.append(args[0].n)
-        return jacobi(*args)
+    def qr_spy(*args):
+        qr_calls.append(args[0].n)
+        return qr(*args)
 
     monkeypatch.setattr(solvers, "_block_eigenvalues", engine_spy)
-    monkeypatch.setattr(solvers, "_jacobi", jacobi_spy)
-    return engine_calls, jacobi_calls
+    monkeypatch.setattr(solvers, "_qr_spectrum", qr_spy)
+    return engine_calls, qr_calls
 
 
 def _copy(M):
@@ -253,7 +293,7 @@ class TestSolvedScope:
     def _inputs():
         rng = np.random.default_rng(2500)
         spectra = [random_hermitian(rng, 12), random_hermitian(rng, 9, complex_entries=True),
-                   # its Sturm counts meet the pivot guard: redone by Jacobi
+                   # its Sturm counts meet the pivot guard: redone by QR
                    DenseHermitian.from_array(wilkinson_plus(5).to_dense().entries)]
         norms = [random_hermitian(rng, 7, complex_entries=True),
                  rng.standard_normal((4, 9)),
@@ -264,9 +304,9 @@ class TestSolvedScope:
     def test_served_results_are_the_unscoped_ones(self, monkeypatch):
         spectra, norms = self._inputs()
         values, tops = solvers._dense_batch(spectra, norms)
-        engine_calls, jacobi_calls = _engine_spy(monkeypatch)
+        engine_calls, qr_calls = _engine_spy(monkeypatch)
         with solvers._solved(spectra, norms):
-            assert len(engine_calls) == 1 and jacobi_calls == [11]
+            assert len(engine_calls) == 1 and qr_calls == [11]
             copies = ([_copy(A) for A in spectra], [_copy(M) for M in norms])
             for got_values, got_tops in (solvers._dense_batch(spectra, norms),
                                          solvers._dense_batch(*copies),
@@ -275,8 +315,8 @@ class TestSolvedScope:
                 for got, ref in zip(got_values, values):
                     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
                 assert [float(t).hex() for t in got_tops] == [t.hex() for t in tops]
-        # served from the block: no engine call and no Jacobi redo after entry
-        assert len(engine_calls) == 1 and jacobi_calls == [11]
+        # served from the block: no engine call and no QR redo after entry
+        assert len(engine_calls) == 1 and qr_calls == [11]
 
     def test_served_values_are_copies(self):
         spectra, _ = self._inputs()
@@ -320,12 +360,12 @@ class TestSolvedScope:
     def test_a_call_with_one_unlisted_input_is_the_unscoped_call(self, monkeypatch):
         spectra, norms = self._inputs()
         ref = solvers._dense_batch(spectra, norms)
-        engine_calls, jacobi_calls = _engine_spy(monkeypatch)
+        engine_calls, qr_calls = _engine_spy(monkeypatch)
         with solvers._solved(spectra, norms[1:]):
             engine_calls.clear()
-            jacobi_calls.clear()
+            qr_calls.clear()
             got = solvers._dense_batch(spectra, norms)
-        assert len(engine_calls) == 1 and jacobi_calls == [11]
+        assert len(engine_calls) == 1 and qr_calls == [11]
         self._assert_same(got, ref)
 
 
@@ -333,7 +373,7 @@ class TestTridiagonalValues:
     """Several tridiagonal spectra from one engine call (_dense_batch), each
     bit for bit its eig_tridiag; cmd_wilkinson solves W+ in one call with
     the norm of a half of its split part.  A tridiagonal spectrum is
-    returned as counted, never redone by Jacobi, where the same matrix in
+    returned as counted, never redone by QR sweeps, where the same matrix in
     dense form is."""
 
     @pytest.mark.parametrize("n", range(5, 13))
@@ -385,21 +425,21 @@ class TestTridiagonalValues:
 
     def test_tridiagonal_spectra_are_eig_tridiag(self, monkeypatch):
         refs = [eig_tridiag(T).values for T in self._SPECTRA.values()]
-        engine_calls, jacobi_calls = _engine_spy(monkeypatch)
+        engine_calls, qr_calls = _engine_spy(monkeypatch)
         together = solvers._dense_batch(list(self._SPECTRA.values()))[0]
         alone = [solvers._dense_batch([T])[0][0] for T in self._SPECTRA.values()]
         for got, one, ref in zip(together, alone, refs):
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
             assert np.array_equal(one.view(np.int64), ref.view(np.int64))
-        assert len(engine_calls) == 1 + len(refs) and jacobi_calls == []
+        assert len(engine_calls) == 1 + len(refs) and qr_calls == []
 
     def test_only_the_dense_form_is_redone_by_jacobi(self, monkeypatch):
         T = self._SPECTRA["wilkinson5"]
-        _, jacobi_calls = _engine_spy(monkeypatch)
+        _, qr_calls = _engine_spy(monkeypatch)
         solvers._dense_batch([T])
-        assert jacobi_calls == []
+        assert qr_calls == []
         solvers._dense_batch([T.to_dense()])
-        assert jacobi_calls == [T.n]
+        assert qr_calls == [T.n]
 
 
 def _counts_below(T, xs):
@@ -1155,6 +1195,38 @@ class TestStackedMembers:
         for (vals, met), (ref, ref_met) in zip(solvers._block_eigenvalues(members), whole):
             assert np.array_equal(vals.view(np.int64), ref.view(np.int64)) and met == ref_met
 
+    def test_laguerre_in_parts_of_bounded_size(self, monkeypatch):
+        # stacked members iterate a few ranks at a time (7 here, and 7
+        # shifts a count) with the same bits as all at once
+        members = []
+        for kind, n in (("random", 30), ("graded", 30), ("split", 21), ("random", 9)):
+            S = _member_matrix(kind, n, n)
+            members.append(solvers._Member(S.diag, *solvers._bisection_start(S)))
+        whole = solvers._block_eigenvalues(members)
+        monkeypatch.setattr(solvers, "_BLOCK_ELEMENTS", 30 * 7)
+        for (vals, met), (ref, ref_met) in zip(solvers._block_eigenvalues(members), whole):
+            assert np.array_equal(vals.view(np.int64), ref.view(np.int64)) and met == ref_met
+
+    def test_a_zero_coupling_keeps_the_memory_bounded(self):
+        # one zero coupling splits an order-4000 tridiagonal into two stacked
+        # members; their Laguerre iteration once copied the stacked rows for
+        # every rank at once, 122 MB here (a traced peak of 140 MB against
+        # 11.5 MB unsplit), growing as n^2
+        rng = np.random.default_rng(1150)
+        d, b = rng.standard_normal(4000), rng.standard_normal(3999)
+        split = b.copy()
+        split[2000] = 0.0
+        peaks = []
+        for off in (b, split):
+            T = SymTridiagonal(d, off)
+            tracemalloc.start()
+            try:
+                eig_tridiag(T)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
     def test_members_that_share_an_interval_stay_apart(self):
         # equal intervals, tolerances and ranks: the ranks of one member must
         # not join the subtree of the other's
@@ -1372,16 +1444,16 @@ class TestCertificateFailure:
     def test_guard_still_reaches_jacobi(self, monkeypatch):
         # W+(5)'s tridiagonal meets exactly zero pivots: the flag from the
         # passes and the certificate counts must still send the dense solve
-        # to Jacobi
+        # to the QR sweeps
         per_call = self._failing_laguerre(monkeypatch)
         redo = []
-        jacobi = solvers._jacobi
+        qr = solvers._qr_spectrum
 
         def recording(*args, **kwargs):
             redo.append(args[0].n)
-            return jacobi(*args, **kwargs)
+            return qr(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "_jacobi", recording)
+        monkeypatch.setattr(solvers, "_qr_spectrum", recording)
         M = wilkinson_plus(5).to_dense().entries
         _check_against_library(M, values_only=True)
         assert per_call == [[1, 1]] and redo == [11]
@@ -1472,10 +1544,15 @@ class TestDenseScaling:
         S = DenseHermitian.from_array(np.ldexp(A.entries.real, k)
                                       + 1j * np.ldexp(A.entries.imag, k))
         assert np.array_equal(eig_dense(S).values, np.ldexp(eig_dense(A).values, k))
+        # with vectors, the reduction and the QR sweeps run unit-scaled too
+        ref, got = eig_dense(A, want_vectors=True), eig_dense(S, want_vectors=True)
+        assert np.array_equal(got.values, np.ldexp(ref.values, k))
+        assert np.array_equal(got.vectors, ref.vectors)
 
     def test_tiny_matrix_matches_library(self):
-        # unscaled, Jacobi's rotation threshold underflowed and this matrix
-        # came back with 0.70 relative error
+        # unscaled, the round-robin Jacobi solver this package once had
+        # underflowed its rotation threshold, and this matrix came back with
+        # 0.70 relative error
         rng = np.random.default_rng(940)
         M = 1e-200 * random_hermitian(rng, 12).entries.real
         ref = np.linalg.eigvalsh(M)

@@ -419,15 +419,27 @@ class TestAedWindowBoundsReference:
 
 
 class TestAedWindowBoundsScaling:
-    def test_long_head_is_one_sort(self):
+    def test_long_head_is_one_sort(self, monkeypatch):
         # 400,000 rows and a 1,000-row window: testing the gap condition
         # per (value, row) pair took 3.4-4.7 s on this input and a traced
-        # peak of 24.6-25.8 MB
+        # peak of 24.6-25.8 MB; the tail's (value x row) arrays are sized
+        # from the window, so all 1,000 values take one block (chunks sized
+        # from n made 500 blocks of 2 values)
         T = jittered_tridiagonal(np.random.default_rng(0), 400_000)
         values = eig_tridiag(T.window(1000)).values
+        blocks = []
+        window_block = tridiag._window_block
+
+        def counting(*args):
+            blocks.append(args[3].size)
+            return window_block(*args)
+
+        monkeypatch.setattr(tridiag, "_window_block", counting)
         start = time.perf_counter()
         got = aed_window_bounds(T, 1000, window_values=values)
         assert time.perf_counter() - start <= 1.0
+        assert blocks == [1000]
+        monkeypatch.undo()
         tracemalloc.start()
         try:
             assert aed_window_bounds(T, 1000, window_values=values) == got
