@@ -65,9 +65,11 @@ def _sub_blocks(A: DenseHermitian, E: DenseHermitian, split: BlockSplit) -> _Sub
     and E22 are all zero, the shape quadratic_residual_bounds takes.  Both
     bounds and the CLI's request of their inputs (solvers._solved, which
     finds them by value) take them from here, so the request holds exactly
-    what the bounds ask for."""
+    what the bounds ask for.  An E of another order or a split out of
+    range for A raises ValueError here, before any block is sliced."""
     if E.n != A.n:
-        raise ValueError(f"E has order {E.n}, A has order {A.n}")
+        raise ValueError(f"shape mismatch: E has order {E.n}, A has order {A.n}")
+    split.check(A.n)
     a21 = A.block(split, "21")
     e11 = DenseHermitian.from_array(E.block(split, "11"))
     e22 = DenseHermitian.from_array(E.block(split, "22"))
@@ -96,7 +98,6 @@ def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
     distance from the i-th eigenvalue of A to the spectrum of the other
     block (Li & Li 2005, "A note on eigenvalues of perturbed Hermitian
     matrices").  A zero gap falls back to the Weyl bound, flagged invalid."""
-    split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
     blocks = _sub_blocks(A, E, split)
@@ -130,8 +131,11 @@ def quadratic_residual_bounds(A: DenseHermitian, split: BlockSplit,
 
 def eigvec_tail_bound(A: DenseHermitian, split: BlockSplit, lam: float) -> float:
     """Bound on the trailing eigenvector component norm ||x2|| for an
-    eigenvalue lam of A: ||A21|| / min_j |lam - lambda_j(A22)|."""
+    eigenvalue lam of A: ||A21|| / min_j |lam - lambda_j(A22)|; a lam that
+    is not finite or is an eigenvalue of A22 raises ValueError."""
     split.check(A.n)
+    if not np.isfinite(lam):
+        raise ValueError(f"lam={lam} is not finite")
     (a22_vals,), (a21n,) = _dense_batch([DenseHermitian.from_array(A.block(split, "22"))],
                                         [A.block(split, "21")])
     gap = _gap_to_block(lam, a22_vals)
@@ -154,7 +158,6 @@ def theorem1_bounds(A: DenseHermitian, E: DenseHermitian, split: BlockSplit,
     flagged invalid, with tau None.  The spectra and the norms of the
     blocks come from one engine call (_dense_batch); ||E|| is
     weyl_bound's."""
-    split.check(A.n)
     if indices is None:
         indices = range(1, A.n + 1)
     blocks = _sub_blocks(A, E, split)

@@ -71,7 +71,10 @@ def first_order_eigs(ctx: MultipleEigContext, E: DenseHermitian,
                      eps) -> np.ndarray:
     """Predicted cluster eigenvalues of A + eps*E: lambda0 + eps * mu_i for
     mu_i the ascending eigenvalues of Q1^H E Q1.  A scalar eps gives one
-    value per mu_i; an array of eps gives one row of them per eps."""
+    value per mu_i; an array of eps gives one row of them per eps.  An E of
+    another order than A raises ValueError."""
+    if E.n != ctx.matrix.n:
+        raise ValueError(f"shape mismatch: E has order {E.n}, A has order {ctx.matrix.n}")
     eps = np.asarray(eps, dtype=float)
     if not np.all((eps >= 0.0) & (eps < math.inf)):
         raise ValueError("eps must be finite and nonnegative")
@@ -105,16 +108,19 @@ def expansion_order(contexts, E: DenseHermitian, eps_grid) -> list[OrderFit]:
     with the quadratic-gap bound 2||eps E||^2 / (gap + sqrt(gap^2 +
     4||eps E||^2)).  ||E|| and the spectrum of each A + eps*E are computed
     once for all clusters, in one engine call (_dense_batch), and used
-    only once every cluster has passed the eps*||E|| < gap/4 check.
+    only once every cluster has passed the eps*||E|| < gap/4 check.  An E
+    of another order than A raises ValueError before any solve.
     """
     if len({id(ctx.matrix) for ctx in contexts}) != 1:
         raise ValueError("contexts must be clusters of one matrix")
+    A = contexts[0].matrix
+    if E.n != A.n:
+        raise ValueError(f"shape mismatch: E has order {E.n}, A has order {A.n}")
     eps_grid = np.asarray(sorted(map(float, eps_grid), reverse=True))
     if eps_grid.size < 2 or not np.all((eps_grid > 0.0) & (eps_grid < math.inf)):
         raise ValueError("eps grid must hold at least two positive finite values")
     if eps_grid[0] / eps_grid[-1] < 100.0:
         raise ValueError("eps grid must span at least two decades")
-    A = contexts[0].matrix
     spectra, (norm_e,) = _dense_batch(
         [DenseHermitian.from_array(A.entries + eps * E.entries) for eps in eps_grid], [E])
     if any(math.isfinite(ctx.gap) and norm_e * eps_grid[0] >= ctx.gap / 4.0

@@ -146,6 +146,13 @@ class TestEigvecTailBound:
         with pytest.raises(ValueError):
             eigvec_tail_bound(A, BlockSplit(1), 3.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lam_raises(self, lam):
+        # the gap to A22 would read NaN or inf: a NaN bound, or a plausible 0
+        A = DenseHermitian.from_blocks(np.diag([5.0, 4.0]), [[0.01, 0.02]], [[1.0]])
+        with pytest.raises(ValueError, match="not finite"):
+            eigvec_tail_bound(A, BlockSplit(1), lam)
+
 
 class TestTau:
     def test_none_when_gap_too_small(self):

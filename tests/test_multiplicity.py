@@ -103,6 +103,15 @@ class TestFirstOrderEigs:
             with pytest.raises(ValueError, match="finite"):
                 first_order_eigs(ctx, E, grid)
 
+    def test_e_of_another_order_rejected(self):
+        # Q1^H E Q1 and A + eps E would otherwise fail inside numpy
+        ctx = detect_multiple(DenseHermitian.from_array(np.diag([1.0, 1.0, 5.0])))[0]
+        E = DenseHermitian.from_array(np.eye(2))
+        with pytest.raises(ValueError, match="shape mismatch: E has order 2, A has order 3"):
+            first_order_eigs(ctx, E, 1e-2)
+        with pytest.raises(ValueError, match="shape mismatch: E has order 2, A has order 3"):
+            expansion_order([ctx], E, (1e-2, 1e-3, 1e-4))
+
 
 class TestExpansionOrder:
     def test_trailing_term_is_quadratic(self):
